@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
 from datetime import date, datetime, time, timedelta, timezone
 from enum import Enum
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable
 
 from .errors import (
     CheckConfigError,
@@ -35,7 +37,7 @@ from .errors import (
     StageMismatch,
     UnknownField,
 )
-from .ingest import Column, DatasetManifest, DatasetSnapshot, SemanticType, Stage
+from .ingest import Column, DatasetManifest, DatasetSnapshot, FieldSpec, SemanticType, Stage
 from .taxonomy import DQParameter, parameter_by_name
 
 #: Stratum key for rows whose actor id cell is missing.
@@ -44,6 +46,9 @@ UNATTRIBUTED_STRATUM = "<unattributed>"
 #: Reserved subset token: restrict a completeness check to rows where the
 #: field is required (per its policy condition).
 WHERE_REQUIRED = "where-required"
+
+#: Semantic types whose cells are kept as text, never coerced.
+_UNTYPED = (SemanticType.CODE, SemanticType.CATEGORY, SemanticType.TEXT)
 
 
 class CheckKind(str, Enum):
@@ -55,30 +60,6 @@ class CheckKind(str, Enum):
     DEGENERACY_BY_ACTOR = "DegeneracyByActor"
     TIMELINESS = "Timeliness"
     MAPPING_SUCCESS = "MappingSuccess"
-
-
-_KIND_PARAMETER = {
-    CheckKind.COMPLETENESS: "Completeness",
-    CheckKind.CONFORMANCE_VALUE: "Conformance",
-    CheckKind.CONFORMANCE_FORMAT: "Conformance",
-    CheckKind.PLAUSIBILITY_RANGE: "Plausibility",
-    CheckKind.PLAUSIBILITY_TEMPORAL: "Plausibility",
-    CheckKind.DEGENERACY_BY_ACTOR: "Plausibility",
-    CheckKind.TIMELINESS: "Timeliness",
-    CheckKind.MAPPING_SUCCESS: "Interoperability",
-}
-
-#: Notation label emitted when an outcome of this kind becomes an assertion.
-KIND_LABELS = {
-    CheckKind.COMPLETENESS: "Completeness",
-    CheckKind.CONFORMANCE_VALUE: "Conformance",
-    CheckKind.CONFORMANCE_FORMAT: "Conformance",
-    CheckKind.PLAUSIBILITY_RANGE: "Plausibility",
-    CheckKind.PLAUSIBILITY_TEMPORAL: "Plausibility",
-    CheckKind.DEGENERACY_BY_ACTOR: "Plausibility",
-    CheckKind.TIMELINESS: "Timeliness",
-    CheckKind.MAPPING_SUCCESS: "Mapping",
-}
 
 
 class CheckStatus(str, Enum):
@@ -186,117 +167,117 @@ def _column(snapshot: DatasetSnapshot, name: str) -> Column:
     return snapshot.columns[name]
 
 
+def _field(snapshot: DatasetSnapshot, name: str) -> tuple[Column, FieldSpec]:
+    """A snapshot column and its manifest spec (every column has one)."""
+    return _column(snapshot, name), snapshot.manifest.get_field(name)  # type: ignore[return-value]
+
+
+def _rows_where(snapshot: DatasetSnapshot, field_name: str, values: frozenset[str]) -> list[int]:
+    """Rows on which ``field_name`` is present and takes one of ``values``."""
+    col = _column(snapshot, field_name)
+    return [
+        i
+        for i in range(snapshot.row_count)
+        if i not in col.missing and str(col.values[i]) in values
+    ]
+
+
 def _required_rows(snapshot: DatasetSnapshot, field_name: str) -> list[int]:
     """Rows on which the field is required, honoring its policy condition."""
-    spec = snapshot.manifest.get_field(field_name)
-    if spec is None:
-        raise UnknownField(f"field {field_name!r} is not in the manifest")
+    spec = _field(snapshot, field_name)[1]
     if spec.policy_condition is not None:
-        cond = spec.policy_condition
-        col = _column(snapshot, cond.field)
-        return [
-            i
-            for i in range(snapshot.row_count)
-            if i not in col.missing and str(col.values[i]) in cond.values
-        ]
+        return _rows_where(snapshot, spec.policy_condition.field, spec.policy_condition.values)
     if spec.required:
         return list(range(snapshot.row_count))
     return []
 
 
 def _subset_rows(
-    snapshot: DatasetSnapshot, field_name: str, subset: SubsetPredicate | str | None
+    snapshot: DatasetSnapshot, field_name: str, subset: SubsetPredicate | str
 ) -> list[int]:
-    if subset is None:
-        return list(range(snapshot.row_count))
     if subset == WHERE_REQUIRED:
         return _required_rows(snapshot, field_name)
     if isinstance(subset, str):
         raise MissingConfig(f"unknown subset token {subset!r}")
-    col = _column(snapshot, subset.field)
-    return [
-        i
-        for i in range(snapshot.row_count)
-        if i not in col.missing and str(col.values[i]) in subset.values
-    ]
+    return _rows_where(snapshot, subset.field, subset.values)
 
 
-def _actor_of_rows(snapshot: DatasetSnapshot) -> dict[int, str]:
-    """Map row index to actor id; missing ids map to the unattributed stratum."""
+def _absent(*columns: Column) -> set[int]:
+    """Rows on which any of the columns lacks a typed value (missing or malformed)."""
+    rows: set[int] = set()
+    for col in columns:
+        rows |= col.missing
+        rows.update(i for i, _ in col.failures)
+    return rows
+
+
+def _eligible(snapshot: DatasetSnapshot, scope: Scope, absent: AbstractSet[int]) -> list[int]:
+    """Rows in scope (every row when ``scope`` is None) that are not in ``absent``."""
+    rows = range(snapshot.row_count) if scope is None else scope
+    return [i for i in rows if i not in absent]
+
+
+def _actor_ids(snapshot: DatasetSnapshot) -> list[str]:
+    """Actor id of every row; missing ids map to the unattributed stratum."""
     actor_col_name = snapshot.manifest.actor_id_column
     if actor_col_name is None:
         raise NoActorColumn(
             f"manifest {snapshot.manifest.dataset_id!r} declares no actor_id_column"
         )
-    col = _column(snapshot, actor_col_name)
-    out = {}
-    for i in range(snapshot.row_count):
-        if i in col.missing or col.values[i] is None:
-            out[i] = UNATTRIBUTED_STRATUM
-        else:
-            out[i] = str(col.values[i])
-    return out
+    values = _column(snapshot, actor_col_name).values
+    return [UNATTRIBUTED_STRATUM if v is None else str(v) for v in values]
 
 
 def _stratify(
-    snapshot: DatasetSnapshot, rows_num: set[int], rows_den: list[int]
+    snapshot: DatasetSnapshot, rows: list[int], violations: list[Violation]
 ) -> dict[str, StratumOutcome]:
-    actor_of = _actor_of_rows(snapshot)
-    num: dict[str, int] = {}
-    den: dict[str, int] = {}
-    for i in rows_den:
-        sid = actor_of[i]
-        den[sid] = den.get(sid, 0) + 1
-        if i in rows_num:
-            num[sid] = num.get(sid, 0) + 1
-    return {sid: StratumOutcome(num.get(sid, 0), den[sid]) for sid in sorted(den)}
+    actors = _actor_ids(snapshot)
+    den = Counter(actors[i] for i in rows)
+    failed = Counter(actors[v.row] for v in violations)
+    return {sid: StratumOutcome(den[sid] - failed[sid], den[sid]) for sid in sorted(den)}
 
 
 def _outcome(
-    check_id: str,
-    kind: CheckKind,
-    snapshot: DatasetSnapshot | None,
-    rows_den: list[int],
-    rows_num: set[int],
+    definition: CheckDefinition,
+    stage: Stage,
+    numerator: int,
+    denominator: int,
     violations: list[Violation],
-    *,
-    subset: SubsetPredicate | str | None = None,
-    stratify: bool = False,
-    details: dict[str, Any] | None = None,
-    stage: Stage | None = None,
-    target_fields: tuple[str, ...] = (),
+    strata: dict[str, StratumOutcome] | None,
+    details: dict[str, Any],
 ) -> CheckOutcome:
-    parameter = parameter_by_name(_KIND_PARAMETER[kind])
-    status = CheckStatus.NOT_ASSESSABLE if not rows_den else CheckStatus.OK
-    strata = None
-    if stratify and snapshot is not None and rows_den:
-        strata = _stratify(snapshot, rows_num, rows_den)
     return CheckOutcome(
-        check_id=check_id,
-        kind=kind,
-        parameter=parameter,
-        status=status,
-        numerator=len(rows_num),
-        denominator=len(rows_den),
-        target_fields=target_fields,
-        stage=stage if stage is not None else (snapshot.manifest.stage if snapshot else None),
-        subset=_subset_label(subset),
+        check_id=definition.id,
+        kind=definition.kind,
+        parameter=parameter_by_name(CHECK_KINDS[definition.kind].parameter),
+        status=CheckStatus.OK if denominator else CheckStatus.NOT_ASSESSABLE,
+        numerator=numerator,
+        denominator=denominator,
+        target_fields=tuple(definition.target_fields),
+        stage=stage,
+        subset=_subset_label(definition.subset),
         strata=strata,
         violations=tuple(sorted(violations, key=lambda v: (v.row, v.reason))),
-        details=details or {},
+        details=details,
     )
 
 
 # --- the checks -------------------------------------------------------------
+#
+# A row kind's function takes (snapshot, target fields, config, scope), where
+# scope is the subset's rows or None for every row, and returns the rows it
+# judges, a judge giving None for a passing row or the violation reason, and
+# the outcome details. The evaluator in ``run_check`` does the rest.
 
-def check_completeness(
-    snapshot: DatasetSnapshot,
-    field_name: str,
-    subset: SubsetPredicate | str | None = None,
-    *,
-    check_id: str | None = None,
-    stratify_by_actor: bool = False,
-) -> CheckOutcome:
+Fields = tuple[str, ...]
+Config = dict[str, Any]
+Scope = "list[int] | None"
+Judge = Callable[[int], "str | None"]
+RowCheck = tuple[list[int], Judge, dict[str, Any]]
+StrataCheck = tuple[dict[str, StratumOutcome], list[Violation], dict[str, Any]]
+
+
+def _completeness(snapshot: DatasetSnapshot, fields: Fields, cfg: Config, scope: Scope) -> RowCheck:
     """Fraction of rows (in the subset) carrying a typed value.
 
     With the ``where-required`` subset token, the denominator is the rows
@@ -305,154 +286,84 @@ def check_completeness(
     whether all missingness falls outside the required rows
     (``policy_explained``), which attribution rules consume.
     """
-    col = _column(snapshot, field_name)
-    rows_den = _subset_rows(snapshot, field_name, subset)
-    absent = col.missing | col.failed_rows
-    rows_num = {i for i in rows_den if i not in absent}
-    violations = [Violation(i, "missing") for i in rows_den if i in col.missing]
-    violations += [Violation(i, "malformed") for i in rows_den if i in col.failed_rows]
+    name = fields[0]
+    col, spec = _field(snapshot, name)
+    absent = _absent(col)
+
+    def judge(i: int) -> str | None:
+        if i in col.missing:
+            return "missing"
+        return "malformed" if i in absent else None
 
     details: dict[str, Any] = {}
-    spec = snapshot.manifest.get_field(field_name)
-    if subset is None and spec is not None and spec.policy_condition is not None:
-        required = set(_required_rows(snapshot, field_name))
-        missing_rows = {i for i in rows_den if i in absent}
-        details["policy_explained"] = bool(missing_rows) and not (missing_rows & required)
-        details["policy_text"] = spec.policy_condition.describe(field_name)
+    if scope is None and spec.policy_condition is not None:
+        required = set(_required_rows(snapshot, name))
+        details["policy_explained"] = bool(absent) and not (absent & required)
+        details["policy_text"] = spec.policy_condition.describe(name)
+    return _eligible(snapshot, scope, frozenset()), judge, details
 
-    return _outcome(
-        check_id or f"completeness:{field_name}",
-        CheckKind.COMPLETENESS,
-        snapshot,
-        rows_den,
-        rows_num,
-        violations,
-        subset=subset,
-        stratify=stratify_by_actor,
-        details=details,
-        target_fields=(field_name,),
+
+def _present_cells(
+    snapshot: DatasetSnapshot, name: str, scope: Scope, test: Callable[[Any], str | None]
+) -> RowCheck:
+    """Judge every non-missing cell: coercion failures are violations, typed
+    values go to ``test``."""
+    col = _column(snapshot, name)
+    failed, values = _absent(col), col.values
+    return (
+        _eligible(snapshot, scope, col.missing),
+        lambda i: "malformed" if i in failed else test(values[i]),
+        {},
     )
 
 
-class ConformanceMode(str, Enum):
-    VALUE = "Value"
-    FORMAT = "Format"
+def _conformance_value(snapshot: DatasetSnapshot, fields: Fields, cfg: Config, scope: Scope) -> RowCheck:
+    """Fraction of non-missing cells whose value is in the field's allowed set."""
+    allowed = _field(snapshot, fields[0])[1].allowed_values
+    if allowed is None:
+        raise MissingConfig(f"field {fields[0]!r} has no allowed_values for a Value check")
+    return _present_cells(
+        snapshot, fields[0], scope,
+        lambda value: None if str(value) in allowed else f"value not allowed: {value}",
+    )
 
 
-def check_conformance(
-    snapshot: DatasetSnapshot,
-    field_name: str,
-    mode: ConformanceMode,
-    *,
-    check_id: str | None = None,
-    stratify_by_actor: bool = False,
-    subset: SubsetPredicate | str | None = None,
-) -> CheckOutcome:
-    """Fraction of non-missing cells that conform.
-
-    Value mode tests membership in the field's allowed set; Format mode
-    tests the format pattern, or plain coercion success for typed fields.
-    Coercion failures always count as violations.
-    """
-    col = _column(snapshot, field_name)
-    spec = snapshot.manifest.get_field(field_name)
-    kind = CheckKind.CONFORMANCE_VALUE if mode is ConformanceMode.VALUE else CheckKind.CONFORMANCE_FORMAT
-
-    pattern = None
-    if mode is ConformanceMode.VALUE:
-        if spec is None or spec.allowed_values is None:
-            raise MissingConfig(f"field {field_name!r} has no allowed_values for a Value check")
-    else:
-        if spec is not None and spec.format_pattern is not None:
-            pattern = re.compile(spec.format_pattern)
-        elif spec is not None and spec.semantic_type in (
-            SemanticType.CODE,
-            SemanticType.CATEGORY,
-            SemanticType.TEXT,
-        ):
+def _conformance_format(snapshot: DatasetSnapshot, fields: Fields, cfg: Config, scope: Scope) -> RowCheck:
+    """Fraction of non-missing cells matching the field's format pattern, or,
+    for a typed field without one, that coerced."""
+    spec = _field(snapshot, fields[0])[1]
+    if spec.format_pattern is None:
+        if spec.semantic_type in _UNTYPED:
             raise MissingConfig(
-                f"field {field_name!r} has no format_pattern and is not a typed column"
+                f"field {fields[0]!r} has no format_pattern and is not a typed column"
             )
-
-    in_subset = set(_subset_rows(snapshot, field_name, subset))
-    rows_den = [i for i in col.present_rows() if i in in_subset]
-    failed = col.failed_rows
-    rows_num: set[int] = set()
-    violations: list[Violation] = []
-    for i in rows_den:
-        if i in failed:
-            violations.append(Violation(i, "malformed"))
-            continue
-        value = col.values[i]
-        if mode is ConformanceMode.VALUE:
-            if str(value) in spec.allowed_values:  # type: ignore[union-attr]
-                rows_num.add(i)
-            else:
-                violations.append(Violation(i, f"value not allowed: {value}"))
-        else:
-            if pattern is not None:
-                if isinstance(value, str) and pattern.fullmatch(value):
-                    rows_num.add(i)
-                else:
-                    violations.append(Violation(i, f"pattern mismatch: {value}"))
-            else:
-                rows_num.add(i)  # typed column: coercion succeeded
-    return _outcome(
-        check_id or f"conformance:{field_name}",
-        kind,
-        snapshot,
-        rows_den,
-        rows_num,
-        violations,
-        subset=subset,
-        stratify=stratify_by_actor,
-        target_fields=(field_name,),
+        return _present_cells(snapshot, fields[0], scope, lambda value: None)
+    pattern = re.compile(spec.format_pattern)
+    return _present_cells(
+        snapshot, fields[0], scope,
+        lambda value: None
+        if isinstance(value, str) and pattern.fullmatch(value)
+        else f"pattern mismatch: {value}",
     )
 
 
-def check_plausibility_range(
-    snapshot: DatasetSnapshot,
-    field_name: str,
-    minimum: Any,
-    maximum: Any,
-    *,
-    check_id: str | None = None,
-    stratify_by_actor: bool = False,
-) -> CheckOutcome:
-    """Fraction of typed values inside [minimum, maximum], inclusive."""
-    col = _column(snapshot, field_name)
-    spec = snapshot.manifest.get_field(field_name)
-    if spec is None or spec.semantic_type not in (
-        SemanticType.NUMBER,
-        SemanticType.DATE,
-        SemanticType.TIMESTAMP,
-    ):
-        raise NonNumericField(f"field {field_name!r} is not numeric or date-valued")
-    lo, hi = _coerce_bound(minimum, spec.semantic_type), _coerce_bound(maximum, spec.semantic_type)
+def _plausibility_range(snapshot: DatasetSnapshot, fields: Fields, cfg: Config, scope: Scope) -> RowCheck:
+    """Fraction of typed values inside [min, max], inclusive."""
+    if "min" not in cfg or "max" not in cfg:
+        raise MissingConfig("range check requires 'min' and 'max' in config")
+    col, spec = _field(snapshot, fields[0])
+    if spec.semantic_type in _UNTYPED:
+        raise NonNumericField(f"field {fields[0]!r} is not numeric or date-valued")
+    lo, hi = _coerce_bound(cfg["min"], spec.semantic_type), _coerce_bound(cfg["max"], spec.semantic_type)
     if lo > hi:
-        raise InvalidRange(f"range minimum {minimum!r} exceeds maximum {maximum!r}")
+        raise InvalidRange(f"range minimum {cfg['min']!r} exceeds maximum {cfg['max']!r}")
+    values = col.values
 
-    absent = col.missing | col.failed_rows
-    rows_den = [i for i in range(snapshot.row_count) if i not in absent]
-    rows_num: set[int] = set()
-    violations: list[Violation] = []
-    for i in rows_den:
-        value = col.values[i]
-        if lo <= value <= hi:
-            rows_num.add(i)
-        else:
-            violations.append(Violation(i, f"out of range: {value}"))
-    return _outcome(
-        check_id or f"plausibility-range:{field_name}",
-        CheckKind.PLAUSIBILITY_RANGE,
-        snapshot,
-        rows_den,
-        rows_num,
-        violations,
-        stratify=stratify_by_actor,
-        details={"min": str(minimum), "max": str(maximum)},
-        target_fields=(field_name,),
-    )
+    def judge(i: int) -> str | None:
+        return None if lo <= values[i] <= hi else f"out of range: {values[i]}"
+
+    details = {"min": str(cfg["min"]), "max": str(cfg["max"])}
+    return _eligible(snapshot, scope, _absent(col)), judge, details
 
 
 def _coerce_bound(bound: Any, semantic: SemanticType) -> Any:
@@ -483,168 +394,46 @@ def _as_datetime(value: Any) -> datetime:
     return datetime.combine(value, time.min)
 
 
-def check_plausibility_temporal(
-    snapshot: DatasetSnapshot,
-    field_before: str,
-    field_after: str,
-    *,
-    check_id: str | None = None,
-    stratify_by_actor: bool = False,
-) -> CheckOutcome:
+def _plausibility_temporal(snapshot: DatasetSnapshot, fields: Fields, cfg: Config, scope: Scope) -> RowCheck:
     """Fraction of complete pairs with before <= after (equality counts)."""
-    for name in (field_before, field_after):
-        spec = snapshot.manifest.get_field(name)
-        if spec is None:
-            raise UnknownField(f"field {name!r} is not in the manifest")
-        if spec.semantic_type not in (SemanticType.DATE, SemanticType.TIMESTAMP):
+    for name in fields:
+        if _field(snapshot, name)[1].semantic_type not in (SemanticType.DATE, SemanticType.TIMESTAMP):
             raise NonTemporalField(f"field {name!r} is not date/timestamp-valued")
-    before, after = _column(snapshot, field_before), _column(snapshot, field_after)
-    absent = before.missing | before.failed_rows | after.missing | after.failed_rows
-    rows_den = [i for i in range(snapshot.row_count) if i not in absent]
-    rows_num: set[int] = set()
-    violations: list[Violation] = []
-    for i in rows_den:
-        if _as_datetime(before.values[i]) <= _as_datetime(after.values[i]):
-            rows_num.add(i)
-        else:
-            violations.append(Violation(i, f"{field_before} after {field_after}"))
-    return _outcome(
-        check_id or f"plausibility-temporal:{field_before}<={field_after}",
-        CheckKind.PLAUSIBILITY_TEMPORAL,
-        snapshot,
-        rows_den,
-        rows_num,
-        violations,
-        stratify=stratify_by_actor,
-        target_fields=(field_before, field_after),
-    )
+    before, after = _column(snapshot, fields[0]), _column(snapshot, fields[1])
+    reason = f"{fields[0]} after {fields[1]}"
+
+    def judge(i: int) -> str | None:
+        return None if _as_datetime(before.values[i]) <= _as_datetime(after.values[i]) else reason
+
+    return _eligible(snapshot, scope, _absent(before, after)), judge, {}
 
 
-def check_degeneracy_by_actor(
-    snapshot: DatasetSnapshot,
-    field_name: str,
-    min_records: int = 10,
-    max_dominant_share: Fraction | float = Fraction(1),
-    *,
-    check_id: str | None = None,
-) -> CheckOutcome:
-    """Per-actor capture screening: flag authors who never record the field
-    or always record the same value.
-
-    Rate semantics are inverted relative to the other checks: the rate is
-    flagged actors over eligible actors, so lower is better. Strata are
-    always present; per-stratum counts are (flagged, eligible) so they sum
-    to the overall counts exactly.
-    """
-    col = _column(snapshot, field_name)
-    actor_of = _actor_of_rows(snapshot)
-    if not isinstance(max_dominant_share, Fraction):
-        max_dominant_share = Fraction(str(max_dominant_share))
-
-    rows_by_actor: dict[str, list[int]] = {}
-    for i in range(snapshot.row_count):
-        rows_by_actor.setdefault(actor_of[i], []).append(i)
-
-    absent = col.missing | col.failed_rows
-    strata: dict[str, StratumOutcome] = {}
-    violations: list[Violation] = []
-    eligible = 0
-    flagged = 0
-    per_actor_detail: dict[str, Any] = {}
-    for sid in sorted(rows_by_actor):
-        rows = rows_by_actor[sid]
-        if sid == UNATTRIBUTED_STRATUM or len(rows) < min_records:
-            strata[sid] = StratumOutcome(0, 0)
-            continue
-        eligible += 1
-        recorded = [col.values[i] for i in rows if i not in absent]
-        flags: list[DegeneracyFlag] = []
-        if not recorded:
-            flags.append(DegeneracyFlag.NEVER_RECORDS)
-        else:
-            counts: dict[str, int] = {}
-            for value in recorded:
-                key = str(value)
-                counts[key] = counts.get(key, 0) + 1
-            top_value, top_count = max(counts.items(), key=lambda kv: (kv[1], kv[0]))
-            share = Fraction(top_count, len(recorded))
-            if share >= max_dominant_share:
-                flags.append(DegeneracyFlag.ALWAYS_SAME)
-                per_actor_detail[sid] = {"dominant_value": top_value, "share": str(share)}
-        if flags:
-            flagged += 1
-            for i in rows:
-                violations.append(Violation(i, f"{sid}: {'+'.join(f.value for f in flags)}"))
-        strata[sid] = StratumOutcome(1 if flags else 0, 1, tuple(flags))
-
-    parameter = parameter_by_name(_KIND_PARAMETER[CheckKind.DEGENERACY_BY_ACTOR])
-    return CheckOutcome(
-        check_id=check_id or f"degeneracy:{field_name}",
-        kind=CheckKind.DEGENERACY_BY_ACTOR,
-        parameter=parameter,
-        status=CheckStatus.OK if eligible else CheckStatus.NOT_ASSESSABLE,
-        numerator=flagged,
-        denominator=eligible,
-        target_fields=(field_name,),
-        stage=snapshot.manifest.stage,
-        strata=strata,
-        violations=tuple(sorted(violations, key=lambda v: (v.row, v.reason))),
-        details={
-            "min_records": min_records,
-            "max_dominant_share": str(max_dominant_share),
-            "flagged_actors": per_actor_detail,
-        },
-    )
-
-
-def check_timeliness(
-    snapshot: DatasetSnapshot,
-    record_ts_field: str | None = None,
-    availability_ts_field: str | None = None,
-    max_lag: timedelta | None = None,
-    *,
-    check_id: str | None = None,
-    stratify_by_actor: bool = False,
-) -> CheckOutcome:
+def _timeliness(snapshot: DatasetSnapshot, fields: Fields, cfg: Config, scope: Scope) -> RowCheck:
     """Fraction of complete timestamp pairs available within max_lag.
 
     A record available before it was recorded is a NegativeLag violation
     and does not count as timely. There is no default max_lag: timeliness
     requirements are use-case context.
     """
-    manifest = snapshot.manifest
-    record_ts_field = record_ts_field or manifest.record_timestamp_column
-    availability_ts_field = availability_ts_field or manifest.availability_timestamp_column
-    if record_ts_field is None or availability_ts_field is None:
-        raise NoTimestampColumns("timeliness needs record and availability timestamp fields")
+    max_lag = cfg.get("max_lag")
     if max_lag is None or max_lag <= timedelta(0):
         raise MissingConfig("timeliness requires a positive max_lag")
-    for name in (record_ts_field, availability_ts_field):
-        spec = manifest.get_field(name)
-        if spec is None:
-            raise UnknownField(f"field {name!r} is not in the manifest")
-        if spec.semantic_type is not SemanticType.TIMESTAMP:
+    for name in fields:
+        if _field(snapshot, name)[1].semantic_type is not SemanticType.TIMESTAMP:
             raise NoTimestampColumns(f"field {name!r} is not a Timestamp column")
+    rec, avail = _column(snapshot, fields[0]), _column(snapshot, fields[1])
+    rows = _eligible(snapshot, scope, _absent(rec, avail))
+    lags = {i: avail.values[i] - rec.values[i] for i in rows}
 
-    rec, avail = _column(snapshot, record_ts_field), _column(snapshot, availability_ts_field)
-    absent = rec.missing | rec.failed_rows | avail.missing | avail.failed_rows
-    rows_den = [i for i in range(snapshot.row_count) if i not in absent]
-    rows_num: set[int] = set()
-    violations: list[Violation] = []
-    lags: list[timedelta] = []
-    for i in rows_den:
-        lag = _as_datetime(avail.values[i]) - _as_datetime(rec.values[i])
-        lags.append(lag)
+    def judge(i: int) -> str | None:
+        lag = lags[i]
         if lag < timedelta(0):
-            violations.append(Violation(i, "NegativeLag"))
-        elif lag > max_lag:
-            violations.append(Violation(i, f"lag {lag} exceeds {max_lag}"))
-        else:
-            rows_num.add(i)
+            return "NegativeLag"
+        return f"lag {lag} exceeds {max_lag}" if lag > max_lag else None
 
     details: dict[str, Any] = {"max_lag_seconds": max_lag.total_seconds()}
     if lags:
-        ordered = sorted(lags)
+        ordered = sorted(lags.values())
         mid = len(ordered) // 2
         if len(ordered) % 2:
             median = ordered[mid]
@@ -655,32 +444,18 @@ def check_timeliness(
             "median": median.total_seconds(),
             "max": ordered[-1].total_seconds(),
         }
-    return _outcome(
-        check_id or f"timeliness:{record_ts_field}->{availability_ts_field}",
-        CheckKind.TIMELINESS,
-        snapshot,
-        rows_den,
-        rows_num,
-        violations,
-        stratify=stratify_by_actor,
-        details=details,
-        target_fields=(record_ts_field, availability_ts_field),
-    )
+    return rows, judge, details
 
 
-def check_mapping_success(
-    source: DatasetSnapshot,
-    transformed: DatasetSnapshot,
-    source_field: str,
-    transformed_field: str | None = None,
-    *,
-    check_id: str | None = None,
-) -> CheckOutcome:
+def _mapping_success(snapshots: Snapshots, fields: Fields, cfg: Config, scope: Scope) -> RowCheck:
     """Fraction of source-present values still present after transformation.
 
-    Rows correspond through the key column declared in both manifests.
+    Rows correspond through the key column declared in both manifests. The
+    second target field names the transformed column (default: the first).
     """
-    transformed_field = transformed_field or source_field
+    source, transformed = snapshots.source, snapshots.transformed
+    if source is None or transformed is None:
+        raise StageMismatch("mapping check needs both source and transformed snapshots")
     if source.manifest.stage is not Stage.SOURCE or transformed.manifest.stage is not Stage.TRANSFORMED:
         raise StageMismatch(
             f"expected SourceExtract + TransformedExtract, got {source.manifest.stage.value}"
@@ -704,32 +479,18 @@ def check_mapping_success(
             f"keys only in source: {unmatched_src[:10]}; only in transformed: {unmatched_dst[:10]}"
         )
 
-    src_col = _column(source, source_field)
-    dst_col = _column(transformed, transformed_field)
-    rows_den: list[int] = []
-    rows_num: set[int] = set()
-    violations: list[Violation] = []
+    src_col = _column(source, fields[0])
+    dst_col = _column(transformed, fields[-1])
+    rows: list[int] = []
+    unmapped: dict[int, str] = {}
     for key_value in sorted(src_rows):
         i = src_rows[key_value]
         if i in src_col.missing:
             continue  # value absent at source: transformation owes nothing
-        rows_den.append(i)
-        j = dst_rows[key_value]
-        if j not in dst_col.missing:
-            rows_num.add(i)
-        else:
-            violations.append(Violation(i, f"unmapped (key {key_value})"))
-    return _outcome(
-        check_id or f"mapping:{source_field}",
-        CheckKind.MAPPING_SUCCESS,
-        None,
-        rows_den,
-        rows_num,
-        violations,
-        details={"key_column": key},
-        stage=Stage.TRANSFORMED,
-        target_fields=(source_field, transformed_field),
-    )
+        rows.append(i)
+        if dst_rows[key_value] in dst_col.missing:
+            unmapped[i] = f"unmapped (key {key_value})"
+    return rows, unmapped.get, {"key_column": key}
 
 
 def _key_index(snapshot: DatasetSnapshot, key: str) -> dict[str, int]:
@@ -748,7 +509,150 @@ def _key_index(snapshot: DatasetSnapshot, key: str) -> dict[str, int]:
     return index
 
 
-# --- suite running ----------------------------------------------------------
+def _degeneracy_by_actor(snapshot: DatasetSnapshot, fields: Fields, cfg: Config) -> StrataCheck:
+    """Per-actor capture screening: flag authors who never record the field
+    or always record the same value.
+
+    Rate semantics are inverted relative to the other checks: the rate is
+    flagged actors over eligible actors, so lower is better. Strata are
+    always present; per-stratum counts are (flagged, eligible) so they sum
+    to the overall counts exactly.
+    """
+    min_records = cfg.get("min_records", 10)
+    max_dominant_share = cfg.get("max_dominant_share", Fraction(1))
+    col = _column(snapshot, fields[0])
+    rows_by_actor: dict[str, list[int]] = {}
+    for i, sid in enumerate(_actor_ids(snapshot)):
+        rows_by_actor.setdefault(sid, []).append(i)
+
+    absent = _absent(col)
+    strata: dict[str, StratumOutcome] = {}
+    violations: list[Violation] = []
+    per_actor_detail: dict[str, Any] = {}
+    for sid in sorted(rows_by_actor):
+        rows = rows_by_actor[sid]
+        if sid == UNATTRIBUTED_STRATUM or len(rows) < min_records:
+            strata[sid] = StratumOutcome(0, 0)
+            continue
+        recorded = [col.values[i] for i in rows if i not in absent]
+        flags: list[DegeneracyFlag] = []
+        if not recorded:
+            flags.append(DegeneracyFlag.NEVER_RECORDS)
+        else:
+            counts = Counter(str(value) for value in recorded)
+            top_value, top_count = max(counts.items(), key=lambda kv: (kv[1], kv[0]))
+            share = Fraction(top_count, len(recorded))
+            if share >= max_dominant_share:
+                flags.append(DegeneracyFlag.ALWAYS_SAME)
+                per_actor_detail[sid] = {"dominant_value": top_value, "share": str(share)}
+        if flags:
+            reason = f"{sid}: {'+'.join(f.value for f in flags)}"
+            violations += [Violation(i, reason) for i in rows]
+        strata[sid] = StratumOutcome(1 if flags else 0, 1, tuple(flags))
+    details = {
+        "min_records": min_records,
+        "max_dominant_share": str(max_dominant_share),
+        "flagged_actors": per_actor_detail,
+    }
+    return strata, violations, details
+
+
+# --- config readers: each returns the value to use or raises SchemaViolation --
+
+_DURATION_RE = re.compile(r"(\d+)([smhd])")
+_DURATION_UNIT = {"s": 1, "m": 60, "h": 3600, "d": 86400}
+
+
+def parse_duration(text: str | int | float) -> timedelta:
+    """Parse durations like '30d', '12h', '15m', '45s' (or raw seconds)."""
+    if isinstance(text, (int, float)) and not isinstance(text, bool):
+        seconds: float = float(text)
+    elif isinstance(text, str) and (m := _DURATION_RE.fullmatch(text.strip())):
+        seconds = int(m.group(1)) * _DURATION_UNIT[m.group(2)]
+    else:
+        raise SchemaViolation(f"duration {text!r} must be '<integer><s|m|h|d>'")
+    try:
+        return timedelta(seconds=seconds)
+    except (ValueError, OverflowError):  # NaN, or beyond timedelta's range
+        raise SchemaViolation(f"duration {text!r} is out of range") from None
+
+
+def _read_bound(value: Any) -> Any:
+    if isinstance(value, (int, float, str, date)) and not isinstance(value, bool) and value == value:
+        return value  # the equality test rejects NaN, the one value unequal to itself
+    raise SchemaViolation(f"range bound must be a number or an ISO-8601 string, got {value!r}")
+
+
+def _read_min_records(value: Any) -> int:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise SchemaViolation(f"'min_records' must be an integer, got {value!r}")
+
+
+def _read_share(value: Any) -> Fraction:
+    if isinstance(value, (int, float, str, Fraction)) and not isinstance(value, bool):
+        try:
+            return Fraction(str(value))
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise SchemaViolation(f"'max_dominant_share' must be a number, got {value!r}")
+
+
+# --- the kind table and the evaluator ----------------------------------------
+
+@dataclass(frozen=True)
+class KindSpec:
+    """How ``run_check`` evaluates one check kind.
+
+    ``parameter`` is the Kahn et al. 2016 parameter every outcome of the
+    kind carries; ``arity`` lists the allowed numbers of target fields;
+    ``config`` maps each config key the kind reads to its reader. A row
+    kind has ``rows``; DegeneracyByActor has ``strata`` instead. A
+    ``paired`` kind reads both snapshots. Row kinds that are not paired
+    honour ``subset`` and ``stratify_by_actor``; the others reject them.
+    """
+
+    parameter: str
+    arity: tuple[int, ...]
+    config: dict[str, Callable[[Any], Any]]
+    rows: Callable[..., RowCheck] | None = None
+    strata: Callable[..., StrataCheck] | None = None
+    paired: bool = False
+
+
+CHECK_KINDS: dict[CheckKind, KindSpec] = {
+    CheckKind.COMPLETENESS: KindSpec("Completeness", (1,), {}, rows=_completeness),
+    CheckKind.CONFORMANCE_VALUE: KindSpec("Conformance", (1,), {}, rows=_conformance_value),
+    CheckKind.CONFORMANCE_FORMAT: KindSpec("Conformance", (1,), {}, rows=_conformance_format),
+    CheckKind.PLAUSIBILITY_RANGE: KindSpec(
+        "Plausibility", (1,), {"min": _read_bound, "max": _read_bound}, rows=_plausibility_range
+    ),
+    CheckKind.PLAUSIBILITY_TEMPORAL: KindSpec("Plausibility", (2,), {}, rows=_plausibility_temporal),
+    CheckKind.DEGENERACY_BY_ACTOR: KindSpec(
+        "Plausibility",
+        (1,),
+        {"min_records": _read_min_records, "max_dominant_share": _read_share},
+        strata=_degeneracy_by_actor,
+    ),
+    CheckKind.TIMELINESS: KindSpec("Timeliness", (2,), {"max_lag": parse_duration}, rows=_timeliness),
+    CheckKind.MAPPING_SUCCESS: KindSpec(
+        "Interoperability", (1, 2), {}, rows=_mapping_success, paired=True
+    ),
+}
+
+
+def _read_config(kind: CheckKind, config: Any) -> Config:
+    """The definition's config read through the kind's readers. An unknown
+    key or a value of the wrong type raises SchemaViolation; absent keys
+    stay absent, for the kind to default or require."""
+    if not isinstance(config, dict):
+        raise SchemaViolation(f"{kind.value} config must be an object")
+    readers = CHECK_KINDS[kind].config
+    unknown = set(config) - set(readers)
+    if unknown:
+        raise SchemaViolation(f"{kind.value} config has unknown keys {sorted(unknown)}")
+    return {key: readers[key](value) for key, value in config.items()}
+
 
 @dataclass(frozen=True)
 class Snapshots:
@@ -774,83 +678,35 @@ class Snapshots:
 
 
 def run_check(definition: CheckDefinition, snapshots: Snapshots) -> CheckOutcome:
-    """Evaluate one definition; configuration problems raise CheckConfigError."""
-    kind = definition.kind
-    cfg = definition.config
-    if kind is CheckKind.MAPPING_SUCCESS:
-        if snapshots.source is None or snapshots.transformed is None:
-            raise StageMismatch("mapping check needs both source and transformed snapshots")
-        fields = definition.target_fields
-        return check_mapping_success(
-            snapshots.source,
-            snapshots.transformed,
-            fields[0],
-            fields[1] if len(fields) > 1 else None,
-            check_id=definition.id,
-        )
+    """Evaluate one definition; configuration problems raise a DqError
+    (CheckConfigError, or SchemaViolation for a malformed config value)."""
+    kind, fields = definition.kind, definition.target_fields
+    spec = CHECK_KINDS[kind]
+    if spec.paired:
+        target: Any = snapshots
+        stage = Stage.TRANSFORMED
+    else:
+        target = snapshots.at_stage(definition.stage)
+        stage = target.manifest.stage
+    if len(fields) not in spec.arity:
+        counts = " or ".join(str(n) for n in spec.arity)
+        raise MissingConfig(f"{kind.value} check must list {counts} target fields, got {len(fields)}")
+    scoped = spec.rows is not None and not spec.paired
+    if not scoped and (definition.subset is not None or definition.stratify_by_actor):
+        raise MissingConfig(f"{kind.value} check takes no subset or stratify_by_actor")
+    cfg = _read_config(kind, definition.config)
 
-    snapshot = snapshots.at_stage(definition.stage)
-    if kind in (CheckKind.PLAUSIBILITY_TEMPORAL, CheckKind.TIMELINESS):
-        if len(definition.target_fields) != 2:
-            raise MissingConfig(f"{kind.value} check must list exactly two target fields")
-    elif len(definition.target_fields) != 1:
-        raise MissingConfig(f"{kind.value} check must list exactly one target field")
-
-    if kind is CheckKind.COMPLETENESS:
-        return check_completeness(
-            snapshot,
-            definition.target_fields[0],
-            definition.subset,
-            check_id=definition.id,
-            stratify_by_actor=definition.stratify_by_actor,
-        )
-    if kind in (CheckKind.CONFORMANCE_VALUE, CheckKind.CONFORMANCE_FORMAT):
-        mode = ConformanceMode.VALUE if kind is CheckKind.CONFORMANCE_VALUE else ConformanceMode.FORMAT
-        return check_conformance(
-            snapshot,
-            definition.target_fields[0],
-            mode,
-            check_id=definition.id,
-            stratify_by_actor=definition.stratify_by_actor,
-            subset=definition.subset,
-        )
-    if kind is CheckKind.PLAUSIBILITY_RANGE:
-        if "min" not in cfg or "max" not in cfg:
-            raise MissingConfig("range check requires 'min' and 'max' in config")
-        return check_plausibility_range(
-            snapshot,
-            definition.target_fields[0],
-            cfg["min"],
-            cfg["max"],
-            check_id=definition.id,
-            stratify_by_actor=definition.stratify_by_actor,
-        )
-    if kind is CheckKind.PLAUSIBILITY_TEMPORAL:
-        return check_plausibility_temporal(
-            snapshot,
-            definition.target_fields[0],
-            definition.target_fields[1],
-            check_id=definition.id,
-            stratify_by_actor=definition.stratify_by_actor,
-        )
-    if kind is CheckKind.DEGENERACY_BY_ACTOR:
-        return check_degeneracy_by_actor(
-            snapshot,
-            definition.target_fields[0],
-            min_records=cfg.get("min_records", 10),
-            max_dominant_share=cfg.get("max_dominant_share", Fraction(1)),
-            check_id=definition.id,
-        )
-    if kind is CheckKind.TIMELINESS:
-        return check_timeliness(
-            snapshot,
-            definition.target_fields[0],
-            definition.target_fields[1],
-            parse_duration(cfg["max_lag"]) if "max_lag" in cfg else None,
-            check_id=definition.id,
-            stratify_by_actor=definition.stratify_by_actor,
-        )
-    raise MissingConfig(f"unsupported check kind {kind!r}")
+    if spec.strata is not None:
+        strata, violations, details = spec.strata(target, fields, cfg)
+        numerator = sum(s.numerator for s in strata.values())
+        denominator = sum(s.denominator for s in strata.values())
+    else:
+        scope = None if definition.subset is None else _subset_rows(target, fields[0], definition.subset)
+        rows, judge, details = spec.rows(target, fields, cfg, scope)  # type: ignore[misc]
+        violations = [Violation(i, reason) for i in rows if (reason := judge(i)) is not None]
+        numerator, denominator = len(rows) - len(violations), len(rows)
+        strata = (_stratify(target, rows, violations) or None) if definition.stratify_by_actor else None
+    return _outcome(definition, stage, numerator, denominator, violations, strata, details)
 
 
 def run_suite(definitions: list[CheckDefinition], snapshots: Snapshots) -> list[CheckOutcome]:
@@ -885,71 +741,29 @@ def standard_suite(manifest: DatasetManifest, *, max_lag: timedelta | None = Non
     """
     stage = manifest.stage
     defs: list[CheckDefinition] = []
+
+    def add(name: str, kind: CheckKind, targets: tuple[str, ...], **extra: Any) -> None:
+        defs.append(
+            CheckDefinition(
+                id=f"{name}@{stage.value}", kind=kind, target_fields=targets, stage=stage, **extra
+            )
+        )
+
     for f in manifest.fields:
-        defs.append(
-            CheckDefinition(
-                id=f"completeness:{f.name}@{stage.value}",
-                kind=CheckKind.COMPLETENESS,
-                target_fields=(f.name,),
-                stage=stage,
-            )
-        )
+        add(f"completeness:{f.name}", CheckKind.COMPLETENESS, (f.name,))
         if f.policy_condition is not None:
-            defs.append(
-                CheckDefinition(
-                    id=f"completeness-required:{f.name}@{stage.value}",
-                    kind=CheckKind.COMPLETENESS,
-                    target_fields=(f.name,),
-                    subset=WHERE_REQUIRED,
-                    stage=stage,
-                )
-            )
+            add(f"completeness-required:{f.name}", CheckKind.COMPLETENESS, (f.name,), subset=WHERE_REQUIRED)
         if f.allowed_values is not None:
-            defs.append(
-                CheckDefinition(
-                    id=f"conformance-value:{f.name}@{stage.value}",
-                    kind=CheckKind.CONFORMANCE_VALUE,
-                    target_fields=(f.name,),
-                    stage=stage,
-                )
-            )
-        elif f.format_pattern is not None or f.semantic_type in (
-            SemanticType.NUMBER,
-            SemanticType.DATE,
-            SemanticType.TIMESTAMP,
-        ):
-            defs.append(
-                CheckDefinition(
-                    id=f"conformance-format:{f.name}@{stage.value}",
-                    kind=CheckKind.CONFORMANCE_FORMAT,
-                    target_fields=(f.name,),
-                    stage=stage,
-                )
-            )
+            add(f"conformance-value:{f.name}", CheckKind.CONFORMANCE_VALUE, (f.name,))
+        elif f.format_pattern is not None or f.semantic_type not in _UNTYPED:
+            add(f"conformance-format:{f.name}", CheckKind.CONFORMANCE_FORMAT, (f.name,))
         if f.numeric_range is not None:
-            defs.append(
-                CheckDefinition(
-                    id=f"plausibility-range:{f.name}@{stage.value}",
-                    kind=CheckKind.PLAUSIBILITY_RANGE,
-                    target_fields=(f.name,),
-                    stage=stage,
-                    config={"min": f.numeric_range[0], "max": f.numeric_range[1]},
-                )
-            )
-    if (
-        max_lag is not None
-        and manifest.record_timestamp_column
-        and manifest.availability_timestamp_column
-    ):
-        defs.append(
-            CheckDefinition(
-                id=f"timeliness@{stage.value}",
-                kind=CheckKind.TIMELINESS,
-                target_fields=(manifest.record_timestamp_column, manifest.availability_timestamp_column),
-                stage=stage,
-                config={"max_lag": f"{int(max_lag.total_seconds())}s"},
-            )
-        )
+            bounds = {"min": f.numeric_range[0], "max": f.numeric_range[1]}
+            add(f"plausibility-range:{f.name}", CheckKind.PLAUSIBILITY_RANGE, (f.name,), config=bounds)
+    record, available = manifest.record_timestamp_column, manifest.availability_timestamp_column
+    if max_lag is not None and record and available:
+        lag = {"max_lag": f"{int(max_lag.total_seconds())}s"}
+        add("timeliness", CheckKind.TIMELINESS, (record, available), config=lag)
     return defs
 
 
@@ -968,20 +782,6 @@ def mapping_suite(source: DatasetManifest, transformed: DatasetManifest) -> list
 
 
 # --- suite/outcome (de)serialization ---------------------------------------
-
-_DURATION_RE = re.compile(r"(\d+)([smhd])")
-_DURATION_UNIT = {"s": 1, "m": 60, "h": 3600, "d": 86400}
-
-
-def parse_duration(text: str | int | float) -> timedelta:
-    """Parse durations like '30d', '12h', '15m', '45s' (or raw seconds)."""
-    if isinstance(text, (int, float)) and not isinstance(text, bool):
-        return timedelta(seconds=float(text))
-    m = _DURATION_RE.fullmatch(text.strip())
-    if m is None:
-        raise SchemaViolation(f"duration {text!r} must be '<integer><s|m|h|d>'")
-    return timedelta(seconds=int(m.group(1)) * _DURATION_UNIT[m.group(2)])
-
 
 def load_suite(text: str | bytes) -> list[CheckDefinition]:
     """Load a check-suite document: a JSON list of check definitions."""
@@ -1032,16 +832,21 @@ def load_suite(text: str | bytes) -> list[CheckDefinition]:
                 stage = Stage(entry["stage"])
             except ValueError:
                 raise SchemaViolation(f"{where}: unknown stage {entry['stage']!r}") from None
+        stratify = entry.get("stratify_by_actor", False)
+        if not isinstance(stratify, bool):
+            raise SchemaViolation(f"{where}: 'stratify_by_actor' must be a boolean")
         config = entry.get("config", {})
-        if not isinstance(config, dict):
-            raise SchemaViolation(f"{where}: 'config' must be an object")
+        try:
+            _read_config(kind, config)
+        except SchemaViolation as e:
+            raise SchemaViolation(f"{where}: {e}") from None
         defs.append(
             CheckDefinition(
                 id=check_id,
                 kind=kind,
                 target_fields=tuple(targets),
                 subset=subset,
-                stratify_by_actor=bool(entry.get("stratify_by_actor", False)),
+                stratify_by_actor=stratify,
                 stage=stage,
                 config=config,
             )

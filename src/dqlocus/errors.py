@@ -134,36 +134,3 @@ class KeyColumnMissing(CheckConfigError):
 class KeyMismatch(CheckConfigError):
     """Key values do not align rows one-to-one across paired snapshots."""
 
-
-# --- attribute ----------------------------------------------------------
-
-class DuplicatePriority(DqError):
-    """Two rules in one rule set share a priority."""
-
-
-class InvalidLocus(DqError):
-    """Rule targets a locus the taxonomy rejects."""
-
-
-class ParameterMismatch(DqError):
-    """Cross-locus comparison requires both assertions to share a parameter."""
-
-
-class NonNumericAssertion(DqError):
-    """Cross-locus comparison requires numeric measurements."""
-
-
-# --- report -------------------------------------------------------------
-
-class ParameterNotAttestable(DqError):
-    """Attestation names a parameter that is computed, never attested."""
-
-
-class InvalidReport(DqError):
-    """Report violates its own invariants (for example an invalid assertion)."""
-
-
-# --- simulate -----------------------------------------------------------
-
-class InvalidScenario(DqError):
-    """Scenario document is inconsistent or out of range."""

@@ -88,9 +88,6 @@ class DatasetManifest:
     key_column: str | None = None
     missing_sentinels: frozenset[str] = DEFAULT_MISSING_SENTINELS
 
-    def field_map(self) -> dict[str, FieldSpec]:
-        return {f.name: f for f in self.fields}
-
     def get_field(self, name: str) -> FieldSpec | None:
         for f in self.fields:
             if f.name == name:
@@ -111,16 +108,8 @@ class Column:
     missing: frozenset[int]
     failures: tuple[tuple[int, str], ...] = ()  # (row index, raw text)
 
-    @property
-    def failed_rows(self) -> frozenset[int]:
-        return frozenset(i for i, _ in self.failures)
-
     def typed_count(self) -> int:
         return len(self.values) - len(self.missing) - len(self.failures)
-
-    def present_rows(self) -> list[int]:
-        """Rows that are not missing (typed values and coercion failures)."""
-        return [i for i in range(len(self.values)) if i not in self.missing]
 
 
 @dataclass(frozen=True)
@@ -135,14 +124,18 @@ class DatasetSnapshot:
 
 # --- manifest loading -----------------------------------------------------
 
-_MANIFEST_KEYS = {
-    "dataset_id",
-    "stage",
-    "fields",
+#: Manifest keys whose value names one of the manifest's fields.
+_COLUMN_REFS = (
     "actor_id_column",
     "record_timestamp_column",
     "availability_timestamp_column",
     "key_column",
+)
+_MANIFEST_KEYS = {
+    "dataset_id",
+    "stage",
+    "fields",
+    *_COLUMN_REFS,
     "missing_sentinels",
 }
 _FIELD_KEYS = {
@@ -286,24 +279,17 @@ def load_manifest(text: str | bytes) -> DatasetManifest:
             raise SchemaViolation("manifest: 'missing_sentinels' must be a list of strings")
         sentinels = frozenset(sentinels)
 
+    refs = {key: _optional_str(doc, key, "manifest") for key in _COLUMN_REFS}
     manifest = DatasetManifest(
         dataset_id=dataset_id,
         stage=stage,
         fields=fields,
-        actor_id_column=_optional_str(doc, "actor_id_column", "manifest"),
-        record_timestamp_column=_optional_str(doc, "record_timestamp_column", "manifest"),
-        availability_timestamp_column=_optional_str(doc, "availability_timestamp_column", "manifest"),
-        key_column=_optional_str(doc, "key_column", "manifest"),
         missing_sentinels=sentinels,
+        **refs,
     )
 
     field_names = set(names)
-    for label, ref in (
-        ("actor_id_column", manifest.actor_id_column),
-        ("record_timestamp_column", manifest.record_timestamp_column),
-        ("availability_timestamp_column", manifest.availability_timestamp_column),
-        ("key_column", manifest.key_column),
-    ):
+    for label, ref in refs.items():
         if ref is not None and ref not in field_names:
             raise DanglingColumnReference(f"manifest: {label} references unknown field {ref!r}")
     for f in fields:
@@ -343,14 +329,9 @@ def serialize_manifest(manifest: DatasetManifest) -> str:
                 "values": sorted(f.policy_condition.values),
             }
         doc["fields"].append(entry)
-    for key, value in (
-        ("actor_id_column", manifest.actor_id_column),
-        ("record_timestamp_column", manifest.record_timestamp_column),
-        ("availability_timestamp_column", manifest.availability_timestamp_column),
-        ("key_column", manifest.key_column),
-    ):
-        if value is not None:
-            doc[key] = value
+    for key in _COLUMN_REFS:
+        if getattr(manifest, key) is not None:
+            doc[key] = getattr(manifest, key)
     if manifest.missing_sentinels != DEFAULT_MISSING_SENTINELS:
         doc["missing_sentinels"] = sorted(manifest.missing_sentinels)
     return json.dumps(doc, indent=2, sort_keys=False) + "\n"

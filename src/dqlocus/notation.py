@@ -38,6 +38,7 @@ from .errors import (
     UnresolvedLabel,
 )
 from .taxonomy import (
+    IDENTIFIER_RE,
     ActorRegistry,
     DQParameter,
     LifecycleLocus,
@@ -48,7 +49,6 @@ from .taxonomy import (
     _PARAMETERS_BY_NAME,
 )
 
-_IDENT_RE = re.compile(r"[A-Z][A-Za-z0-9]*")
 _NUMBER_RE = re.compile(r"\d+(?:\.(\d+))?%")
 
 #: Default label resolution: the nine parameter names map to themselves;
@@ -238,9 +238,9 @@ def parse_assertion(
     if phase is None:
         raise NotationSyntaxError("expected phase code DG, DT or DR", cur.offset)
 
-    actor_name = cur.take_regex(_IDENT_RE, "actor identifier").group(0)
+    actor_name = cur.take_regex(IDENTIFIER_RE, "actor identifier").group(0)
     cur.take_literal(" (", "' (' before the label")
-    label = cur.take_regex(_IDENT_RE, "label identifier").group(0)
+    label = cur.take_regex(IDENTIFIER_RE, "label identifier").group(0)
     cur.take_literal(": ", "': ' between label and value")
     measurement = _parse_measurement(cur)
     cur.take_literal(")", "')'")

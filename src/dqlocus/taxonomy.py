@@ -215,12 +215,8 @@ class ActorRegistry:
         pairs = frozenset(allowed_phases)
         if not pairs:
             raise EmptyAllowedPhases(f"actor {name!r} must be allowed in at least one phase")
-        for pair in pairs:
-            if pair not in _PAIR_ORDER:
-                org, phase = pair
-                raise InvalidPhaseForOrganization(
-                    f"{org.value}-{phase.value} is not a valid organization-phase pair"
-                )
+        for org, phase in pairs:
+            pair_order(org, phase)  # raises for a pair outside the lifecycle model
         taken = set(self._actors) | set(self._by_alias) | {name}
         for alias in aliases:
             if alias in taken:
@@ -244,16 +240,6 @@ _BUILTIN_REGISTRY = ActorRegistry()
 def builtin_registry() -> ActorRegistry:
     """The registry holding only the builtin actors."""
     return _BUILTIN_REGISTRY
-
-
-def register_actor(
-    registry: ActorRegistry,
-    name: str,
-    aliases: set[str] | frozenset[str] = frozenset(),
-    allowed_phases: set[tuple[Organization, Phase]] | frozenset = frozenset(),
-) -> ActorRegistry:
-    """Functional form of :meth:`ActorRegistry.with_actor`."""
-    return registry.with_actor(name, aliases, allowed_phases)
 
 
 @dataclass(frozen=True)

@@ -5,31 +5,27 @@ import io
 import json
 from datetime import timedelta
 from fractions import Fraction
+from operator import attrgetter
+from pathlib import Path
 
 import pytest
 
 from dqlocus.assess import (
+    CHECK_KINDS,
     CheckDefinition,
     CheckKind,
     CheckStatus,
-    ConformanceMode,
     DegeneracyFlag,
     Snapshots,
     SubsetPredicate,
     UNATTRIBUTED_STRATUM,
     WHERE_REQUIRED,
-    check_completeness,
-    check_conformance,
-    check_degeneracy_by_actor,
-    check_mapping_success,
-    check_plausibility_range,
-    check_plausibility_temporal,
-    check_timeliness,
     load_suite,
     mapping_suite,
     outcomes_from_json,
     outcomes_to_json,
     parse_duration,
+    run_check,
     run_suite,
     standard_suite,
 )
@@ -87,9 +83,18 @@ def make_snapshot(field_rows: dict[str, list[str]], *, manifest_extra: dict | No
     return load_dataset(buffer.getvalue(), manifest)
 
 
+def check(snapshot, kind, *fields, subset=None, stratify=False, transformed=None, **config):
+    """Evaluate one check of ``kind`` over ``fields`` through ``run_check``."""
+    definition = CheckDefinition(
+        id="t", kind=kind, target_fields=fields, subset=subset, stratify_by_actor=stratify,
+        config=config,
+    )
+    return run_check(definition, Snapshots(source=snapshot, transformed=transformed))
+
+
 def test_completeness_counts_missing():
     snapshot = make_snapshot({"code": ["A"] * 9 + [""]})
-    outcome = check_completeness(snapshot, "code")
+    outcome = check(snapshot, CheckKind.COMPLETENESS, "code")
     assert (outcome.numerator, outcome.denominator) == (9, 10)
     assert outcome.rate == Fraction(9, 10)
 
@@ -97,7 +102,7 @@ def test_completeness_counts_missing():
 def test_completeness_fifteen_percent_missing():
     values = ["A"] * 85 + [""] * 15
     snapshot = make_snapshot({"code": values})
-    outcome = check_completeness(snapshot, "code")
+    outcome = check(snapshot, CheckKind.COMPLETENESS, "code")
     assert outcome.rate == Fraction(85, 100)
 
 
@@ -111,10 +116,10 @@ def test_completeness_where_required_ignores_non_required_gaps():
             {"name": "code", "required": True, "policy_condition": {"field": "billable", "values": ["Y"]}}
         ],
     )
-    full = check_completeness(snapshot, "code")
+    full = check(snapshot, CheckKind.COMPLETENESS, "code")
     assert full.rate == Fraction(9, 12)
     assert full.details["policy_explained"] is True
-    required_only = check_completeness(snapshot, "code", WHERE_REQUIRED)
+    required_only = check(snapshot, CheckKind.COMPLETENESS, "code", subset=WHERE_REQUIRED)
     assert required_only.rate == Fraction(1)
 
 
@@ -128,76 +133,76 @@ def test_completeness_policy_not_explained_when_required_rows_missing():
             {"name": "code", "required": True, "policy_condition": {"field": "billable", "values": ["Y"]}}
         ],
     )
-    outcome = check_completeness(snapshot, "code")
+    outcome = check(snapshot, CheckKind.COMPLETENESS, "code")
     assert outcome.details["policy_explained"] is False
 
 
 def test_completeness_unknown_field():
     snapshot = make_snapshot({"code": ["A"]})
     with pytest.raises(UnknownField):
-        check_completeness(snapshot, "nope")
+        check(snapshot, CheckKind.COMPLETENESS, "nope")
 
 
 def test_completeness_empty_denominator_not_assessable():
     snapshot = make_snapshot({"billable": ["N"], "code": [""]},
                              fields_extra=[{"name": "code", "policy_condition": {"field": "billable", "values": ["Y"]}}])
-    outcome = check_completeness(snapshot, "code", WHERE_REQUIRED)
+    outcome = check(snapshot, CheckKind.COMPLETENESS, "code", subset=WHERE_REQUIRED)
     assert outcome.status is CheckStatus.NOT_ASSESSABLE
     assert outcome.rate is None
 
 
 def test_conformance_value_counts_out_of_set():
     snapshot = make_snapshot({"code": ["A", "B", "C", "D", "Z"]})
-    outcome = check_conformance(snapshot, "code", ConformanceMode.VALUE)
+    outcome = check(snapshot, CheckKind.CONFORMANCE_VALUE, "code")
     assert (outcome.numerator, outcome.denominator) == (4, 5)
 
 
 def test_conformance_format_counts_coercion_failures():
     values = ["2024-01-0" + str(i + 1) for i in range(6)] + ["bad", "worse", "", ""]
     snapshot = make_snapshot({"injury_date": values})
-    outcome = check_conformance(snapshot, "injury_date", ConformanceMode.FORMAT)
+    outcome = check(snapshot, CheckKind.CONFORMANCE_FORMAT, "injury_date")
     assert (outcome.numerator, outcome.denominator) == (6, 8)
     assert len(outcome.violations) == 2
 
 
 def test_conformance_all_missing_not_assessable():
     snapshot = make_snapshot({"code": ["", "", ""]})
-    outcome = check_conformance(snapshot, "code", ConformanceMode.VALUE)
+    outcome = check(snapshot, CheckKind.CONFORMANCE_VALUE, "code")
     assert outcome.status is CheckStatus.NOT_ASSESSABLE
 
 
 def test_conformance_value_requires_allowed_values():
     snapshot = make_snapshot({"side": ["Left"]})
     with pytest.raises(MissingConfig):
-        check_conformance(snapshot, "side", ConformanceMode.VALUE)
+        check(snapshot, CheckKind.CONFORMANCE_VALUE, "side")
 
 
 def test_plausibility_range_inclusive_bounds():
     snapshot = make_snapshot({"age": ["30", "45", "212"]})
-    outcome = check_plausibility_range(snapshot, "age", 0, 120)
+    outcome = check(snapshot, CheckKind.PLAUSIBILITY_RANGE, "age", min=0, max=120)
     assert (outcome.numerator, outcome.denominator) == (2, 3)
     assert [v.row for v in outcome.violations] == [2]
     at_boundary = make_snapshot({"age": ["0", "0", "0"]})
-    assert check_plausibility_range(at_boundary, "age", 0, 120).rate == Fraction(1)
+    assert check(at_boundary, CheckKind.PLAUSIBILITY_RANGE, "age", min=0, max=120).rate == Fraction(1)
 
 
 def test_plausibility_range_invalid():
     snapshot = make_snapshot({"age": ["30"]})
     with pytest.raises(InvalidRange):
-        check_plausibility_range(snapshot, "age", 120, 0)
+        check(snapshot, CheckKind.PLAUSIBILITY_RANGE, "age", min=120, max=0)
 
 
 def test_plausibility_range_non_numeric_field():
     snapshot = make_snapshot({"side": ["Left"]})
     with pytest.raises(NonNumericField):
-        check_plausibility_range(snapshot, "side", 0, 1)
+        check(snapshot, CheckKind.PLAUSIBILITY_RANGE, "side", min=0, max=1)
 
 
 def test_plausibility_temporal_ordering():
     injuries = [f"2024-01-0{i + 1}" for i in range(9)] + ["2024-02-10"]
     visits = [f"2024-01-0{i + 2}" for i in range(8)] + ["2024-01-09", "2024-02-01"]
     snapshot = make_snapshot({"injury_date": injuries, "visit_date": visits})
-    outcome = check_plausibility_temporal(snapshot, "injury_date", "visit_date")
+    outcome = check(snapshot, CheckKind.PLAUSIBILITY_TEMPORAL, "injury_date", "visit_date")
     assert (outcome.numerator, outcome.denominator) == (9, 10)
 
 
@@ -205,7 +210,7 @@ def test_plausibility_temporal_missing_excluded_and_equal_ok():
     snapshot = make_snapshot(
         {"injury_date": ["2024-01-05", "2024-01-05"], "visit_date": ["", "2024-01-05"]}
     )
-    outcome = check_plausibility_temporal(snapshot, "injury_date", "visit_date")
+    outcome = check(snapshot, CheckKind.PLAUSIBILITY_TEMPORAL, "injury_date", "visit_date")
     assert (outcome.numerator, outcome.denominator) == (1, 1)
 
 
@@ -218,7 +223,7 @@ def test_degeneracy_flags_always_same_and_never_records():
         {"actor_id": list(actor), "side": list(side)},
         manifest_extra={"actor_id_column": "actor_id"},
     )
-    outcome = check_degeneracy_by_actor(snapshot, "side")
+    outcome = check(snapshot, CheckKind.DEGENERACY_BY_ACTOR, "side")
     flags = {sid: s.flags for sid, s in outcome.strata.items() if s.flags}
     assert flags == {
         "a1": (DegeneracyFlag.ALWAYS_SAME,),
@@ -234,7 +239,7 @@ def test_degeneracy_min_records_threshold():
         {"actor_id": list(actor), "side": list(side)},
         manifest_extra={"actor_id_column": "actor_id"},
     )
-    outcome = check_degeneracy_by_actor(snapshot, "side", min_records=10)
+    outcome = check(snapshot, CheckKind.DEGENERACY_BY_ACTOR, "side", min_records=10)
     assert outcome.strata["tiny"].denominator == 0
     assert outcome.rate == Fraction(0, 1)
     assert not outcome.has_findings()
@@ -243,7 +248,10 @@ def test_degeneracy_min_records_threshold():
 def test_degeneracy_requires_actor_column():
     snapshot = make_snapshot({"side": ["Left"]})
     with pytest.raises(NoActorColumn):
-        check_degeneracy_by_actor(snapshot, "side")
+        check(snapshot, CheckKind.DEGENERACY_BY_ACTOR, "side")
+
+
+TIMESTAMPS = ("recorded_at", "available_at")
 
 
 def timeliness_snapshot():
@@ -260,9 +268,9 @@ def timeliness_snapshot():
 
 def test_timeliness_threshold():
     snapshot = timeliness_snapshot()
-    outcome = check_timeliness(snapshot, max_lag=timedelta(days=30))
+    outcome = check(snapshot, CheckKind.TIMELINESS, *TIMESTAMPS, max_lag="30d")
     assert (outcome.numerator, outcome.denominator) == (2, 3)
-    tight = check_timeliness(snapshot, max_lag=timedelta(hours=1))
+    tight = check(snapshot, CheckKind.TIMELINESS, *TIMESTAMPS, max_lag="1h")
     assert (tight.numerator, tight.denominator) == (1, 3)
 
 
@@ -274,14 +282,14 @@ def test_timeliness_negative_lag_is_violation():
             "availability_timestamp_column": "available_at",
         },
     )
-    outcome = check_timeliness(snapshot, max_lag=timedelta(days=30))
+    outcome = check(snapshot, CheckKind.TIMELINESS, *TIMESTAMPS, max_lag="30d")
     assert [v.reason for v in outcome.violations] == ["NegativeLag"]
     assert outcome.numerator == 0
 
 
 def test_timeliness_requires_max_lag():
     with pytest.raises(MissingConfig):
-        check_timeliness(timeliness_snapshot())
+        check(timeliness_snapshot(), CheckKind.TIMELINESS, *TIMESTAMPS)
 
 
 def paired_snapshots(source_codes: list[str], transformed_codes: list[str]):
@@ -303,26 +311,26 @@ def test_mapping_success_92_of_100():
     source_codes = ["A"] * 100
     transformed_codes = ["A"] * 92 + [""] * 8
     source, transformed = paired_snapshots(source_codes, transformed_codes)
-    outcome = check_mapping_success(source, transformed, "code")
+    outcome = check(source, CheckKind.MAPPING_SUCCESS, "code", transformed=transformed)
     assert outcome.rate == Fraction(92, 100)
     assert outcome.parameter is not None and outcome.parameter.name == "Interoperability"
 
 
 def test_mapping_identity_transform_full_rate():
     source, transformed = paired_snapshots(["A", "B"], ["A", "B"])
-    assert check_mapping_success(source, transformed, "code").rate == Fraction(1)
+    assert check(source, CheckKind.MAPPING_SUCCESS, "code", transformed=transformed).rate == Fraction(1)
 
 
 def test_mapping_source_missing_excluded():
     source, transformed = paired_snapshots(["A", ""], ["A", ""])
-    outcome = check_mapping_success(source, transformed, "code")
+    outcome = check(source, CheckKind.MAPPING_SUCCESS, "code", transformed=transformed)
     assert (outcome.numerator, outcome.denominator) == (1, 1)
 
 
 def test_mapping_stage_mismatch():
     source, _ = paired_snapshots(["A"], ["A"])
     with pytest.raises(StageMismatch):
-        check_mapping_success(source, source, "code")
+        check(source, CheckKind.MAPPING_SUCCESS, "code", transformed=source)
 
 
 def test_mapping_key_mismatch():
@@ -336,7 +344,7 @@ def test_mapping_key_mismatch():
         stage="TransformedExtract",
     )
     with pytest.raises(KeyMismatch):
-        check_mapping_success(source, transformed, "code")
+        check(source, CheckKind.MAPPING_SUCCESS, "code", transformed=transformed)
 
 
 def test_stratified_counts_sum_to_overall():
@@ -347,10 +355,17 @@ def test_stratified_counts_sum_to_overall():
         },
         manifest_extra={"actor_id_column": "actor_id"},
     )
-    outcome = check_completeness(snapshot, "code", stratify_by_actor=True)
+    outcome = check(snapshot, CheckKind.COMPLETENESS, "code", stratify=True)
     assert outcome.strata is not None and UNATTRIBUTED_STRATUM in outcome.strata
     assert sum(s.numerator for s in outcome.strata.values()) == outcome.numerator
     assert sum(s.denominator for s in outcome.strata.values()) == outcome.denominator
+
+
+@pytest.mark.parametrize("codes", [["A", ""], []])
+def test_stratify_without_actor_column_fails_whatever_the_rows(codes):
+    snapshot = make_snapshot({"code": codes})
+    with pytest.raises(NoActorColumn):
+        check(snapshot, CheckKind.COMPLETENESS, "code", stratify=True)
 
 
 def test_subset_predicate_splits_counts():
@@ -360,11 +375,149 @@ def test_subset_predicate_splits_counts():
             "code": ["A", "", "B", ""],
         }
     )
-    on_y = check_completeness(snapshot, "code", SubsetPredicate("billable", frozenset({"Y"})))
-    on_n = check_completeness(snapshot, "code", SubsetPredicate("billable", frozenset({"N"})))
-    full = check_completeness(snapshot, "code")
+    on_y = check(snapshot, CheckKind.COMPLETENESS, "code", subset=SubsetPredicate("billable", frozenset({"Y"})))
+    on_n = check(snapshot, CheckKind.COMPLETENESS, "code", subset=SubsetPredicate("billable", frozenset({"N"})))
+    full = check(snapshot, CheckKind.COMPLETENESS, "code")
     assert on_y.numerator + on_n.numerator == full.numerator
     assert on_y.denominator + on_n.denominator == full.denominator
+
+
+def mixed_snapshot():
+    """Eight rows with two actors, a billable flag and every typed column."""
+    return make_snapshot(
+        {
+            "actor_id": ["a", "a", "b", "b", "a", "b", "", "a"],
+            "billable": ["Y", "Y", "N", "Y", "N", "Y", "N", ""],
+            "age": ["30", "212", "40", "bad", "", "-1", "50", "60"],
+            "injury_date": ["2024-01-02", "2024-01-01", "2024-01-09", "2024-01-01",
+                            "2024-01-05", "", "2024-01-03", "2024-01-01"],
+            "visit_date": ["2024-01-01", "2024-01-02", "2024-01-03", "nope",
+                           "2024-01-05", "2024-01-06", "2024-01-02", "2024-01-08"],
+            "recorded_at": ["2024-01-01T00:00:00"] * 8,
+            "available_at": ["2024-01-01T01:00:00", "2024-01-09T00:00:00", "2023-12-31T00:00:00",
+                             "2024-01-01T02:00:00", "", "2024-01-03T00:00:00",
+                             "2024-01-01T00:00:00", "2024-02-01T00:00:00"],
+        },
+        manifest_extra={"actor_id_column": "actor_id"},
+    )
+
+
+ROW_KIND_CASES = [
+    (CheckKind.COMPLETENESS, ("age",), {}),
+    (CheckKind.CONFORMANCE_FORMAT, ("age",), {}),
+    (CheckKind.PLAUSIBILITY_RANGE, ("age",), {"min": 0, "max": 120}),
+    (CheckKind.PLAUSIBILITY_TEMPORAL, ("injury_date", "visit_date"), {}),
+    (CheckKind.TIMELINESS, TIMESTAMPS, {"max_lag": "1d"}),
+]
+
+
+@pytest.mark.parametrize("kind, fields, config", ROW_KIND_CASES)
+def test_every_row_kind_honours_subset_and_strata(kind, fields, config):
+    snapshot = mixed_snapshot()
+    full = check(snapshot, kind, *fields, **config)
+    parts = [
+        check(snapshot, kind, *fields, subset=SubsetPredicate("billable", frozenset({v})),
+              stratify=True, **config)
+        for v in ("Y", "N")
+    ]
+    assert [p.subset for p in parts] == ["billable in [Y]", "billable in [N]"]
+    assert 0 < parts[0].denominator < full.denominator
+    # the row with no billable value falls in neither subset
+    rest = check(snapshot, kind, *fields, subset=SubsetPredicate("billable", frozenset({""})), **config)
+    assert rest.denominator == 0
+    unflagged = [v for v in full.violations if v.row != 7]
+    by_row = attrgetter("row", "reason")
+    assert sorted((v for p in parts for v in p.violations), key=by_row) == unflagged
+    for p in parts:
+        assert sum(s.numerator for s in p.strata.values()) == p.numerator
+        assert sum(s.denominator for s in p.strata.values()) == p.denominator
+
+
+@pytest.mark.parametrize("kind", [CheckKind.MAPPING_SUCCESS, CheckKind.DEGENERACY_BY_ACTOR])
+@pytest.mark.parametrize("scope", [
+    {"subset": SubsetPredicate("code", frozenset({"A"}))},
+    {"subset": WHERE_REQUIRED},
+    {"stratify": True},
+])
+def test_mapping_and_degeneracy_reject_subset_and_strata(kind, scope):
+    source, transformed = paired_snapshots(["A", "B"], ["A", ""])
+    if kind is CheckKind.DEGENERACY_BY_ACTOR:
+        transformed = None
+    with pytest.raises(MissingConfig):
+        check(source, kind, "code", transformed=transformed, **scope)
+
+
+def test_mapping_without_target_fields_is_errored():
+    source, transformed = paired_snapshots(["A"], ["A"])
+    definition = CheckDefinition(id="m", kind=CheckKind.MAPPING_SUCCESS, target_fields=())
+    outcome, = run_suite([definition], Snapshots(source=source, transformed=transformed))
+    assert outcome.status is CheckStatus.ERRORED
+    assert outcome.error.startswith("MissingConfig")
+
+
+BAD_CONFIGS = [
+    (CheckKind.DEGENERACY_BY_ACTOR, ("age",), {"min_records": "1"}),
+    (CheckKind.TIMELINESS, TIMESTAMPS, {"max_lag": ["3d"]}),
+    (CheckKind.DEGENERACY_BY_ACTOR, ("age",), {"max_dominant_share": "abc"}),
+    (CheckKind.PLAUSIBILITY_RANGE, ("age",), {"mx": 1}),
+    (CheckKind.PLAUSIBILITY_RANGE, ("age",), {"min": [0], "max": 120}),
+    (CheckKind.PLAUSIBILITY_RANGE, ("age",), {"min": float("nan"), "max": 120}),
+]
+
+
+@pytest.mark.parametrize("kind, fields, config", BAD_CONFIGS)
+def test_bad_config_built_in_code_is_errored(kind, fields, config):
+    definition = CheckDefinition(id="bad", kind=kind, target_fields=fields, config=config)
+    good = CheckDefinition(id="good", kind=CheckKind.COMPLETENESS, target_fields=("age",))
+    bad, ok = run_suite([definition, good], Snapshots(source=mixed_snapshot()))
+    assert bad.status is CheckStatus.ERRORED and bad.error.startswith("SchemaViolation")
+    assert ok.status is CheckStatus.OK
+
+
+@pytest.mark.parametrize("kind, fields, config", BAD_CONFIGS)
+def test_load_suite_rejects_bad_config(kind, fields, config):
+    entry = {"id": "bad", "kind": kind.value, "target_fields": list(fields), "config": config}
+    with pytest.raises(SchemaViolation):
+        load_suite(json.dumps([entry]))
+
+
+@pytest.mark.parametrize("flag", ["no", 1, None])
+def test_load_suite_requires_boolean_stratify_by_actor(flag):
+    entry = {"id": "c", "kind": "Completeness", "target_fields": ["age"], "stratify_by_actor": flag}
+    with pytest.raises(SchemaViolation):
+        load_suite(json.dumps([entry]))
+
+
+def test_load_suite_accepts_each_kind_config():
+    text = json.dumps([
+        {"id": "d", "kind": "DegeneracyByActor", "target_fields": ["age"],
+         "config": {"min_records": 5, "max_dominant_share": "0.9"}},
+        {"id": "t", "kind": "Timeliness", "target_fields": list(TIMESTAMPS), "config": {"max_lag": 3600}},
+        {"id": "r", "kind": "PlausibilityRange", "target_fields": ["injury_date"],
+         "config": {"min": "2020-01-01", "max": "2030-01-01"}, "stratify_by_actor": True},
+    ])
+    outcomes = run_suite(load_suite(text), Snapshots(source=mixed_snapshot()))
+    assert [o.status for o in outcomes] == [CheckStatus.NOT_ASSESSABLE, CheckStatus.OK, CheckStatus.OK]
+    assert outcomes[0].details["max_dominant_share"] == "9/10"
+
+
+def test_readme_kind_table_matches_check_kinds():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = {}
+    for line in readme.splitlines():
+        cells = [c.strip().replace("`", "") for c in line.strip().strip("|").split("|")]
+        if line.startswith("| `") and cells[0] in {k.value for k in CheckKind}:
+            rows[CheckKind(cells[0])] = cells[1:]
+    expected = {
+        kind: [
+            spec.parameter,
+            " or ".join(map(str, spec.arity)),
+            ", ".join(spec.config) or "none",
+            "yes" if spec.rows is not None and not spec.paired else "no",
+        ]
+        for kind, spec in CHECK_KINDS.items()
+    }
+    assert rows == expected
 
 
 def test_run_suite_isolates_errors():
@@ -391,8 +544,8 @@ def test_row_shuffle_leaves_counts_unchanged():
     rows = {"code": ["A", "", "Z", "B", "bad" if False else "C"]}
     snapshot = make_snapshot(rows)
     shuffled = make_snapshot({"code": list(reversed(rows["code"]))})
-    a = check_completeness(snapshot, "code")
-    b = check_completeness(shuffled, "code")
+    a = check(snapshot, CheckKind.COMPLETENESS, "code")
+    b = check(shuffled, CheckKind.COMPLETENESS, "code")
     assert (a.numerator, a.denominator) == (b.numerator, b.denominator)
 
 
@@ -415,8 +568,9 @@ def test_parse_duration_units():
     assert parse_duration("30d") == timedelta(days=30)
     assert parse_duration("1h") == timedelta(hours=1)
     assert parse_duration("90s") == timedelta(seconds=90)
-    with pytest.raises(SchemaViolation):
-        parse_duration("monthly")
+    for bad in ("monthly", ["3d"], float("nan"), "99999999999d"):
+        with pytest.raises(SchemaViolation):
+            parse_duration(bad)
 
 
 def test_load_suite_round_trip_schema():

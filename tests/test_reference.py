@@ -1,0 +1,269 @@
+"""Differential test: ``run_check`` against a naive per-row reference.
+
+The reference walks every row of a snapshot once per check and decides,
+from that row's cells alone, whether the row is in the denominator and
+whether it passes. It shares no code with the evaluator beyond the
+snapshot it reads, so any disagreement is a defect in one of them.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import json
+import re
+from dataclasses import replace
+from datetime import datetime, time, timedelta
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dqlocus.assess import (
+    UNATTRIBUTED_STRATUM,
+    WHERE_REQUIRED,
+    CheckDefinition,
+    CheckKind,
+    CheckStatus,
+    Snapshots,
+    SubsetPredicate,
+    parse_duration,
+    run_check,
+)
+from dqlocus.ingest import load_dataset, load_manifest
+
+FIELDS = [
+    {"name": "actor_id", "semantic_type": "Code", "entry_mode": "AutoGenerated",
+     "generating_actor": "EHRSystem"},
+    {"name": "billable", "semantic_type": "Category", "entry_mode": "AutoGenerated",
+     "generating_actor": "EHRSystem"},
+    {"name": "code", "semantic_type": "Code", "entry_mode": "EhrEnforced",
+     "generating_actor": "Clinician", "allowed_values": ["A", "B", "C"],
+     "policy_condition": {"field": "billable", "values": ["Y"]}},
+    {"name": "label", "semantic_type": "Text", "entry_mode": "FreeEntry",
+     "generating_actor": "Clinician", "format_pattern": "[A-Z]{2}", "required": True},
+    {"name": "age", "semantic_type": "Number", "entry_mode": "FreeEntry",
+     "generating_actor": "Clinician"},
+    {"name": "injury_date", "semantic_type": "Date", "entry_mode": "FreeEntry",
+     "generating_actor": "Clinician"},
+    {"name": "visit_date", "semantic_type": "Date", "entry_mode": "AutoGenerated",
+     "generating_actor": "EHRSystem"},
+    {"name": "recorded_at", "semantic_type": "Timestamp", "entry_mode": "AutoGenerated",
+     "generating_actor": "EHRSystem"},
+    {"name": "available_at", "semantic_type": "Timestamp", "entry_mode": "AutoGenerated",
+     "generating_actor": "EHRSystem"},
+]
+MANIFEST = load_manifest(json.dumps({
+    "dataset_id": "ref", "stage": "SourceExtract", "fields": FIELDS,
+    "actor_id_column": "actor_id",
+}))
+NAMES = [f["name"] for f in FIELDS]
+
+MISSING = st.sampled_from(["", "NA"])
+
+
+def cells(typed, *malformed):
+    """Typed cells about half the time, malformed and missing ones the rest."""
+    return st.one_of(typed, typed, st.sampled_from(malformed), MISSING)
+
+
+def hours(h):
+    """Timestamp ``h`` hours after 2024-01-01T00:00."""
+    return f"2024-01-{1 + h // 24:02d}T{h % 24:02d}:00:00"
+
+
+DAYS = st.integers(1, 9).map(lambda d: f"2024-01-0{d}")
+CELLS = {
+    "actor_id": st.sampled_from(["a", "b", "c", ""]),
+    "billable": st.sampled_from(["Y", "N", ""]),
+    "code": st.one_of(st.sampled_from(["A", "B", "C", "Z"]), MISSING),
+    "label": st.one_of(st.sampled_from(["AB", "XY", "abc", "A1"]), MISSING),
+    "age": cells(st.one_of(st.integers(-5, 150).map(str), st.just("12.5")), "bad", "1..2"),
+    "injury_date": cells(DAYS, "2024-13-01", "x"),
+    "visit_date": cells(DAYS, "later"),
+    # one instant, written naive and with an offset
+    "recorded_at": cells(st.sampled_from(["2024-01-01T06:00:00", "2024-01-01T07:00:00+01:00"]), "soon"),
+    # the sampled hours sit on or next to each max_lag boundary below
+    "available_at": cells(
+        st.one_of(st.sampled_from([5, 6, 7, 8, 9, 36, 37, 54, 55]), st.integers(0, 80)).map(hours),
+        "never",
+    ),
+}
+ROWS = st.lists(st.fixed_dictionaries(CELLS), max_size=30)
+
+SUBSETS = st.sampled_from([
+    None,
+    WHERE_REQUIRED,
+    SubsetPredicate("billable", frozenset({"Y"})),
+    SubsetPredicate("code", frozenset({"A", "B"})),
+])
+
+
+ROW_KINDS = [
+    CheckKind.COMPLETENESS, CheckKind.CONFORMANCE_VALUE, CheckKind.CONFORMANCE_FORMAT,
+    CheckKind.PLAUSIBILITY_RANGE, CheckKind.PLAUSIBILITY_TEMPORAL, CheckKind.TIMELINESS,
+]
+
+
+@st.composite
+def definitions(draw, kind):
+    config: dict = {}
+    if kind is CheckKind.COMPLETENESS:
+        fields = (draw(st.sampled_from(NAMES)),)
+    elif kind is CheckKind.CONFORMANCE_VALUE:
+        fields = ("code",)
+    elif kind is CheckKind.CONFORMANCE_FORMAT:
+        fields = (draw(st.sampled_from(["label", "age", "injury_date", "recorded_at"])),)
+    elif kind is CheckKind.PLAUSIBILITY_RANGE:
+        fields = ("age",)
+        lo = draw(st.integers(-5, 150))
+        config = {"min": lo, "max": draw(st.integers(lo, 150))}
+    elif kind is CheckKind.PLAUSIBILITY_TEMPORAL:
+        fields = draw(st.sampled_from([("injury_date", "visit_date"), ("visit_date", "recorded_at")]))
+    else:
+        fields = ("recorded_at", "available_at")
+        config = {"max_lag": draw(st.sampled_from(["1h", "30h", "2d", 7200]))}
+    return CheckDefinition(id="ref", kind=kind, target_fields=fields, subset=draw(SUBSETS), config=config)
+
+
+#: One definition of every row kind, each evaluated without and with strata.
+SUITES = st.tuples(*(definitions(kind) for kind in ROW_KINDS)).map(
+    lambda defs: [replace(d, stratify_by_actor=s) for d in defs for s in (False, True)]
+)
+
+
+def snapshot_of(rows: list[dict]):
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(NAMES)
+    writer.writerows([row[n] for n in NAMES] for row in rows)
+    return load_dataset(buffer.getvalue(), MANIFEST)
+
+
+# --- the reference ----------------------------------------------------------
+
+def typed(snapshot, name, i):
+    col = snapshot.columns[name]
+    return i not in col.missing and all(row != i for row, _ in col.failures)
+
+
+def value_in(snapshot, name, i, values):
+    col = snapshot.columns[name]
+    return i not in col.missing and str(col.values[i]) in values
+
+
+def in_subset(snapshot, definition, i):
+    subset = definition.subset
+    if subset is None:
+        return True
+    if subset == WHERE_REQUIRED:
+        spec = snapshot.manifest.get_field(definition.target_fields[0])
+        if spec.policy_condition is not None:
+            return value_in(snapshot, spec.policy_condition.field, i, spec.policy_condition.values)
+        return spec.required
+    return value_in(snapshot, subset.field, i, subset.values)
+
+
+def as_datetime(value):
+    return value if isinstance(value, datetime) else datetime.combine(value, time.min)
+
+
+def verdict(snapshot, definition, i):
+    """("skip",) when row i is outside the denominator, else ("pass",) or
+    ("fail", reason)."""
+    kind, fields, cfg = definition.kind, definition.target_fields, definition.config
+    col = snapshot.columns[fields[0]]
+    value = col.values[i]
+    present = i not in col.missing
+    if kind is CheckKind.COMPLETENESS:
+        if not present:
+            return ("fail", "missing")
+        return ("pass",) if typed(snapshot, fields[0], i) else ("fail", "malformed")
+    if kind in (CheckKind.CONFORMANCE_VALUE, CheckKind.CONFORMANCE_FORMAT):
+        if not present:
+            return ("skip",)
+        if not typed(snapshot, fields[0], i):
+            return ("fail", "malformed")
+        spec = snapshot.manifest.get_field(fields[0])
+        if kind is CheckKind.CONFORMANCE_VALUE:
+            ok = str(value) in spec.allowed_values
+            return ("pass",) if ok else ("fail", f"value not allowed: {value}")
+        if spec.format_pattern is None:
+            return ("pass",)
+        ok = isinstance(value, str) and re.fullmatch(spec.format_pattern, value)
+        return ("pass",) if ok else ("fail", f"pattern mismatch: {value}")
+    if not all(typed(snapshot, name, i) for name in fields):
+        return ("skip",)
+    if kind is CheckKind.PLAUSIBILITY_RANGE:
+        ok = float(cfg["min"]) <= value <= float(cfg["max"])
+        return ("pass",) if ok else ("fail", f"out of range: {value}")
+    other = snapshot.columns[fields[1]].values[i]
+    if kind is CheckKind.PLAUSIBILITY_TEMPORAL:
+        ok = as_datetime(value) <= as_datetime(other)
+        return ("pass",) if ok else ("fail", f"{fields[0]} after {fields[1]}")
+    lag, max_lag = other - value, parse_duration(cfg["max_lag"])
+    if lag < timedelta(0):
+        return ("fail", "NegativeLag")
+    return ("fail", f"lag {lag} exceeds {max_lag}") if lag > max_lag else ("pass",)
+
+
+def reference(snapshot, definition):
+    """(numerator, denominator, violations, strata) computed row by row."""
+    numerator = denominator = 0
+    violations = []
+    strata: dict[str, list[int]] = {}
+    actors = snapshot.columns["actor_id"].values
+    for i in range(snapshot.row_count):
+        if not in_subset(snapshot, definition, i):
+            continue
+        result = verdict(snapshot, definition, i)
+        if result[0] == "skip":
+            continue
+        actor = UNATTRIBUTED_STRATUM if actors[i] is None else actors[i]
+        counts = strata.setdefault(actor, [0, 0])
+        denominator += 1
+        counts[1] += 1
+        if result[0] == "pass":
+            numerator += 1
+            counts[0] += 1
+        else:
+            violations.append((i, result[1]))
+    if not definition.stratify_by_actor or not denominator:
+        strata = None
+    return numerator, denominator, violations, strata
+
+
+def evaluated(snapshot, definition):
+    outcome = run_check(definition, Snapshots(source=snapshot))
+    strata = None
+    if outcome.strata is not None:
+        strata = {sid: [s.numerator, s.denominator] for sid, s in outcome.strata.items()}
+    violations = [(v.row, v.reason) for v in outcome.violations]
+    return outcome, (outcome.numerator, outcome.denominator, violations, strata)
+
+
+# --- properties -------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(rows=ROWS, suite=SUITES)
+def test_evaluator_equals_reference(rows, suite):
+    snapshot = snapshot_of(rows)
+    for definition in suite:
+        outcome, got = evaluated(snapshot, definition)
+        assert got == reference(snapshot, definition), definition
+        expected_status = CheckStatus.OK if outcome.denominator else CheckStatus.NOT_ASSESSABLE
+        assert outcome.status is expected_status
+        if outcome.strata is not None:
+            assert sum(s.numerator for s in outcome.strata.values()) == outcome.numerator
+            assert sum(s.denominator for s in outcome.strata.values()) == outcome.denominator
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), rows=ROWS, suite=SUITES)
+def test_shuffling_rows_leaves_counts_unchanged(data, rows, suite):
+    shuffled = data.draw(st.permutations(rows))
+    for definition in suite:
+        before, _ = evaluated(snapshot_of(rows), definition)
+        after, _ = evaluated(snapshot_of(shuffled), definition)
+        assert (after.numerator, after.denominator) == (before.numerator, before.denominator)
+        assert after.strata == before.strata
+        assert sorted(v.reason for v in after.violations) == sorted(v.reason for v in before.violations)

@@ -22,7 +22,6 @@ from dqlocus.taxonomy import (
     core_parameters,
     enumerate_loci,
     load_registry_config,
-    register_actor,
     validate_locus,
 )
 
@@ -79,33 +78,29 @@ def test_dro_dg_fails_for_every_builtin_actor():
 
 
 def test_register_carer_at_generation():
-    registry = register_actor(
-        builtin_registry(), "Carer", set(), {(Organization.DGO, Phase.DG)}
-    )
+    registry = builtin_registry().with_actor("Carer", set(), {(Organization.DGO, Phase.DG)})
     locus = validate_locus(Organization.DGO, Phase.DG, "Carer", registry)
     assert locus.actor == "Carer"
 
 
 def test_register_duplicate_actor_rejected():
     with pytest.raises(DuplicateActor):
-        register_actor(builtin_registry(), "Clinician", set(), {(Organization.DGO, Phase.DG)})
+        builtin_registry().with_actor("Clinician", set(), {(Organization.DGO, Phase.DG)})
 
 
 def test_register_alias_collision_rejected():
     with pytest.raises(AliasCollision):
-        register_actor(
-            builtin_registry(), "Carer", {"EHR"}, {(Organization.DGO, Phase.DG)}
-        )
+        builtin_registry().with_actor("Carer", {"EHR"}, {(Organization.DGO, Phase.DG)})
 
 
 def test_register_empty_phases_rejected():
     with pytest.raises(EmptyAllowedPhases):
-        register_actor(builtin_registry(), "Carer", set(), set())
+        builtin_registry().with_actor("Carer", set(), set())
 
 
 def test_register_never_mutates_builtin_registry():
     before = enumerate_loci(builtin_registry())
-    register_actor(builtin_registry(), "Carer", set(), {(Organization.DGO, Phase.DG)})
+    builtin_registry().with_actor("Carer", set(), {(Organization.DGO, Phase.DG)})
     assert enumerate_loci(builtin_registry()) == before
 
 
