@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from datetime import date, datetime, time, timedelta, timezone
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Any, Callable
 
 from .errors import (
@@ -229,9 +230,8 @@ def _actor_ids(snapshot: DatasetSnapshot) -> list[str]:
 
 
 def _stratify(
-    snapshot: DatasetSnapshot, rows: list[int], violations: list[Violation]
+    actors: list[str], rows: list[int], violations: list[Violation]
 ) -> dict[str, StratumOutcome]:
-    actors = _actor_ids(snapshot)
     den = Counter(actors[i] for i in rows)
     failed = Counter(actors[v.row] for v in violations)
     return {sid: StratumOutcome(den[sid] - failed[sid], den[sid]) for sid in sorted(den)}
@@ -267,7 +267,11 @@ def _outcome(
 # A row kind's function takes (snapshot, target fields, config, scope), where
 # scope is the subset's rows or None for every row, and returns the rows it
 # judges, a judge giving None for a passing row or the violation reason, and
-# the outcome details. The evaluator in ``run_check`` does the rest.
+# the outcome details. The evaluator in ``run_check`` does the rest. A paired
+# kind's function takes the ``Snapshots`` in place of one snapshot. A strata
+# kind's function takes (snapshot, target fields, config, actor ids), where
+# actor ids gives a snapshot's per-row actor ids, and returns the strata,
+# the violations and the details.
 
 Fields = tuple[str, ...]
 Config = dict[str, Any]
@@ -275,6 +279,9 @@ Scope = "list[int] | None"
 Judge = Callable[[int], "str | None"]
 RowCheck = tuple[list[int], Judge, dict[str, Any]]
 StrataCheck = tuple[dict[str, StratumOutcome], list[Violation], dict[str, Any]]
+ActorIds = Callable[[DatasetSnapshot], "list[str]"]
+#: The key column and the (key, source row, transformed row) pairing.
+KeyJoin = tuple[str, list[tuple[str, int, int]]]
 
 
 def _completeness(snapshot: DatasetSnapshot, fields: Fields, cfg: Config, scope: Scope) -> RowCheck:
@@ -450,10 +457,27 @@ def _timeliness(snapshot: DatasetSnapshot, fields: Fields, cfg: Config, scope: S
 def _mapping_success(snapshots: Snapshots, fields: Fields, cfg: Config, scope: Scope) -> RowCheck:
     """Fraction of source-present values still present after transformation.
 
-    Rows correspond through the key column declared in both manifests. The
-    second target field names the transformed column (default: the first).
+    Rows correspond through the key column declared in both manifests
+    (``Snapshots.key_join``). The second target field names the
+    transformed column (default: the first).
     """
-    source, transformed = snapshots.source, snapshots.transformed
+    key, pairs = snapshots.key_join
+    src_missing = _column(snapshots.source, fields[0]).missing  # type: ignore[arg-type]
+    dst_missing = _column(snapshots.transformed, fields[-1]).missing  # type: ignore[arg-type]
+    rows: list[int] = []
+    unmapped: dict[int, str] = {}
+    for key_value, i, j in pairs:
+        if i in src_missing:
+            continue  # value absent at source: transformation owes nothing
+        rows.append(i)
+        if j in dst_missing:
+            unmapped[i] = f"unmapped (key {key_value})"
+    return rows, unmapped.get, {"key_column": key}
+
+
+def _join_keys(source: DatasetSnapshot | None, transformed: DatasetSnapshot | None) -> KeyJoin:
+    """The key column and the (key, source row, transformed row) pairing in
+    key order; raises when the two snapshots cannot be joined."""
     if source is None or transformed is None:
         raise StageMismatch("mapping check needs both source and transformed snapshots")
     if source.manifest.stage is not Stage.SOURCE or transformed.manifest.stage is not Stage.TRANSFORMED:
@@ -472,25 +496,13 @@ def _mapping_success(snapshots: Snapshots, fields: Fields, cfg: Config, scope: S
 
     src_rows = _key_index(source, key)
     dst_rows = _key_index(transformed, key)
-    unmatched_src = sorted(set(src_rows) - set(dst_rows))
-    unmatched_dst = sorted(set(dst_rows) - set(src_rows))
-    if unmatched_src or unmatched_dst:
+    if src_rows.keys() != dst_rows.keys():
+        unmatched_src = sorted(src_rows.keys() - dst_rows.keys())
+        unmatched_dst = sorted(dst_rows.keys() - src_rows.keys())
         raise KeyMismatch(
             f"keys only in source: {unmatched_src[:10]}; only in transformed: {unmatched_dst[:10]}"
         )
-
-    src_col = _column(source, fields[0])
-    dst_col = _column(transformed, fields[-1])
-    rows: list[int] = []
-    unmapped: dict[int, str] = {}
-    for key_value in sorted(src_rows):
-        i = src_rows[key_value]
-        if i in src_col.missing:
-            continue  # value absent at source: transformation owes nothing
-        rows.append(i)
-        if dst_rows[key_value] in dst_col.missing:
-            unmapped[i] = f"unmapped (key {key_value})"
-    return rows, unmapped.get, {"key_column": key}
+    return key, [(k, src_rows[k], dst_rows[k]) for k in sorted(src_rows)]
 
 
 def _key_index(snapshot: DatasetSnapshot, key: str) -> dict[str, int]:
@@ -509,7 +521,9 @@ def _key_index(snapshot: DatasetSnapshot, key: str) -> dict[str, int]:
     return index
 
 
-def _degeneracy_by_actor(snapshot: DatasetSnapshot, fields: Fields, cfg: Config) -> StrataCheck:
+def _degeneracy_by_actor(
+    snapshot: DatasetSnapshot, fields: Fields, cfg: Config, actor_ids: ActorIds
+) -> StrataCheck:
     """Per-actor capture screening: flag authors who never record the field
     or always record the same value.
 
@@ -522,7 +536,7 @@ def _degeneracy_by_actor(snapshot: DatasetSnapshot, fields: Fields, cfg: Config)
     max_dominant_share = cfg.get("max_dominant_share", Fraction(1))
     col = _column(snapshot, fields[0])
     rows_by_actor: dict[str, list[int]] = {}
-    for i, sid in enumerate(_actor_ids(snapshot)):
+    for i, sid in enumerate(actor_ids(snapshot)):
         rows_by_actor.setdefault(sid, []).append(i)
 
     absent = _absent(col)
@@ -656,7 +670,12 @@ def _read_config(kind: CheckKind, config: Any) -> Config:
 
 @dataclass(frozen=True)
 class Snapshots:
-    """The snapshots a suite runs against, keyed by lifecycle stage."""
+    """The snapshots a suite runs against, keyed by lifecycle stage.
+
+    What checks derive from the snapshots rather than from one definition,
+    the key join and the per-row actor ids, is built on first use and kept
+    for the life of this object, so a suite builds each once.
+    """
 
     source: DatasetSnapshot | None = None
     transformed: DatasetSnapshot | None = None
@@ -666,6 +685,8 @@ class Snapshots:
             return self.source
         if self.transformed is not None and self.source is None:
             return self.transformed
+        if self.source is None:
+            raise CheckConfigError("no snapshot is loaded")
         raise CheckConfigError("check must name a stage when two snapshots are loaded")
 
     def at_stage(self, stage: Stage | None) -> DatasetSnapshot:
@@ -675,6 +696,25 @@ class Snapshots:
         if chosen is None:
             raise CheckConfigError(f"no snapshot loaded at stage {stage.value}")
         return chosen
+
+    @cached_property
+    def key_join(self) -> KeyJoin:
+        """The source and transformed snapshots joined on their shared key
+        column (see ``_join_keys``). A pair that cannot be joined raises on
+        every read, since nothing is cached for it."""
+        return _join_keys(self.source, self.transformed)
+
+    def actor_ids(self, snapshot: DatasetSnapshot) -> list[str]:
+        """Actor id of every row of ``snapshot``, one of this object's
+        snapshots; missing ids map to the unattributed stratum."""
+        cache = self._actor_ids_by_snapshot
+        if id(snapshot) not in cache:
+            cache[id(snapshot)] = _actor_ids(snapshot)
+        return cache[id(snapshot)]
+
+    @cached_property
+    def _actor_ids_by_snapshot(self) -> dict[int, list[str]]:
+        return {}
 
 
 def run_check(definition: CheckDefinition, snapshots: Snapshots) -> CheckOutcome:
@@ -697,7 +737,7 @@ def run_check(definition: CheckDefinition, snapshots: Snapshots) -> CheckOutcome
     cfg = _read_config(kind, definition.config)
 
     if spec.strata is not None:
-        strata, violations, details = spec.strata(target, fields, cfg)
+        strata, violations, details = spec.strata(target, fields, cfg, snapshots.actor_ids)
         numerator = sum(s.numerator for s in strata.values())
         denominator = sum(s.denominator for s in strata.values())
     else:
@@ -705,7 +745,10 @@ def run_check(definition: CheckDefinition, snapshots: Snapshots) -> CheckOutcome
         rows, judge, details = spec.rows(target, fields, cfg, scope)  # type: ignore[misc]
         violations = [Violation(i, reason) for i in rows if (reason := judge(i)) is not None]
         numerator, denominator = len(rows) - len(violations), len(rows)
-        strata = (_stratify(target, rows, violations) or None) if definition.stratify_by_actor else None
+        if definition.stratify_by_actor:
+            strata = _stratify(snapshots.actor_ids(target), rows, violations) or None
+        else:
+            strata = None
     return _outcome(definition, stage, numerator, denominator, violations, strata, details)
 
 

@@ -2,10 +2,11 @@
 
 A manifest declares what each column means (semantic type, entry mode,
 generating actor, constraints) and which extract stage the table sits at
-(pre- or post-transformation). Loading coerces cells per semantic type;
-values that fail coercion are recorded as data for conformance checks,
-never as load errors. Dates and timestamps parse as ISO-8601 only, which
-keeps loading deterministic across platforms.
+(pre- or post-transformation). Loading reads the CSV a chunk of rows at a
+time and builds each manifest column with the one coercer of its semantic
+type; values that fail coercion are recorded as data for conformance
+checks, never as load errors. Dates and timestamps parse as ISO-8601 only,
+which keeps loading deterministic across platforms.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ import re
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from enum import Enum
-from typing import Any
+from functools import cached_property
+from itertools import islice
+from typing import Any, Callable, Iterator
 
 from .errors import (
     DanglingColumnReference,
@@ -89,10 +92,12 @@ class DatasetManifest:
     missing_sentinels: frozenset[str] = DEFAULT_MISSING_SENTINELS
 
     def get_field(self, name: str) -> FieldSpec | None:
-        for f in self.fields:
-            if f.name == name:
-                return f
-        return None
+        return self._fields_by_name.get(name)
+
+    @cached_property
+    def _fields_by_name(self) -> dict[str, FieldSpec]:
+        # reversed, so that the first of two specs with one name wins
+        return {f.name: f for f in reversed(self.fields)}
 
 
 @dataclass(frozen=True)
@@ -339,29 +344,80 @@ def serialize_manifest(manifest: DatasetManifest) -> str:
 
 # --- dataset loading --------------------------------------------------------
 
-def _coerce(raw: str, semantic: SemanticType) -> tuple[Any, bool]:
-    """Coerce a raw cell; returns (value, ok)."""
-    if semantic in (SemanticType.CODE, SemanticType.CATEGORY, SemanticType.TEXT):
-        return raw, True
-    if semantic is SemanticType.NUMBER:
-        try:
-            return float(raw), True
-        except ValueError:
-            return None, False
-    if semantic is SemanticType.DATE:
-        try:
-            return date.fromisoformat(raw), True
-        except ValueError:
-            return None, False
-    # timestamp: ISO-8601; aware values are normalized to naive UTC so all
-    # values in a column compare consistently
-    try:
-        value = datetime.fromisoformat(raw)
-    except ValueError:
-        return None, False
+#: Rows read, transposed and coerced at a time, and characters of text
+#: handed to the line reader at a time: together they bound what a load
+#: holds beyond the text and the columns it builds.
+_CHUNK_ROWS = 4096
+_SLICE_CHARS = 1 << 20
+
+
+def _timestamp(raw: str) -> datetime:
+    """ISO-8601 timestamp; aware values are normalized to naive UTC so all
+    values in a column compare consistently."""
+    value = datetime.fromisoformat(raw)
     if value.tzinfo is not None:
         value = value.astimezone(timezone.utc).replace(tzinfo=None)
-    return value, True
+    return value
+
+
+#: The coercer of each typed semantic type; the others keep their text.
+_COERCERS: dict[SemanticType, Callable[[str], Any]] = {
+    SemanticType.NUMBER: float,
+    SemanticType.DATE: date.fromisoformat,
+    SemanticType.TIMESTAMP: _timestamp,
+}
+
+
+class _ColumnBuilder:
+    """One column's typed values, missing rows and coercion failures,
+    appended a chunk of raw cells at a time with the coercer of its type."""
+
+    def __init__(self, semantic: SemanticType, sentinels: frozenset[str]) -> None:
+        self.coerce = _COERCERS.get(semantic)
+        self.sentinels = sentinels
+        self.values: list[Any] = []
+        self.missing: list[int] = []
+        self.failures: list[tuple[int, str]] = []
+
+    def extend(self, cells: tuple[str, ...], first_row: int) -> None:
+        sentinels, coerce = self.sentinels, self.coerce
+        if coerce is None:
+            missing = [i for i, raw in enumerate(cells, first_row) if raw in sentinels]
+            self.values += cells
+            for i in missing:
+                self.values[i] = None
+            self.missing += missing
+            return
+        append = self.values.append
+        for i, raw in enumerate(cells, first_row):
+            if raw in sentinels:  # before parsing: a sentinel may look typed
+                append(None)
+                self.missing.append(i)
+                continue
+            try:
+                append(coerce(raw))
+            except ValueError:
+                append(None)
+                self.failures.append((i, raw))
+
+    def build(self, name: str) -> Column:
+        return Column(
+            name=name,
+            values=tuple(self.values),
+            missing=frozenset(self.missing),
+            failures=tuple(self.failures),
+        )
+
+
+def _lines(text: str) -> Iterator[str]:
+    """The lines of ``text`` as ``io.StringIO(text, newline="")`` gives them,
+    read from slices of about ``_SLICE_CHARS`` characters that each end a
+    line, so that the reader's copy of the text stays small."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _SLICE_CHARS) + 1 or len(text)
+        yield from io.StringIO(text[start:end], newline="")
+        start = end
 
 
 def load_dataset(text: str | bytes, manifest: DatasetManifest) -> DatasetSnapshot:
@@ -369,11 +425,13 @@ def load_dataset(text: str | bytes, manifest: DatasetManifest) -> DatasetSnapsho
 
     The header must name a superset of the manifest fields. Sentinel cells
     become missing; cells that fail type coercion are retained as
-    coercion failures.
+    coercion failures. Rows are read a chunk at a time and appended to
+    one builder per manifest column, which picks its type's coercer once,
+    so the raw rows of the whole extract are never held at once.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = csv.reader(_lines(text))
     try:
         header = next(reader)
     except StopIteration:
@@ -388,35 +446,22 @@ def load_dataset(text: str | bytes, manifest: DatasetManifest) -> DatasetSnapsho
         if f.name not in positions:
             raise MissingColumn(f"dataset is missing manifest column {f.name!r}")
 
-    rows = [row for row in reader if row]  # RFC-4180: ignore blank lines
-    row_count = len(rows)
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise HeaderMalformed(f"row {i} has {len(row)} cells, header has {len(header)}")
-
-    columns: dict[str, Column] = {}
     sentinels = manifest.missing_sentinels
-    for f in manifest.fields:
-        pos = positions[f.name]
-        values: list[Any] = []
-        missing: set[int] = set()
-        failures: list[tuple[int, str]] = []
-        for i, row in enumerate(rows):
-            raw = row[pos]
-            if raw in sentinels:
-                values.append(None)
-                missing.add(i)
-                continue
-            value, ok = _coerce(raw, f.semantic_type)
-            if ok:
-                values.append(value)
-            else:
-                values.append(None)
-                failures.append((i, raw))
-        columns[f.name] = Column(
-            name=f.name,
-            values=tuple(values),
-            missing=frozenset(missing),
-            failures=tuple(failures),
-        )
+    builders = {f.name: _ColumnBuilder(f.semantic_type, sentinels) for f in manifest.fields}
+    rows = filter(None, reader)  # RFC-4180: ignore blank lines
+    row_count = 0
+    while chunk := list(islice(rows, _CHUNK_ROWS)):
+        for k, row in enumerate(chunk):
+            if len(row) != len(header):
+                raise HeaderMalformed(
+                    f"row {row_count + k} has {len(row)} cells, header has {len(header)}"
+                )
+        cells = list(zip(*chunk))
+        for name, builder in builders.items():
+            builder.extend(cells[positions[name]], row_count)
+        row_count += len(chunk)
+
+    # each builder is dropped once its column is built, so no more than one
+    # column is held both as a list and as a tuple
+    columns = {name: builders.pop(name).build(name) for name in list(builders)}
     return DatasetSnapshot(manifest=manifest, row_count=row_count, columns=columns)

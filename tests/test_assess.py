@@ -39,7 +39,7 @@ from dqlocus.errors import (
     StageMismatch,
     UnknownField,
 )
-from dqlocus.ingest import load_dataset, load_manifest
+from dqlocus.ingest import Stage, load_dataset, load_manifest
 
 
 def make_snapshot(field_rows: dict[str, list[str]], *, manifest_extra: dict | None = None,
@@ -531,6 +531,17 @@ def test_run_suite_isolates_errors():
     assert [o.check_id for o in outcomes] == ["ok1", "broken", "ok2"]
     assert outcomes[1].status is CheckStatus.ERRORED
     assert outcomes[0].status is CheckStatus.OK and outcomes[2].status is CheckStatus.OK
+
+
+@pytest.mark.parametrize("stage, error", [
+    (None, "CheckConfigError: no snapshot is loaded"),
+    (Stage.SOURCE, "CheckConfigError: no snapshot loaded at stage SourceExtract"),
+])
+def test_run_suite_with_no_snapshot_loaded_says_so(stage, error):
+    definition = CheckDefinition(id="c", kind=CheckKind.COMPLETENESS, target_fields=("code",), stage=stage)
+    outcome, = run_suite([definition], Snapshots())
+    assert outcome.status is CheckStatus.ERRORED
+    assert outcome.error == error
 
 
 def test_run_suite_empty_and_deterministic():

@@ -77,6 +77,15 @@ def test_load_manifest_accepts_enforced_coded_field():
     assert manifest.missing_sentinels == DEFAULT_MISSING_SENTINELS
 
 
+def test_get_field_leaves_manifest_equality_and_hash_alone():
+    looked_up = load_manifest(json.dumps(manifest_doc()))
+    fresh = load_manifest(json.dumps(manifest_doc()))
+    assert looked_up.get_field("age") is looked_up.fields[4]
+    assert looked_up.get_field("nonexistent") is None
+    assert looked_up == fresh and hash(looked_up) == hash(fresh)
+    assert repr(looked_up) == repr(fresh)
+
+
 def test_load_manifest_policy_condition_on_missing_field():
     doc = manifest_doc()
     doc["fields"][2]["policy_condition"] = {"field": "nonexistent", "values": ["Y"]}

@@ -1,0 +1,231 @@
+"""Differential test: ``load_dataset`` against a naive reference loader.
+
+The reference reads every row into one list, checks the row widths, then
+coerces column by column and cell by cell, deciding each cell's type on
+the spot. ``load_dataset`` reads the text in slices and the rows in
+chunks and picks each column's coercer once; on every input both must give
+the same snapshot, or raise the same exception with the same message.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import json
+from datetime import date, datetime, timezone
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dqlocus import ingest
+from dqlocus.errors import HeaderMalformed, MissingColumn
+from dqlocus.ingest import Column, DatasetSnapshot, SemanticType, load_dataset, load_manifest
+
+FIELDS = [
+    {"name": "id", "semantic_type": "Code", "entry_mode": "AutoGenerated", "generating_actor": "EHRSystem"},
+    {"name": "note", "semantic_type": "Text", "entry_mode": "FreeEntry", "generating_actor": "Clinician"},
+    {"name": "num", "semantic_type": "Number", "entry_mode": "FreeEntry", "generating_actor": "Clinician"},
+    {"name": "day", "semantic_type": "Date", "entry_mode": "FreeEntry", "generating_actor": "Clinician"},
+    {"name": "ts", "semantic_type": "Timestamp", "entry_mode": "AutoGenerated", "generating_actor": "EHRSystem"},
+]
+NAMES = [f["name"] for f in FIELDS]
+EXTRA = ["extra", "more"]  # header columns the manifest does not name
+
+
+def manifest(sentinels=None):
+    doc = {"dataset_id": "load", "stage": "SourceExtract", "fields": FIELDS}
+    if sentinels is not None:
+        doc["missing_sentinels"] = sorted(sentinels)
+    return load_manifest(json.dumps(doc))
+
+
+# --- the reference ----------------------------------------------------------
+
+def coerce(raw, semantic):
+    """(value, ok) for one cell, deciding the type per call."""
+    if semantic in (SemanticType.CODE, SemanticType.CATEGORY, SemanticType.TEXT):
+        return raw, True
+    try:
+        if semantic is SemanticType.NUMBER:
+            return float(raw), True
+        if semantic is SemanticType.DATE:
+            return date.fromisoformat(raw), True
+        value = datetime.fromisoformat(raw)
+    except ValueError:
+        return None, False
+    if value.tzinfo is not None:
+        value = value.astimezone(timezone.utc).replace(tzinfo=None)
+    return value, True
+
+
+def reference_load(text, manifest):
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise HeaderMalformed("dataset has no header row") from None
+    if any(not h for h in header):
+        raise HeaderMalformed("header contains an empty column name")
+    if len(set(header)) != len(header):
+        raise HeaderMalformed("header contains duplicate column names")
+    for f in manifest.fields:
+        if f.name not in header:
+            raise MissingColumn(f"dataset is missing manifest column {f.name!r}")
+    rows = [row for row in reader if row]
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise HeaderMalformed(f"row {i} has {len(row)} cells, header has {len(header)}")
+    columns = {}
+    for f in manifest.fields:
+        pos = header.index(f.name)
+        values, missing, failures = [], set(), []
+        for i, row in enumerate(rows):
+            raw = row[pos]
+            if raw in manifest.missing_sentinels:
+                values.append(None)
+                missing.add(i)
+                continue
+            value, ok = coerce(raw, f.semantic_type)
+            values.append(value)
+            if not ok:
+                failures.append((i, raw))
+        columns[f.name] = Column(f.name, tuple(values), frozenset(missing), tuple(failures))
+    return DatasetSnapshot(manifest=manifest, row_count=len(rows), columns=columns)
+
+
+def result(load, text, manifest):
+    """A comparable form of a load: its columns, or its exception. Values
+    compare by repr, so that a NaN equals a NaN and 1.0 differs from "1.0"."""
+    try:
+        snapshot = load(text, manifest)
+    except Exception as e:  # noqa: BLE001 - both loaders must fail alike
+        return ("raised", type(e), str(e))
+    columns = {
+        name: (tuple(map(repr, col.values)), col.missing, col.failures)
+        for name, col in snapshot.columns.items()
+    }
+    return (snapshot.row_count, columns)
+
+
+# --- inputs -----------------------------------------------------------------
+
+TYPED = [
+    "0", "-1", "12", "1.5", " 7 ", "1_0", "nan", "inf",
+    "2024-01-01", "2024-02-29", "2024-01-01T10:00:00", "2024-01-01T10:00:00+02:00",
+]
+MALFORMED = ["abc", "1..2", "2024-02-30", "2024-13-01", "10:00", "-"]
+SENTINELS = ["", "NA", "NULL"]
+TEXT = ["a,b", "line1\nline2", "two\r\nlines", 'say "hi"', "x\ry", " "]
+CELLS = st.sampled_from(TYPED + MALFORMED + SENTINELS + TEXT)
+#: Default sentinels, or custom ones that would otherwise parse as typed.
+SENTINEL_SETS = st.sampled_from([None, {"-1"}, {"0", ""}, {"2024-01-01", "NA"}, {"", "-1", "abc"}])
+
+
+@st.composite
+def csv_texts(draw, max_rows=12, ragged=False, quotings=(csv.QUOTE_MINIMAL, csv.QUOTE_ALL)):
+    """CSV text, or its UTF-8 bytes. Minimal quoting leaves a lone carriage
+    return unquoted, which ends the row there, so ragged rows occur then
+    too."""
+    header = draw(st.permutations(NAMES + draw(st.sampled_from([[], EXTRA[:1], EXTRA]))))
+    quoting = draw(st.sampled_from(quotings))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator=newline, quoting=quoting)
+    writer.writerow(header)
+    for _ in range(draw(st.integers(0, max_rows))):
+        row = draw(st.lists(CELLS, min_size=len(header), max_size=len(header)))
+        if ragged and draw(st.integers(0, 9)) == 0:
+            row = row[:-1] if draw(st.booleans()) else row + ["spare"]
+        writer.writerow(row)
+        if draw(st.integers(0, 4)) == 0:
+            buffer.write(draw(st.sampled_from(["\n", "\r\n", "\r"])))  # a blank line
+    text = buffer.getvalue()
+    if draw(st.booleans()):
+        text = text.removesuffix(newline)
+    return text.encode() if draw(st.booleans()) else text
+
+
+#: Chunk sizes of 2 and 3 rows put the drawn row counts on both sides of a
+#: chunk boundary; small slices cut the text between most lines.
+CHUNKS = st.sampled_from([2, 3, ingest._CHUNK_ROWS])
+SLICES = st.sampled_from([1, 8, 64, ingest._SLICE_CHARS])
+
+
+def load_in_chunks(text, m, chunk_rows, slice_chars):
+    with mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):
+        with mock.patch.object(ingest, "_SLICE_CHARS", slice_chars):
+            return result(load_dataset, text, m)
+
+
+# --- properties -------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(text=csv_texts(), sentinels=SENTINEL_SETS, chunk_rows=CHUNKS, slice_chars=SLICES)
+def test_load_equals_reference(text, sentinels, chunk_rows, slice_chars):
+    m = manifest(sentinels)
+    assert load_in_chunks(text, m, chunk_rows, slice_chars) == result(reference_load, text, m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=csv_texts(ragged=True), chunk_rows=CHUNKS, slice_chars=SLICES)
+def test_ragged_rows_raise_as_the_reference_does(text, chunk_rows, slice_chars):
+    m = manifest()
+    assert load_in_chunks(text, m, chunk_rows, slice_chars) == result(reference_load, text, m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=csv_texts(quotings=(csv.QUOTE_ALL,)), sentinels=SENTINEL_SETS)
+def test_cell_states_partition_every_column(text, sentinels):
+    snapshot = load_dataset(text, manifest(sentinels))
+    rows = set(range(snapshot.row_count))
+    for col in snapshot.columns.values():
+        assert isinstance(col.values, tuple) and isinstance(col.missing, frozenset)
+        assert isinstance(col.failures, tuple)
+        failed = {i for i, _ in col.failures}
+        typed = {i for i, value in enumerate(col.values) if value is not None}
+        assert len(col.values) == snapshot.row_count
+        assert len(failed) == len(col.failures)
+        assert col.missing | failed | typed == rows
+        assert not (col.missing & failed) and not (col.missing & typed) and not (failed & typed)
+        assert col.typed_count() == len(typed)
+
+
+# --- chunk boundaries, pinned -----------------------------------------------
+
+def boundary_csv(n_rows, ragged_at=None):
+    """Rows whose cells cycle through typed, missing and malformed ones, with
+    a blank line after every third row; row ``ragged_at`` (counted over
+    non-blank rows) has one cell too many."""
+    lines = [",".join(NAMES)]
+    for i in range(n_rows):
+        num = ["1.5", "", "bad"][i % 3]
+        day = ["2024-01-01", "NA", "2024-02-30"][i % 3]
+        cells = [f"r{i}", f"note {i}", num, day, "2024-01-01T10:00:00+01:00"]
+        if i == ragged_at:
+            cells.append("spare")
+        lines.append(",".join(cells))
+        if i % 3 == 2:
+            lines.append("")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n_rows", range(8))
+def test_row_counts_around_a_chunk_of_three(n_rows):
+    text = boundary_csv(n_rows)
+    m = manifest()
+    assert load_in_chunks(text, m, 3, 16) == result(reference_load, text, m)
+    assert load_dataset(text, m).row_count == n_rows
+
+
+@pytest.mark.parametrize("ragged_at", [0, 2, 3, 4, 6])
+def test_ragged_row_index_counts_non_blank_rows_across_chunks(ragged_at):
+    text = boundary_csv(8, ragged_at=ragged_at)
+    with mock.patch.object(ingest, "_CHUNK_ROWS", 3):
+        with pytest.raises(HeaderMalformed) as raised:
+            load_dataset(text, manifest())
+    assert str(raised.value) == f"row {ragged_at} has 6 cells, header has 5"
+    assert result(reference_load, text, manifest())[2] == str(raised.value)

@@ -15,9 +15,11 @@ import re
 from dataclasses import replace
 from datetime import datetime, time, timedelta
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dqlocus import assess
 from dqlocus.assess import (
     UNATTRIBUTED_STRATUM,
     WHERE_REQUIRED,
@@ -28,8 +30,9 @@ from dqlocus.assess import (
     SubsetPredicate,
     parse_duration,
     run_check,
+    run_suite,
 )
-from dqlocus.ingest import load_dataset, load_manifest
+from dqlocus.ingest import Stage, load_dataset, load_manifest
 
 FIELDS = [
     {"name": "actor_id", "semantic_type": "Code", "entry_mode": "AutoGenerated",
@@ -267,3 +270,150 @@ def test_shuffling_rows_leaves_counts_unchanged(data, rows, suite):
         assert (after.numerator, after.denominator) == (before.numerator, before.denominator)
         assert after.strata == before.strata
         assert sorted(v.reason for v in after.violations) == sorted(v.reason for v in before.violations)
+
+
+# --- MappingSuccess ---------------------------------------------------------
+
+PAIRED_FIELDS = [
+    {"name": "record_id", "semantic_type": "Code", "entry_mode": "AutoGenerated",
+     "generating_actor": "EHRSystem"},
+    {"name": "actor_id", "semantic_type": "Code", "entry_mode": "AutoGenerated",
+     "generating_actor": "EHRSystem"},
+    {"name": "code", "semantic_type": "Code", "entry_mode": "FreeEntry",
+     "generating_actor": "Clinician"},
+    {"name": "age", "semantic_type": "Number", "entry_mode": "FreeEntry",
+     "generating_actor": "Clinician"},
+]
+MAPPED = {"name": "code_mapped", "semantic_type": "Code", "entry_mode": "AutoGenerated",
+          "generating_actor": "DataEngineer"}
+PAIRED_MANIFESTS = {
+    stage: load_manifest(json.dumps({
+        "dataset_id": "paired", "stage": stage, "key_column": "record_id",
+        "actor_id_column": "actor_id", "fields": PAIRED_FIELDS + extra,
+    }))
+    for stage, extra in (("SourceExtract", []), ("TransformedExtract", [MAPPED]))
+}
+#: Source field and transformed field: the same column, or a renamed one.
+MAPPINGS = [("code",), ("age",), ("code", "code_mapped"), ("age", "code_mapped")]
+
+PAIRED_CELLS = {
+    "actor_id": st.sampled_from(["a", "b", ""]),
+    "code": st.sampled_from(["A", "B", "", "NA"]),
+    "age": cells(st.integers(0, 99).map(str), "bad"),  # malformed is present, not missing
+    "code_mapped": st.sampled_from(["X", ""]),
+}
+
+
+def paired_csv(stage, keys, rows):
+    names = [f.name for f in PAIRED_MANIFESTS[stage].fields]
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(names)
+    writer.writerows([key] + [row[n] for n in names[1:]] for key, row in zip(keys, rows))
+    return load_dataset(buffer.getvalue(), PAIRED_MANIFESTS[stage])
+
+
+@st.composite
+def paired_snapshots(draw):
+    """Source and transformed snapshots over the same keys, the transformed
+    rows in another order. Keys that read as numbers sort differently as
+    text, which the pairing must not mind."""
+    keys = [str(k) for k in draw(st.lists(st.integers(0, 200), unique=True, max_size=25))]
+    rows = st.fixed_dictionaries(PAIRED_CELLS)
+    source = paired_csv("SourceExtract", keys, draw(st.lists(rows, min_size=len(keys), max_size=len(keys))))
+    order = draw(st.permutations(keys))
+    transformed = paired_csv(
+        "TransformedExtract", order, draw(st.lists(rows, min_size=len(keys), max_size=len(keys)))
+    )
+    return source, transformed
+
+
+def mapping_reference(source, transformed, fields):
+    """(numerator, denominator, violations): every source row with a value
+    in ``fields[0]``, looked up by key in the transformed snapshot, passes
+    unless the transformed ``fields[-1]`` cell is missing."""
+    src_keys = source.columns["record_id"].values
+    dst_keys = transformed.columns["record_id"].values
+    numerator = denominator = 0
+    violations = []
+    for i in range(source.row_count):
+        if i in source.columns[fields[0]].missing:
+            continue
+        denominator += 1
+        j = dst_keys.index(src_keys[i])
+        if j in transformed.columns[fields[-1]].missing:
+            violations.append((i, f"unmapped (key {src_keys[i]})"))
+        else:
+            numerator += 1
+    return numerator, denominator, violations
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=paired_snapshots())
+def test_mapping_success_equals_reference(pair):
+    source, transformed = pair
+    snapshots = Snapshots(source=source, transformed=transformed)
+    for fields in MAPPINGS:
+        definition = CheckDefinition(id="m", kind=CheckKind.MAPPING_SUCCESS, target_fields=fields)
+        outcome = run_check(definition, snapshots)
+        got = (outcome.numerator, outcome.denominator, [(v.row, v.reason) for v in outcome.violations])
+        assert got == mapping_reference(source, transformed, fields), fields
+        assert outcome.details == {"key_column": "record_id"}
+
+
+def counting(monkeypatch, name):
+    """Replace ``assess.<name>`` with a wrapper that records the stage of
+    the snapshot it is called with."""
+    original = getattr(assess, name)
+    calls = []
+
+    def counted(snapshot, *args):
+        calls.append(snapshot.manifest.stage.value)
+        return original(snapshot, *args)
+
+    monkeypatch.setattr(assess, name, counted)
+    return calls
+
+
+#: One fully recorded row, for tests that need keys more than cells.
+ROW = {"actor_id": "a", "code": "A", "age": "40", "code_mapped": "X"}
+
+
+def test_a_suite_builds_each_key_index_and_actor_map_once(monkeypatch):
+    key_index_calls = counting(monkeypatch, "_key_index")
+    actor_calls = counting(monkeypatch, "_actor_ids")
+    keys = [f"r{i}" for i in range(6)]
+    source = paired_csv("SourceExtract", keys, [ROW] * 6)
+    transformed = paired_csv("TransformedExtract", keys[::-1], [ROW] * 6)
+    suite = [
+        CheckDefinition(id=f"mapping:{'/'.join(fields)}", kind=CheckKind.MAPPING_SUCCESS, target_fields=fields)
+        for fields in MAPPINGS
+    ] + [
+        CheckDefinition(id=f"complete:{name}@{stage.value}", kind=CheckKind.COMPLETENESS,
+                        target_fields=(name,), stage=stage, stratify_by_actor=True)
+        for name in ("code", "age") for stage in (Stage.SOURCE, Stage.TRANSFORMED)
+    ] + [
+        CheckDefinition(id="degeneracy:code", kind=CheckKind.DEGENERACY_BY_ACTOR,
+                        target_fields=("code",), stage=Stage.SOURCE, config={"min_records": 1}),
+    ]
+    outcomes = run_suite(suite, Snapshots(source=source, transformed=transformed))
+    assert [o.status for o in outcomes] == [CheckStatus.OK] * len(suite)
+    assert sorted(key_index_calls) == ["SourceExtract", "TransformedExtract"]
+    assert sorted(actor_calls) == ["SourceExtract", "TransformedExtract"]
+
+
+@pytest.mark.parametrize("source_keys, transformed_keys, error", [
+    (["r0", "r0", "r1"], ["r0", "r1", "r2"], "KeyMismatch: duplicate key values: ['r0']"),
+    (["r0", "r1", "r2"], ["r0", "r1", "r9"],
+     "KeyMismatch: keys only in source: ['r2']; only in transformed: ['r9']"),
+    (["r0", "", "r2"], ["r0", "r1", "r2"], "KeyMismatch: row 1 has no key value in SourceExtract"),
+])
+def test_a_bad_key_pair_errors_every_mapping_check_alike(source_keys, transformed_keys, error):
+    source = paired_csv("SourceExtract", source_keys, [ROW] * 3)
+    transformed = paired_csv("TransformedExtract", transformed_keys, [ROW] * 3)
+    suite = [
+        CheckDefinition(id=f"m{n}", kind=CheckKind.MAPPING_SUCCESS, target_fields=fields)
+        for n, fields in enumerate(MAPPINGS)
+    ]
+    outcomes = run_suite(suite, Snapshots(source=source, transformed=transformed))
+    assert [(o.status, o.error) for o in outcomes] == [(CheckStatus.ERRORED, error)] * len(suite)
