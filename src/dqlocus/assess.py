@@ -37,6 +37,7 @@ from .errors import (
     SchemaViolation,
     StageMismatch,
     UnknownField,
+    load_json,
 )
 from .ingest import Column, DatasetManifest, DatasetSnapshot, FieldSpec, SemanticType, Stage
 from .taxonomy import DQParameter, parameter_by_name
@@ -828,10 +829,7 @@ def mapping_suite(source: DatasetManifest, transformed: DatasetManifest) -> list
 
 def load_suite(text: str | bytes) -> list[CheckDefinition]:
     """Load a check-suite document: a JSON list of check definitions."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise SchemaViolation(f"suite is not valid JSON: {e}") from None
+    doc = load_json(text, "suite")
     if not isinstance(doc, list):
         raise SchemaViolation("suite must be a JSON list of check definitions")
     defs = []
@@ -959,10 +957,7 @@ def outcomes_to_json(outcomes: list[CheckOutcome]) -> str:
 
 
 def outcomes_from_json(text: str | bytes) -> list[CheckOutcome]:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise SchemaViolation(f"outcomes document is not valid JSON: {e}") from None
+    doc = load_json(text, "outcomes document")
     if not isinstance(doc, dict) or "outcomes" not in doc:
         raise SchemaViolation("outcomes document must be {schema_version, outcomes}")
     return [outcome_from_dict(o) for o in doc["outcomes"]]

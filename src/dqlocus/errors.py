@@ -2,10 +2,14 @@
 
 Every error the toolkit raises deliberately derives from ``DqError`` so
 callers (and the CLI) can distinguish tool-level failures from ordinary
-Python bugs.
+Python bugs. ``load_json`` reads every JSON document the toolkit takes,
+so that one which cannot be decoded is a ``SchemaViolation`` too.
 """
 
 from __future__ import annotations
+
+import json
+from typing import Any
 
 
 class DqError(Exception):
@@ -134,3 +138,16 @@ class KeyColumnMissing(CheckConfigError):
 class KeyMismatch(CheckConfigError):
     """Key values do not align rows one-to-one across paired snapshots."""
 
+
+def load_json(text: str | bytes, what: str) -> Any:
+    """Decode a JSON document; invalid JSON, bytes that do not decode and
+    nesting too deep for the decoder each raise SchemaViolation naming
+    ``what`` and the cause."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise SchemaViolation(f"{what} is not valid JSON: {e}") from None
+    except UnicodeDecodeError as e:
+        raise SchemaViolation(f"{what} is not UTF-8, UTF-16 or UTF-32 text: {e}") from None
+    except RecursionError:
+        raise SchemaViolation(f"{what} is nested too deeply to decode") from None

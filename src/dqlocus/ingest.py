@@ -28,6 +28,7 @@ from .errors import (
     HeaderMalformed,
     MissingColumn,
     SchemaViolation,
+    load_json,
 )
 
 DEFAULT_MISSING_SENTINELS = frozenset({"", "NULL", "NA"})
@@ -248,10 +249,7 @@ def _parse_field(doc: Any, index: int) -> FieldSpec:
 
 def load_manifest(text: str | bytes) -> DatasetManifest:
     """Parse and validate a manifest document (strict: unknown keys rejected)."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise SchemaViolation(f"manifest is not valid JSON: {e}") from None
+    doc = load_json(text, "manifest")
     if not isinstance(doc, dict):
         raise SchemaViolation("manifest must be a JSON object")
     unknown = set(doc) - _MANIFEST_KEYS
@@ -396,7 +394,7 @@ class _ColumnBuilder:
                 continue
             try:
                 append(coerce(raw))
-            except ValueError:
+            except (ValueError, OverflowError):  # overflow: an offset at datetime's range edge
                 append(None)
                 self.failures.append((i, raw))
 
@@ -427,11 +425,24 @@ def load_dataset(text: str | bytes, manifest: DatasetManifest) -> DatasetSnapsho
     become missing; cells that fail type coercion are retained as
     coercion failures. Rows are read a chunk at a time and appended to
     one builder per manifest column, which picks its type's coercer once,
-    so the raw rows of the whole extract are never held at once.
+    so the raw rows of the whole extract are never held at once. Bytes
+    that are not UTF-8 and rows the csv reader rejects (a field over its
+    size limit) raise SchemaViolation.
     """
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise SchemaViolation(f"dataset is not UTF-8 text: {e}") from None
     reader = csv.reader(_lines(text))
+    try:
+        return _read_snapshot(reader, manifest)
+    except csv.Error as e:
+        raise SchemaViolation(f"dataset row at line {reader.line_num}: {e}") from None
+
+
+def _read_snapshot(reader: Iterator[list[str]], manifest: DatasetManifest) -> DatasetSnapshot:
+    """The snapshot of the CSV rows ``reader`` yields, header first."""
     try:
         header = next(reader)
     except StopIteration:

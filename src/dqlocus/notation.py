@@ -7,17 +7,26 @@ Canonical form::
 where ``ORG`` is ``DGO``/``DRO``, ``PHASE`` is ``DG``/``DT``/``DR``, actor
 and label are identifiers (uppercase first letter, alphanumerics after),
 and ``value`` is an optional percent literal followed by optional free
-text that must not contain ``)``. Examples::
+text that must not contain ``)``. A percent literal is ASCII digits, an
+optional ``.`` and more ASCII digits, then ``%``, at most 100%, and is
+followed by a space or the ``)``. Examples::
 
     DGO-DG-Clinician (Completeness: 94%)
     DRO-DT-DataEngineer (Mapping: 92% success)
     DGO-DG-Organization (Policy: states diagnosis required only for billable)
 
 Lenient parsing additionally accepts the short form ``PHASE-Actor ...``
-(organization defaults to DGO), actor aliases, and labels that resolve to
-no core parameter. Percent values are held as exact rationals so that
-serialize(parse(s)) is byte-identical for canonical strings; a value
-starting with ``<digits>%`` is always read as numeric, never as text.
+(organization defaults to DGO), actor aliases, surrounding whitespace, and
+labels that resolve to no core parameter. Percent values are held as exact
+rationals so that serialize(parse(s)) is byte-identical for canonical
+strings; a value starting with ``<digits>%`` is always read as numeric,
+never as text.
+
+One match of a compiled grammar (``_ASSERTION_RE``) reads a line. Every
+token is an optional group nested in the one before it, so the match
+always succeeds: on a valid line it runs through the closing ``)``, and
+on an invalid one the first unmatched group names what was expected and
+where. The locus comes from the registry's table of valid loci.
 
 Assertion files hold one assertion per line, UTF-8, LF line endings;
 ``#`` starts a comment line.
@@ -49,7 +58,36 @@ from .taxonomy import (
     _PARAMETERS_BY_NAME,
 )
 
-_NUMBER_RE = re.compile(r"\d+(?:\.(\d+))?%")
+#: The whole grammar as nested optional groups, so that every text matches.
+#: A valid line matches through its closing paren; on an invalid one the
+#: first group left unmatched is what was expected at ``m.end()``. As
+#: nothing after a group can fail, the match never backtracks into one, so
+#: each token is read once, as far as it goes, left to right. The value is
+#: an optional ASCII percent (with the space after it) and qualifier text
+#: up to the first ``)``.
+_ASSERTION_RE = re.compile(
+    r"(?:(?P<org>DGO|DRO)-)?"
+    r"(?:(?P<phase>DG|DT|DR)-"
+    rf"(?:(?P<actor>{IDENTIFIER_RE.pattern})"
+    r"(?:(?P<open> \()"
+    rf"(?:(?P<label>{IDENTIFIER_RE.pattern})"
+    r"(?:(?P<colon>: )"
+    r"(?:(?P<percent>(?P<whole>[0-9]+)(?:\.(?P<decimals>[0-9]+))?%)(?P<space> )?)?"
+    r"(?P<qualifier>[^)]*)(?P<close>\))?"
+    r")?)?)?)?)?"
+)
+
+#: What each structural group stands for, in grammar order.
+_EXPECTED = (
+    ("phase", "expected phase code DG, DT or DR"),
+    ("actor", "expected actor identifier"),
+    ("open", "expected ' (' before the label"),
+    ("label", "expected label identifier"),
+    ("colon", "expected ': ' between label and value"),
+)
+# the short form, with no organization, defaults to the generating one
+_ORGANIZATIONS = {None: Organization.DGO, **{o.value: o for o in Organization}}
+_PHASES = {p.value: p for p in Phase}
 
 #: Default label resolution: the nine parameter names map to themselves;
 #: the two context labels seen in practice map onto their parameters.
@@ -119,78 +157,13 @@ def format_percent(value: Fraction, precision: int = 0) -> str:
     """Render a [0,1] fraction as a percent string, round-half-up."""
     if precision < 0:
         raise ValueError("precision must be >= 0")
-    scaled = value * 100 * 10**precision
-    units = (scaled.numerator * 2 + scaled.denominator) // (2 * scaled.denominator)
+    n, d = value.numerator, value.denominator
+    units = (2 * n * 100 * 10**precision + d) // (2 * d)
     digits = str(units)
     if precision == 0:
         return f"{digits}%"
     digits = digits.zfill(precision + 1)
     return f"{digits[:-precision]}.{digits[-precision:]}%"
-
-
-class _Cursor:
-    """Character cursor with offset-carrying errors."""
-
-    def __init__(self, text: str, base: int = 0):
-        self.text = text
-        self.pos = 0
-        self.base = base
-
-    @property
-    def offset(self) -> int:
-        return self.base + self.pos
-
-    def rest(self) -> str:
-        return self.text[self.pos:]
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def take_literal(self, literal: str, what: str) -> None:
-        if not self.text.startswith(literal, self.pos):
-            raise NotationSyntaxError(f"expected {what}", self.offset)
-        self.pos += len(literal)
-
-    def take_regex(self, pattern: re.Pattern, what: str) -> re.Match:
-        m = pattern.match(self.text, self.pos)
-        if m is None:
-            raise NotationSyntaxError(f"expected {what}", self.offset)
-        self.pos = m.end()
-        return m
-
-
-def _parse_measurement(cur: _Cursor) -> Measurement:
-    """Parse the value region up to the closing paren."""
-    start = cur.pos
-    numeric: Fraction | None = None
-    precision = 0
-    m = _NUMBER_RE.match(cur.text, cur.pos)
-    if m is not None:
-        literal = m.group(0)[:-1]
-        decimals = m.group(1) or ""
-        precision = len(decimals)
-        numeric = Fraction(literal.replace(".", "")) / Fraction(100 * 10**precision)
-        if numeric > 1:
-            raise PercentOutOfRange(f"percent value {m.group(0)} exceeds 100%")
-        cur.pos = m.end()
-        if not cur.at_end() and cur.text[cur.pos] not in (" ", ")"):
-            raise NotationSyntaxError("expected space or ')' after percent", cur.offset)
-
-    qualifier: str | None = None
-    if not cur.at_end() and cur.text[cur.pos] != ")":
-        if numeric is not None:
-            cur.take_literal(" ", "space before qualifier text")
-        end = cur.text.find(")", cur.pos)
-        if end == -1:
-            raise NotationSyntaxError("expected ')'", cur.base + len(cur.text))
-        qualifier = cur.text[cur.pos:end]
-        if not qualifier:
-            qualifier = None
-        cur.pos = end
-
-    if numeric is None and not qualifier:
-        raise NotationSyntaxError("assertion value is empty", cur.base + start)
-    return Measurement(numeric, precision, qualifier)
 
 
 def parse_assertion(
@@ -206,60 +179,48 @@ def parse_assertion(
     Lenient mode additionally accepts the ``PHASE-Actor`` short form,
     aliases, and unresolved labels.
     """
-    registry = registry or builtin_registry()
-    label_map = DEFAULT_LABEL_MAP if label_map is None else label_map
     lenient = mode is ParseMode.LENIENT
-
-    body = text
-    base = 0
+    start, end = 0, len(text)
     if lenient:
-        stripped = text.strip()
-        base = text.index(stripped) if stripped else 0
-        body = stripped
-    cur = _Cursor(body, base)
+        body = text.strip()
+        start = text.index(body) if body else 0
+        end = start + len(body)
+    m = _ASSERTION_RE.match(text, start, end)
+    org, phase, actor, _, label, colon, percent, whole, decimals, space, qualifier, close = m.groups()
 
-    org: Organization | None = None
-    for code in ("DGO", "DRO"):
-        if body.startswith(code + "-", cur.pos):
-            org = Organization(code)
-            cur.pos += 4
-            break
-    if org is None:
-        if not lenient:
-            raise NotationSyntaxError("expected organization code DGO or DRO", cur.offset)
-        org = Organization.DGO  # short form defaults to the generating org
+    if org is None and not lenient:
+        raise NotationSyntaxError("expected organization code DGO or DRO", start)
+    if colon is None:  # the groups nest: the first unmatched one was expected
+        raise NotationSyntaxError(next(what for group, what in _EXPECTED if m[group] is None), m.end())
+    numeric: Fraction | None = None
+    precision = 0
+    if percent is not None:
+        decimals = decimals or ""
+        precision = len(decimals)
+        units, scale = int(whole + decimals), 100 * 10**precision
+        if units > scale:
+            raise PercentOutOfRange(f"percent value {percent} exceeds 100%")
+        numeric = Fraction(units, scale)
+        if space is None and qualifier:
+            raise NotationSyntaxError("expected space or ')' after percent", m.start("qualifier"))
+    qualifier = qualifier or None
+    if numeric is None and qualifier is None:
+        raise NotationSyntaxError("assertion value is empty", m.end("colon"))
+    if close is None:
+        raise NotationSyntaxError("expected ')'", m.end())
+    if m.end() != end:
+        raise NotationSyntaxError("unexpected text after ')'", m.end())
 
-    phase: Phase | None = None
-    for code in ("DG", "DT", "DR"):
-        if body.startswith(code + "-", cur.pos):
-            phase = Phase(code)
-            cur.pos += 3
-            break
-    if phase is None:
-        raise NotationSyntaxError("expected phase code DG, DT or DR", cur.offset)
-
-    actor_name = cur.take_regex(IDENTIFIER_RE, "actor identifier").group(0)
-    cur.take_literal(" (", "' (' before the label")
-    label = cur.take_regex(IDENTIFIER_RE, "label identifier").group(0)
-    cur.take_literal(": ", "': ' between label and value")
-    measurement = _parse_measurement(cur)
-    cur.take_literal(")", "')'")
-    if not cur.at_end():
-        raise NotationSyntaxError("unexpected text after ')'", cur.offset)
-
-    locus = validate_locus(org, phase, actor_name, registry, allow_aliases=lenient)
-
-    parameter: DQParameter | None = None
-    mapped = label_map.get(label)
-    if mapped is not None and mapped in _PARAMETERS_BY_NAME:
-        parameter = _PARAMETERS_BY_NAME[mapped]
-    elif not lenient:
+    locus = validate_locus(_ORGANIZATIONS[org], _PHASES[phase], actor, registry, allow_aliases=lenient)
+    label_map = DEFAULT_LABEL_MAP if label_map is None else label_map
+    parameter = _PARAMETERS_BY_NAME.get(label_map.get(label))
+    if parameter is None and not lenient:
         raise UnresolvedLabel(f"label {label!r} does not resolve to a core parameter")
 
     return DQAssertion(
         locus=locus,
         label=label,
-        measurement=measurement,
+        measurement=Measurement(numeric, precision, qualifier),
         parameter=parameter,
         raw_text=text,
     )
@@ -302,7 +263,9 @@ def validate_assertion(
         findings.append(
             Finding(Severity.ERROR, "EmptyMeasurement", "measurement has neither percent nor text")
         )
-    if m.numeric_fraction is not None and not 0 <= m.numeric_fraction <= 1:
+    if m.numeric_fraction is not None and not (
+        0 <= m.numeric_fraction.numerator <= m.numeric_fraction.denominator
+    ):
         findings.append(
             Finding(
                 Severity.ERROR,

@@ -9,7 +9,6 @@ five (organization, phase) pairs are valid.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -24,6 +23,7 @@ from .errors import (
     InvalidPhaseForOrganization,
     SchemaViolation,
     UnknownActor,
+    load_json,
 )
 
 
@@ -161,11 +161,40 @@ _BUILTIN_ACTORS: tuple[Actor, ...] = (
 )
 
 
+@dataclass(frozen=True)
+class LifecycleLocus:
+    """A validated (organization, phase, actor) triple.
+
+    ``actor`` holds the canonical actor name. Construct through
+    :func:`validate_locus` to guarantee the invariants hold.
+    """
+
+    organization: Organization
+    phase: Phase
+    actor: str
+
+    @property
+    def org_phase(self) -> tuple[Organization, Phase]:
+        return (self.organization, self.phase)
+
+    @property
+    def sort_key(self) -> tuple[int, str]:
+        """Lifecycle order of the (org, phase) pair, then actor name."""
+        return (_PAIR_ORDER.get((self.organization, self.phase), len(_PAIR_ORDER)), self.actor)
+
+    def __str__(self) -> str:
+        return f"{self.organization.value}-{self.phase.value}-{self.actor}"
+
+
 class ActorRegistry:
     """Immutable lookup of actors by canonical name or alias.
 
     The builtin actors are always present; ``with_actor`` returns a new
-    registry, never mutating the receiver.
+    registry, never mutating the receiver. Being immutable, a registry
+    holds every valid locus once: ``_loci`` maps (organization, phase,
+    name as written) to the shared locus, a name resolving as ``resolve``
+    resolves it. Canonical entries come first, in lifecycle order then
+    actor name.
     """
 
     def __init__(self, actors: tuple[Actor, ...] = _BUILTIN_ACTORS):
@@ -174,6 +203,17 @@ class ActorRegistry:
         for a in actors:
             for alias in a.aliases:
                 self._by_alias[alias] = a.canonical_name
+        self._loci: dict[tuple[Organization, Phase, str], LifecycleLocus] = {}
+        for org, phase in ORG_PHASE_PAIRS:
+            for a in self:
+                if (org, phase) in a.allowed_phases:
+                    self._loci[(org, phase, a.canonical_name)] = LifecycleLocus(org, phase, a.canonical_name)
+        for alias, name in self._by_alias.items():
+            if alias in self._actors:  # a canonical name wins over an alias
+                continue
+            for org, phase in ORG_PHASE_PAIRS:
+                if (org, phase, name) in self._loci:
+                    self._loci[(org, phase, alias)] = self._loci[(org, phase, name)]
 
     def __contains__(self, name: str) -> bool:
         return name in self._actors or name in self._by_alias
@@ -242,31 +282,6 @@ def builtin_registry() -> ActorRegistry:
     return _BUILTIN_REGISTRY
 
 
-@dataclass(frozen=True)
-class LifecycleLocus:
-    """A validated (organization, phase, actor) triple.
-
-    ``actor`` holds the canonical actor name. Construct through
-    :func:`validate_locus` to guarantee the invariants hold.
-    """
-
-    organization: Organization
-    phase: Phase
-    actor: str
-
-    @property
-    def org_phase(self) -> tuple[Organization, Phase]:
-        return (self.organization, self.phase)
-
-    @property
-    def sort_key(self) -> tuple[int, str]:
-        """Lifecycle order of the (org, phase) pair, then actor name."""
-        return (_PAIR_ORDER.get((self.organization, self.phase), len(_PAIR_ORDER)), self.actor)
-
-    def __str__(self) -> str:
-        return f"{self.organization.value}-{self.phase.value}-{self.actor}"
-
-
 def pair_order(org: Organization, phase: Phase) -> int:
     """Position of an (organization, phase) pair in lifecycle order."""
     try:
@@ -285,24 +300,26 @@ def validate_locus(
     *,
     allow_aliases: bool = True,
 ) -> LifecycleLocus:
-    """Build a locus, resolving the actor name through the registry.
+    """The registry's locus for the triple, its actor name resolved.
 
     Raises InvalidPhaseForOrganization for the impossible DRO-DG pair,
     UnknownActor for unresolvable names, and ActorPhaseMismatch when the
     actor is not allowed at the pair.
     """
     registry = registry or _BUILTIN_REGISTRY
+    locus = registry._loci.get((org, phase, actor_name))
+    if locus is not None and (allow_aliases or locus.actor == actor_name):
+        return locus
+    # not a valid locus: only the error is left to decide
     if (org, phase) not in _PAIR_ORDER:
         raise InvalidPhaseForOrganization(
             f"{org.value}-{phase.value} is not a valid organization-phase pair:"
             " data generation happens only at the data-generating organization"
         )
     actor = registry.resolve(actor_name, allow_aliases=allow_aliases)
-    if (org, phase) not in actor.allowed_phases:
-        raise ActorPhaseMismatch(
-            f"actor {actor.canonical_name!r} is not allowed at {org.value}-{phase.value}"
-        )
-    return LifecycleLocus(organization=org, phase=phase, actor=actor.canonical_name)
+    raise ActorPhaseMismatch(
+        f"actor {actor.canonical_name!r} is not allowed at {org.value}-{phase.value}"
+    )
 
 
 def parse_locus(text: str, registry: ActorRegistry | None = None, *, allow_aliases: bool = True) -> LifecycleLocus:
@@ -322,12 +339,7 @@ def parse_locus(text: str, registry: ActorRegistry | None = None, *, allow_alias
 def enumerate_loci(registry: ActorRegistry | None = None) -> list[LifecycleLocus]:
     """Every valid locus, in lifecycle order then actor name."""
     registry = registry or _BUILTIN_REGISTRY
-    loci = []
-    for org, phase in ORG_PHASE_PAIRS:
-        for actor in registry:
-            if (org, phase) in actor.allowed_phases:
-                loci.append(LifecycleLocus(organization=org, phase=phase, actor=actor.canonical_name))
-    return loci
+    return [locus for (_, _, name), locus in registry._loci.items() if name == locus.actor]
 
 
 def load_registry_config(text: str | bytes) -> ActorRegistry:
@@ -336,10 +348,7 @@ def load_registry_config(text: str | bytes) -> ActorRegistry:
     Format: ``{"actors": [{"name", "aliases", "allowed_phases": ["DGO-DG", ...]}]}``.
     Builtin entries cannot be redefined, only extended with new actors.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise SchemaViolation(f"registry config is not valid JSON: {e}") from None
+    doc = load_json(text, "registry config")
     if not isinstance(doc, dict) or set(doc) - {"actors"}:
         raise SchemaViolation("registry config must be an object with an 'actors' list")
     entries = doc.get("actors", [])

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from datetime import timedelta
 from fractions import Fraction
 from operator import attrgetter
@@ -628,3 +629,27 @@ def test_mapping_suite_excludes_key():
     source, transformed = paired_snapshots(["A"], ["A"])
     defs = mapping_suite(source.manifest, transformed.manifest)
     assert [d.id for d in defs] == ["mapping:code"]
+
+
+@pytest.mark.parametrize(
+    "text, cause",
+    [
+        (b"\xff", "is not UTF-8, UTF-16 or UTF-32 text: 'utf-8' codec can't decode byte 0xff"),
+        ("[" * 200_000, "is nested too deeply to decode"),
+    ],
+)
+def test_load_suite_undecodable_or_too_deep_is_schema_violation(text, cause):
+    with pytest.raises(SchemaViolation, match=re.escape(f"suite {cause}")):
+        load_suite(text)
+
+
+@pytest.mark.parametrize(
+    "text, cause",
+    [
+        (b"\xff", "is not UTF-8, UTF-16 or UTF-32 text: 'utf-8' codec can't decode byte 0xff"),
+        ("[" * 200_000, "is nested too deeply to decode"),
+    ],
+)
+def test_outcomes_from_json_undecodable_or_too_deep_is_schema_violation(text, cause):
+    with pytest.raises(SchemaViolation, match=re.escape(f"outcomes document {cause}")):
+        outcomes_from_json(text)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -218,3 +219,15 @@ def test_timestamps_normalize_to_naive_utc():
     snapshot = load_dataset(csv_text, manifest)
     col = snapshot.column("recorded_at")
     assert col.values[0] == col.values[1]
+
+
+@pytest.mark.parametrize(
+    "text, cause",
+    [
+        (b"\xff", "is not UTF-8, UTF-16 or UTF-32 text: 'utf-8' codec can't decode byte 0xff"),
+        ("[" * 200_000, "is nested too deeply to decode"),
+    ],
+)
+def test_load_manifest_undecodable_or_too_deep_is_schema_violation(text, cause):
+    with pytest.raises(SchemaViolation, match=re.escape(f"manifest {cause}")):
+        load_manifest(text)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from datetime import date, datetime, timezone
 from unittest import mock
 
@@ -20,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dqlocus import ingest
-from dqlocus.errors import HeaderMalformed, MissingColumn
+from dqlocus.errors import HeaderMalformed, MissingColumn, SchemaViolation
 from dqlocus.ingest import Column, DatasetSnapshot, SemanticType, load_dataset, load_manifest
 
 FIELDS = [
@@ -56,14 +57,27 @@ def coerce(raw, semantic):
     except ValueError:
         return None, False
     if value.tzinfo is not None:
-        value = value.astimezone(timezone.utc).replace(tzinfo=None)
+        try:
+            value = value.astimezone(timezone.utc).replace(tzinfo=None)
+        except OverflowError:  # the offset moves it out of datetime's range
+            return None, False
     return value, True
 
 
 def reference_load(text, manifest):
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise SchemaViolation(f"dataset is not UTF-8 text: {e}") from None
     reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        return reference_rows(reader, manifest)
+    except csv.Error as e:
+        raise SchemaViolation(f"dataset row at line {reader.line_num}: {e}") from None
+
+
+def reference_rows(reader, manifest):
     try:
         header = next(reader)
     except StopIteration:
@@ -117,7 +131,9 @@ TYPED = [
     "0", "-1", "12", "1.5", " 7 ", "1_0", "nan", "inf",
     "2024-01-01", "2024-02-29", "2024-01-01T10:00:00", "2024-01-01T10:00:00+02:00",
 ]
-MALFORMED = ["abc", "1..2", "2024-02-30", "2024-13-01", "10:00", "-"]
+#: The last two are timestamps whose offset moves them out of datetime's range.
+MALFORMED = ["abc", "1..2", "2024-02-30", "2024-13-01", "10:00", "-",
+             "0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-01:00"]
 SENTINELS = ["", "NA", "NULL"]
 TEXT = ["a,b", "line1\nline2", "two\r\nlines", 'say "hi"', "x\ry", " "]
 CELLS = st.sampled_from(TYPED + MALFORMED + SENTINELS + TEXT)
@@ -229,3 +245,33 @@ def test_ragged_row_index_counts_non_blank_rows_across_chunks(ragged_at):
             load_dataset(text, manifest())
     assert str(raised.value) == f"row {ragged_at} has 6 cells, header has 5"
     assert result(reference_load, text, manifest())[2] == str(raised.value)
+
+
+# --- bad input, pinned --------------------------------------------------------
+
+HEADER = ",".join(NAMES) + "\n"
+ROW = "r1,n,1,2024-01-01,2024-01-01T10:00:00\n"
+
+
+def test_timestamp_offset_out_of_range_is_a_coercion_failure():
+    edge = ["0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-01:00"]
+    text = HEADER + "".join(f"r,n,1,2024-01-01,{ts}\n" for ts in edge)
+    m = manifest()
+    assert load_dataset(text, m).columns["ts"].failures == ((0, edge[0]), (1, edge[1]))
+    assert result(load_dataset, text, m) == result(reference_load, text, m)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ((HEADER + ROW).encode() + b"\xff\n",
+         "dataset is not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 57"),
+        (HEADER + ROW + "x" * 200_000 + "\n" + ROW,
+         "dataset row at line 3: field larger than field limit (131072)"),
+    ],
+)
+def test_undecodable_bytes_and_oversized_cells_are_schema_violations(text, message):
+    m = manifest()
+    with pytest.raises(SchemaViolation, match=re.escape(message)):
+        load_dataset(text, m)
+    assert result(load_dataset, text, m) == result(reference_load, text, m)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from dqlocus.errors import (
@@ -9,6 +11,7 @@ from dqlocus.errors import (
     DuplicateActor,
     EmptyAllowedPhases,
     InvalidPhaseForOrganization,
+    SchemaViolation,
     UnknownActor,
 )
 from dqlocus.taxonomy import (
@@ -198,3 +201,15 @@ def test_load_registry_config_rejects_builtin_redefinition():
 def test_registry_is_iterable_in_name_order():
     names = [a.canonical_name for a in ActorRegistry()]
     assert names == sorted(names)
+
+
+@pytest.mark.parametrize(
+    "text, cause",
+    [
+        (b"\xff", "is not UTF-8, UTF-16 or UTF-32 text: 'utf-8' codec can't decode byte 0xff"),
+        ("[" * 200_000, "is nested too deeply to decode"),
+    ],
+)
+def test_load_registry_config_undecodable_or_too_deep_is_schema_violation(text, cause):
+    with pytest.raises(SchemaViolation, match=re.escape(f"registry config {cause}")):
+        load_registry_config(text)
