@@ -21,6 +21,7 @@ from datetime import date, datetime, time, timedelta, timezone
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import filterfalse
 from typing import Any, Callable
 
 from .errors import (
@@ -176,27 +177,24 @@ def _field(snapshot: DatasetSnapshot, name: str) -> tuple[Column, FieldSpec]:
 
 def _rows_where(snapshot: DatasetSnapshot, field_name: str, values: frozenset[str]) -> list[int]:
     """Rows on which ``field_name`` is present and takes one of ``values``."""
-    col = _column(snapshot, field_name)
-    return [
-        i
-        for i in range(snapshot.row_count)
-        if i not in col.missing and str(col.values[i]) in values
-    ]
+    col, spec = _field(snapshot, field_name)
+    # a text cell is the text it is compared as; a typed value is str() of it
+    texts = col.values if spec.semantic_type in _UNTYPED else map(str, col.values)
+    missing = col.missing
+    return [i for i, text in enumerate(texts) if text in values and i not in missing]
 
 
-def _required_rows(snapshot: DatasetSnapshot, field_name: str) -> list[int]:
+def _required_rows(snapshot: DatasetSnapshot, field_name: str) -> Rows:
     """Rows on which the field is required, honoring its policy condition."""
     spec = _field(snapshot, field_name)[1]
     if spec.policy_condition is not None:
         return _rows_where(snapshot, spec.policy_condition.field, spec.policy_condition.values)
     if spec.required:
-        return list(range(snapshot.row_count))
+        return range(snapshot.row_count)
     return []
 
 
-def _subset_rows(
-    snapshot: DatasetSnapshot, field_name: str, subset: SubsetPredicate | str
-) -> list[int]:
+def _subset_rows(snapshot: DatasetSnapshot, field_name: str, subset: SubsetPredicate | str) -> Rows:
     if subset == WHERE_REQUIRED:
         return _required_rows(snapshot, field_name)
     if isinstance(subset, str):
@@ -204,19 +202,16 @@ def _subset_rows(
     return _rows_where(snapshot, subset.field, subset.values)
 
 
-def _absent(*columns: Column) -> set[int]:
-    """Rows on which any of the columns lacks a typed value (missing or malformed)."""
-    rows: set[int] = set()
-    for col in columns:
-        rows |= col.missing
-        rows.update(i for i, _ in col.failures)
-    return rows
-
-
-def _eligible(snapshot: DatasetSnapshot, scope: Scope, absent: AbstractSet[int]) -> list[int]:
-    """Rows in scope (every row when ``scope`` is None) that are not in ``absent``."""
+def _eligible(snapshot: DatasetSnapshot, scope: Scope, absent: AbstractSet[int]) -> Rows:
+    """Rows in scope (every row when ``scope`` is None) that are not in
+    ``absent``; the scope itself, or a ``range``, when nothing is excluded."""
     rows = range(snapshot.row_count) if scope is None else scope
-    return [i for i in rows if i not in absent]
+    return list(filterfalse(absent.__contains__, rows)) if absent else rows
+
+
+def _in_scope(failing: Failing, scope: Scope) -> Failing:
+    """``failing`` restricted to the rows of ``scope`` (all of it when None)."""
+    return failing if scope is None else {i: failing[i] for i in failing.keys() & scope}
 
 
 def _actor_ids(snapshot: DatasetSnapshot) -> list[str]:
@@ -230,11 +225,9 @@ def _actor_ids(snapshot: DatasetSnapshot) -> list[str]:
     return [UNATTRIBUTED_STRATUM if v is None else str(v) for v in values]
 
 
-def _stratify(
-    actors: list[str], rows: list[int], violations: list[Violation]
-) -> dict[str, StratumOutcome]:
-    den = Counter(actors[i] for i in rows)
-    failed = Counter(actors[v.row] for v in violations)
+def _stratify(actors: list[str], rows: Rows, failing: Failing) -> dict[str, StratumOutcome]:
+    den = Counter(map(actors.__getitem__, rows))
+    failed = Counter(map(actors.__getitem__, failing))
     return {sid: StratumOutcome(den[sid] - failed[sid], den[sid]) for sid in sorted(den)}
 
 
@@ -258,7 +251,7 @@ def _outcome(
         stage=stage,
         subset=_subset_label(definition.subset),
         strata=strata,
-        violations=tuple(sorted(violations, key=lambda v: (v.row, v.reason))),
+        violations=tuple(violations),
         details=details,
     )
 
@@ -266,23 +259,30 @@ def _outcome(
 # --- the checks -------------------------------------------------------------
 #
 # A row kind's function takes (snapshot, target fields, config, scope), where
-# scope is the subset's rows or None for every row, and returns the rows it
-# judges, a judge giving None for a passing row or the violation reason, and
-# the outcome details. The evaluator in ``run_check`` does the rest. A paired
-# kind's function takes the ``Snapshots`` in place of one snapshot. A strata
-# kind's function takes (snapshot, target fields, config, actor ids), where
-# actor ids gives a snapshot's per-row actor ids, and returns the strata,
-# the violations and the details.
+# scope is the subset's rows or None for every row. It returns the rows it
+# judges (the denominator), a mapping from each failing row among them to its
+# violation reason, and the outcome details; ``run_check`` does the rest.
+# Each kind does only the work its failures need: completeness reads the
+# column's missing and failed rows, a value test over a text column runs
+# once per distinct text, and only a test over typed values runs per row. A
+# paired kind's function takes the ``Snapshots`` in place of one snapshot. A
+# strata kind's function takes (snapshot, target fields, config, actor ids),
+# where actor ids gives a snapshot's per-row actor ids, and returns the
+# strata, the failing rows with their reasons, and the details.
 
 Fields = tuple[str, ...]
 Config = dict[str, Any]
-Scope = "list[int] | None"
-Judge = Callable[[int], "str | None"]
-RowCheck = tuple[list[int], Judge, dict[str, Any]]
-StrataCheck = tuple[dict[str, StratumOutcome], list[Violation], dict[str, Any]]
+#: The rows a check judges: a range, a subset's rows, or either less the
+#: rows the check excludes.
+Rows = "range | list[int]"
+Scope = "Rows | None"
+#: Each failing row and its violation reason.
+Failing = dict[int, str]
+RowCheck = tuple[Rows, Failing, dict[str, Any]]
+StrataCheck = tuple[dict[str, StratumOutcome], Failing, dict[str, Any]]
 ActorIds = Callable[[DatasetSnapshot], "list[str]"]
-#: The key column and the (key, source row, transformed row) pairing.
-KeyJoin = tuple[str, list[tuple[str, int, int]]]
+#: The key column, and for each transformed row the source row of its key.
+KeyJoin = tuple[str, list[int]]
 
 
 def _completeness(snapshot: DatasetSnapshot, fields: Fields, cfg: Config, scope: Scope) -> RowCheck:
@@ -296,33 +296,40 @@ def _completeness(snapshot: DatasetSnapshot, fields: Fields, cfg: Config, scope:
     """
     name = fields[0]
     col, spec = _field(snapshot, name)
-    absent = _absent(col)
-
-    def judge(i: int) -> str | None:
-        if i in col.missing:
-            return "missing"
-        return "malformed" if i in absent else None
+    failing = dict.fromkeys(col.missing, "missing")
+    failing.update(dict.fromkeys((i for i, _ in col.failures), "malformed"))
 
     details: dict[str, Any] = {}
     if scope is None and spec.policy_condition is not None:
-        required = set(_required_rows(snapshot, name))
-        details["policy_explained"] = bool(absent) and not (absent & required)
+        required = _required_rows(snapshot, name)
+        details["policy_explained"] = bool(col.absent) and col.absent.isdisjoint(required)
         details["policy_text"] = spec.policy_condition.describe(name)
-    return _eligible(snapshot, scope, frozenset()), judge, details
+    return _eligible(snapshot, scope, frozenset()), _in_scope(failing, scope), details
 
 
 def _present_cells(
-    snapshot: DatasetSnapshot, name: str, scope: Scope, test: Callable[[Any], str | None]
+    snapshot: DatasetSnapshot, name: str, scope: Scope, test: Callable[[Any], str | None] | None
 ) -> RowCheck:
     """Judge every non-missing cell: coercion failures are violations, typed
-    values go to ``test``."""
-    col = _column(snapshot, name)
-    failed, values = _absent(col), col.values
-    return (
-        _eligible(snapshot, scope, col.missing),
-        lambda i: "malformed" if i in failed else test(values[i]),
-        {},
-    )
+    values go to ``test`` (when there is one).
+
+    In a text column the value is the text the test reads, so the test runs
+    once per distinct value. A typed column's test runs once per cell: a
+    typed value is no key for it, as -0.0 == 0.0 while they print apart.
+    """
+    col, spec = _field(snapshot, name)
+    rows = _eligible(snapshot, scope, col.missing)
+    failing = _in_scope(dict.fromkeys((i for i, _ in col.failures), "malformed"), scope)
+    values = col.values
+    if test is not None and spec.semantic_type in _UNTYPED:
+        bad = {v: reason for v in set(values) if v is not None and (reason := test(v)) is not None}
+        if bad:
+            failing.update({i: bad[values[i]] for i in rows if values[i] in bad})
+    elif test is not None:  # a malformed cell's value is None; it failed above
+        failing.update({
+            i: reason for i in rows if (v := values[i]) is not None and (reason := test(v)) is not None
+        })
+    return rows, failing, {}
 
 
 def _conformance_value(snapshot: DatasetSnapshot, fields: Fields, cfg: Config, scope: Scope) -> RowCheck:
@@ -345,7 +352,7 @@ def _conformance_format(snapshot: DatasetSnapshot, fields: Fields, cfg: Config, 
             raise MissingConfig(
                 f"field {fields[0]!r} has no format_pattern and is not a typed column"
             )
-        return _present_cells(snapshot, fields[0], scope, lambda value: None)
+        return _present_cells(snapshot, fields[0], scope, None)
     pattern = re.compile(spec.format_pattern)
     return _present_cells(
         snapshot, fields[0], scope,
@@ -366,12 +373,9 @@ def _plausibility_range(snapshot: DatasetSnapshot, fields: Fields, cfg: Config, 
     if lo > hi:
         raise InvalidRange(f"range minimum {cfg['min']!r} exceeds maximum {cfg['max']!r}")
     values = col.values
-
-    def judge(i: int) -> str | None:
-        return None if lo <= values[i] <= hi else f"out of range: {values[i]}"
-
-    details = {"min": str(cfg["min"]), "max": str(cfg["max"])}
-    return _eligible(snapshot, scope, _absent(col)), judge, details
+    rows = _eligible(snapshot, scope, col.absent)
+    failing = {i: f"out of range: {v}" for i in rows if not lo <= (v := values[i]) <= hi}
+    return rows, failing, {"min": str(cfg["min"]), "max": str(cfg["max"])}
 
 
 def _coerce_bound(bound: Any, semantic: SemanticType) -> Any:
@@ -408,12 +412,10 @@ def _plausibility_temporal(snapshot: DatasetSnapshot, fields: Fields, cfg: Confi
         if _field(snapshot, name)[1].semantic_type not in (SemanticType.DATE, SemanticType.TIMESTAMP):
             raise NonTemporalField(f"field {name!r} is not date/timestamp-valued")
     before, after = _column(snapshot, fields[0]), _column(snapshot, fields[1])
+    early, late = before.values, after.values
     reason = f"{fields[0]} after {fields[1]}"
-
-    def judge(i: int) -> str | None:
-        return None if _as_datetime(before.values[i]) <= _as_datetime(after.values[i]) else reason
-
-    return _eligible(snapshot, scope, _absent(before, after)), judge, {}
+    rows = _eligible(snapshot, scope, before.absent | after.absent)
+    return rows, {i: reason for i in rows if _as_datetime(early[i]) > _as_datetime(late[i])}, {}
 
 
 def _timeliness(snapshot: DatasetSnapshot, fields: Fields, cfg: Config, scope: Scope) -> RowCheck:
@@ -430,18 +432,19 @@ def _timeliness(snapshot: DatasetSnapshot, fields: Fields, cfg: Config, scope: S
         if _field(snapshot, name)[1].semantic_type is not SemanticType.TIMESTAMP:
             raise NoTimestampColumns(f"field {name!r} is not a Timestamp column")
     rec, avail = _column(snapshot, fields[0]), _column(snapshot, fields[1])
-    rows = _eligible(snapshot, scope, _absent(rec, avail))
-    lags = {i: avail.values[i] - rec.values[i] for i in rows}
-
-    def judge(i: int) -> str | None:
-        lag = lags[i]
-        if lag < timedelta(0):
-            return "NegativeLag"
-        return f"lag {lag} exceeds {max_lag}" if lag > max_lag else None
+    rows = _eligible(snapshot, scope, rec.absent | avail.absent)
+    recorded, available = rec.values, avail.values
+    lags = [available[i] - recorded[i] for i in rows]
+    zero = timedelta(0)
+    failing = {
+        i: "NegativeLag" if lag < zero else f"lag {lag} exceeds {max_lag}"
+        for i, lag in zip(rows, lags)
+        if not zero <= lag <= max_lag
+    }
 
     details: dict[str, Any] = {"max_lag_seconds": max_lag.total_seconds()}
     if lags:
-        ordered = sorted(lags.values())
+        ordered = sorted(lags)
         mid = len(ordered) // 2
         if len(ordered) % 2:
             median = ordered[mid]
@@ -452,7 +455,7 @@ def _timeliness(snapshot: DatasetSnapshot, fields: Fields, cfg: Config, scope: S
             "median": median.total_seconds(),
             "max": ordered[-1].total_seconds(),
         }
-    return rows, judge, details
+    return rows, failing, details
 
 
 def _mapping_success(snapshots: Snapshots, fields: Fields, cfg: Config, scope: Scope) -> RowCheck:
@@ -462,23 +465,24 @@ def _mapping_success(snapshots: Snapshots, fields: Fields, cfg: Config, scope: S
     (``Snapshots.key_join``). The second target field names the
     transformed column (default: the first).
     """
-    key, pairs = snapshots.key_join
-    src_missing = _column(snapshots.source, fields[0]).missing  # type: ignore[arg-type]
+    key, source_row = snapshots.key_join
+    source: DatasetSnapshot = snapshots.source  # type: ignore[assignment]
+    src_missing = _column(source, fields[0]).missing
     dst_missing = _column(snapshots.transformed, fields[-1]).missing  # type: ignore[arg-type]
-    rows: list[int] = []
-    unmapped: dict[int, str] = {}
-    for key_value, i, j in pairs:
-        if i in src_missing:
-            continue  # value absent at source: transformation owes nothing
-        rows.append(i)
-        if j in dst_missing:
-            unmapped[i] = f"unmapped (key {key_value})"
-    return rows, unmapped.get, {"key_column": key}
+    keys = _column(source, key).values
+    # a row whose value is absent at source is outside the denominator: the
+    # transformation owes nothing for it
+    unmapped = {
+        i: f"unmapped (key {keys[i]})"
+        for i in map(source_row.__getitem__, dst_missing)
+        if i not in src_missing
+    }
+    return _eligible(source, None, src_missing), unmapped, {"key_column": key}
 
 
 def _join_keys(source: DatasetSnapshot | None, transformed: DatasetSnapshot | None) -> KeyJoin:
-    """The key column and the (key, source row, transformed row) pairing in
-    key order; raises when the two snapshots cannot be joined."""
+    """The key column, and for each transformed row the source row with its
+    key; raises when the two snapshots cannot be joined."""
     if source is None or transformed is None:
         raise StageMismatch("mapping check needs both source and transformed snapshots")
     if source.manifest.stage is not Stage.SOURCE or transformed.manifest.stage is not Stage.TRANSFORMED:
@@ -503,22 +507,18 @@ def _join_keys(source: DatasetSnapshot | None, transformed: DatasetSnapshot | No
         raise KeyMismatch(
             f"keys only in source: {unmatched_src[:10]}; only in transformed: {unmatched_dst[:10]}"
         )
-    return key, [(k, src_rows[k], dst_rows[k]) for k in sorted(src_rows)]
+    return key, list(map(src_rows.__getitem__, dst_rows))  # dst_rows holds keys in row order
 
 
 def _key_index(snapshot: DatasetSnapshot, key: str) -> dict[str, int]:
-    col = _column(snapshot, key)
-    index: dict[str, int] = {}
-    duplicates = []
-    for i in range(snapshot.row_count):
-        if i in col.missing or col.values[i] is None:
-            raise KeyMismatch(f"row {i} has no key value in {snapshot.manifest.stage.value}")
-        value = str(col.values[i])
-        if value in index:
-            duplicates.append(value)
-        index[value] = i
-    if duplicates:
-        raise KeyMismatch(f"duplicate key values: {sorted(set(duplicates))[:10]}")
+    values = _column(snapshot, key).values
+    if None in values:  # missing, or a typed key that failed coercion
+        raise KeyMismatch(f"row {values.index(None)} has no key value in {snapshot.manifest.stage.value}")
+    texts = list(map(str, values))
+    index = dict(zip(texts, range(len(texts))))
+    if len(index) < len(texts):
+        duplicates = sorted(text for text, n in Counter(texts).items() if n > 1)
+        raise KeyMismatch(f"duplicate key values: {duplicates[:10]}")
     return index
 
 
@@ -540,9 +540,9 @@ def _degeneracy_by_actor(
     for i, sid in enumerate(actor_ids(snapshot)):
         rows_by_actor.setdefault(sid, []).append(i)
 
-    absent = _absent(col)
+    absent = col.absent
     strata: dict[str, StratumOutcome] = {}
-    violations: list[Violation] = []
+    failing: Failing = {}
     per_actor_detail: dict[str, Any] = {}
     for sid in sorted(rows_by_actor):
         rows = rows_by_actor[sid]
@@ -562,14 +562,14 @@ def _degeneracy_by_actor(
                 per_actor_detail[sid] = {"dominant_value": top_value, "share": str(share)}
         if flags:
             reason = f"{sid}: {'+'.join(f.value for f in flags)}"
-            violations += [Violation(i, reason) for i in rows]
+            failing.update(dict.fromkeys(rows, reason))
         strata[sid] = StratumOutcome(1 if flags else 0, 1, tuple(flags))
     details = {
         "min_records": min_records,
         "max_dominant_share": str(max_dominant_share),
         "flagged_actors": per_actor_detail,
     }
-    return strata, violations, details
+    return strata, failing, details
 
 
 # --- config readers: each returns the value to use or raises SchemaViolation --
@@ -738,18 +738,18 @@ def run_check(definition: CheckDefinition, snapshots: Snapshots) -> CheckOutcome
     cfg = _read_config(kind, definition.config)
 
     if spec.strata is not None:
-        strata, violations, details = spec.strata(target, fields, cfg, snapshots.actor_ids)
+        strata, failing, details = spec.strata(target, fields, cfg, snapshots.actor_ids)
         numerator = sum(s.numerator for s in strata.values())
         denominator = sum(s.denominator for s in strata.values())
     else:
         scope = None if definition.subset is None else _subset_rows(target, fields[0], definition.subset)
-        rows, judge, details = spec.rows(target, fields, cfg, scope)  # type: ignore[misc]
-        violations = [Violation(i, reason) for i in rows if (reason := judge(i)) is not None]
-        numerator, denominator = len(rows) - len(violations), len(rows)
+        rows, failing, details = spec.rows(target, fields, cfg, scope)  # type: ignore[misc]
+        numerator, denominator = len(rows) - len(failing), len(rows)
         if definition.stratify_by_actor:
-            strata = _stratify(snapshots.actor_ids(target), rows, violations) or None
+            strata = _stratify(snapshots.actor_ids(target), rows, failing) or None
         else:
             strata = None
+    violations = [Violation(i, failing[i]) for i in sorted(failing)]
     return _outcome(definition, stage, numerator, denominator, violations, strata, details)
 
 
@@ -951,9 +951,41 @@ def outcome_from_dict(doc: dict[str, Any]) -> CheckOutcome:
     )
 
 
+#: What ``json.dumps(indent=2)`` writes in an outcomes document between a
+#: violation's row and its reason, and between two violations.
+_ROW_REASON = ",\n" + " " * 10
+_NEXT_VIOLATION = "\n" + " " * 8 + "],\n" + " " * 8 + "[\n" + " " * 10
+
+
+def _violations_json(violations: list[list[Any]]) -> str:
+    """The ``[row, reason]`` pairs of one outcome as ``json.dumps(indent=2)``
+    writes them in an outcomes document, from one call of the C encoder
+    (which ``json`` uses only without ``indent``). Each row and each
+    reason comes out on its own line: an encoded reason holds no raw
+    newline or NUL, as the encoder escapes every control character."""
+    if not violations:
+        return "[]"
+    lines = json.dumps(violations, separators=("\n", ":"))[2:-2]
+    body = lines.replace("]\n[", "\0").replace("\n", _ROW_REASON).replace("\0", _NEXT_VIOLATION)
+    return f"[\n{' ' * 8}[\n{' ' * 10}{body}\n{' ' * 8}]\n{' ' * 6}]"
+
+
 def outcomes_to_json(outcomes: list[CheckOutcome]) -> str:
-    doc = {"schema_version": "1", "outcomes": [outcome_to_dict(o) for o in outcomes]}
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The outcomes document, byte for byte ``json.dumps(doc, indent=2,
+    sort_keys=True) + "\\n"`` of ``{"schema_version": "1", "outcomes":
+    [outcome_to_dict(o), ...]}``. Violation rows are ints and reasons are
+    strings; they are written by ``_violations_json``, and the rest of each
+    outcome by ``json.dumps``."""
+    texts = []
+    for outcome in outcomes:
+        doc = outcome_to_dict(outcome)
+        violations = _violations_json(doc.pop("violations"))
+        # "violations" sorts after every other key, so it closes the object,
+        # and the object sits two levels (4 spaces) deep in the document
+        rest = json.dumps(doc, indent=2, sort_keys=True)[:-2].replace("\n", "\n    ")
+        texts.append(f'{rest},\n      "violations": {violations}\n    }}')
+    outcomes_text = "[\n    " + ",\n    ".join(texts) + "\n  ]" if texts else "[]"
+    return f'{{\n  "outcomes": {outcomes_text},\n  "schema_version": "1"\n}}\n'
 
 
 def outcomes_from_json(text: str | bytes) -> list[CheckOutcome]:

@@ -117,6 +117,11 @@ class Column:
     def typed_count(self) -> int:
         return len(self.values) - len(self.missing) - len(self.failures)
 
+    @cached_property
+    def absent(self) -> frozenset[int]:
+        """Rows without a typed value (missing or malformed), built on first use."""
+        return self.missing.union(i for i, _ in self.failures)
+
 
 @dataclass(frozen=True)
 class DatasetSnapshot:

@@ -8,8 +8,8 @@ where ``ORG`` is ``DGO``/``DRO``, ``PHASE`` is ``DG``/``DT``/``DR``, actor
 and label are identifiers (uppercase first letter, alphanumerics after),
 and ``value`` is an optional percent literal followed by optional free
 text that must not contain ``)``. A percent literal is ASCII digits, an
-optional ``.`` and more ASCII digits, then ``%``, at most 100%, and is
-followed by a space or the ``)``. Examples::
+optional ``.`` and at most 100 more ASCII digits, then ``%``, at most
+100%, and is followed by a space or the ``)``. Examples::
 
     DGO-DG-Clinician (Completeness: 94%)
     DRO-DT-DataEngineer (Mapping: 92% success)
@@ -76,6 +76,9 @@ _ASSERTION_RE = re.compile(
     r"(?P<qualifier>[^)]*)(?P<close>\))?"
     r")?)?)?)?)?"
 )
+
+#: The most decimals a percent literal may have.
+_MAX_DECIMALS = 100
 
 #: What each structural group stands for, in grammar order.
 _EXPECTED = (
@@ -195,9 +198,16 @@ def parse_assertion(
     numeric: Fraction | None = None
     precision = 0
     if percent is not None:
-        decimals = decimals or ""
+        # leading zeros carry no value, and a literal held to 3 significant
+        # whole digits and _MAX_DECIMALS decimals stays far inside Python's
+        # limit on the digits of an int read from text
+        whole, decimals = whole.lstrip("0"), decimals or ""
+        if len(whole) > 3:
+            raise PercentOutOfRange(f"percent value {percent} exceeds 100%")
+        if len(decimals) > _MAX_DECIMALS:
+            raise NotationSyntaxError(f"percent has more than {_MAX_DECIMALS} decimals", m.start("percent"))
         precision = len(decimals)
-        units, scale = int(whole + decimals), 100 * 10**precision
+        units, scale = int((whole + decimals) or "0"), 100 * 10**precision
         if units > scale:
             raise PercentOutOfRange(f"percent value {percent} exceeds 100%")
         numeric = Fraction(units, scale)

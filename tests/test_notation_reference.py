@@ -51,6 +51,8 @@ from dqlocus.taxonomy import (
 # --- the reference ------------------------------------------------------------
 
 _NUMBER_RE = re.compile(r"[0-9]+(?:\.([0-9]+))?%")
+#: The most decimals a percent literal may have.
+MAX_DECIMALS = 100
 
 
 def reference_locus(org, phase, actor_name, registry, allow_aliases):
@@ -104,10 +106,14 @@ def _parse_measurement(cur: _Cursor) -> Measurement:
     precision = 0
     m = _NUMBER_RE.match(cur.text, cur.pos)
     if m is not None:
-        literal = m.group(0)[:-1]
+        whole = m.group(0)[:-1].split(".")[0].lstrip("0")
         decimals = m.group(1) or ""
+        if len(whole) > 3:  # over 999%
+            raise PercentOutOfRange(f"percent value {m.group(0)} exceeds 100%")
+        if len(decimals) > MAX_DECIMALS:
+            raise NotationSyntaxError(f"percent has more than {MAX_DECIMALS} decimals", cur.offset)
         precision = len(decimals)
-        numeric = Fraction(literal.replace(".", "")) / Fraction(100 * 10**precision)
+        numeric = Fraction((whole + decimals) or "0") / Fraction(100 * 10**precision)
         if numeric > 1:
             raise PercentOutOfRange(f"percent value {m.group(0)} exceeds 100%")
         cur.pos = m.end()
@@ -220,11 +226,17 @@ LABELS = sorted(DEFAULT_LABEL_MAP) + ["Done", "Uptime", "Legibility"]
 QUALIFIERS = ["success", "of encounters", "(a", "a (b", "x)", " ", "  two  spaces", "٩٤%", "12.%"]
 
 
+#: Literals longer than Python reads as an int by default (4,300 digits),
+#: and decimals on either side of the cap.
+LONG_WHOLES = ["0" * 5000, "0" * 4999 + "7", "0" * 5000 + "100", "0" * 4998 + "1000", "1" + "0" * 5000]
+LONG_DECIMALS = ["0" * MAX_DECIMALS, "5" * MAX_DECIMALS, "0" * (MAX_DECIMALS + 1), "9" * 5000]
+
+
 @st.composite
 def percents(draw):
-    whole = draw(st.sampled_from(["0", "00", "7", "007", "94", "100", "101", "150", "1000"])
-                 | st.integers(0, 120).map(str))
-    decimals = draw(st.sampled_from(["", "0", "00", "000", "5", "05", "999"]))
+    whole = draw(st.sampled_from(["0", "00", "7", "007", "94", "100", "101", "150", "999", "1000", "0001000"])
+                 | st.integers(0, 120).map(str) | st.sampled_from(LONG_WHOLES))
+    decimals = draw(st.sampled_from(["", "0", "00", "000", "5", "05", "999"]) | st.sampled_from(LONG_DECIMALS))
     dot = draw(st.sampled_from([".", ".", "", ","])) if decimals else draw(st.sampled_from(["", "."]))
     return f"{whole}{dot}{decimals}%"
 
@@ -326,6 +338,31 @@ def test_each_syntax_message_and_its_offset(line, mode, message, offset):
 def test_percent_out_of_range_comes_before_later_syntax_errors():
     with pytest.raises(PercentOutOfRange, match=r"percent value 100\.5% exceeds 100%"):
         parse_assertion("DGO-DG-Clinician (Completeness: 100.5%x", mode=ParseMode.STRICT)
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [
+        # past Python's limit on the digits of an int read from text, these
+        # once raised a stray ValueError
+        ("0" * 5000 + "%", Measurement(Fraction(0), 0)),
+        ("0" * 4998 + "94.5%", Measurement(Fraction(945, 1000), 1)),
+        ("94." + "0" * 100 + "%", Measurement(Fraction(94, 100), 100)),
+        ("1" + "0" * 5000 + "%", (PercentOutOfRange, "exceeds 100%")),
+        ("0" * 5000 + "1000%", (PercentOutOfRange, "exceeds 100%")),
+        ("1000." + "9" * 5000 + "% x", (PercentOutOfRange, "exceeds 100%")),
+        ("94." + "0" * 101 + "%", (NotationSyntaxError, "percent has more than 100 decimals (offset 32)")),
+        ("99." + "9" * 5000 + "%", (NotationSyntaxError, "percent has more than 100 decimals (offset 32)")),
+    ],
+)
+def test_long_percent_literals_end_in_a_dq_error(value, expected):
+    line = f"DGO-DG-Clinician (Completeness: {value})"
+    got = result(parse_assertion, line, None, ParseMode.STRICT, None)
+    assert got == result(reference_parse, line, None, ParseMode.STRICT, None)
+    if isinstance(expected, Measurement):
+        assert got[0] == "parsed" and got[1].measurement == expected
+    else:
+        assert got[1] is expected[0] and expected[1] in got[2]
 
 
 def test_every_parsed_locus_is_the_registrys_own():

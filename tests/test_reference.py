@@ -14,6 +14,7 @@ import json
 import re
 from dataclasses import replace
 from datetime import datetime, time, timedelta
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -54,6 +55,10 @@ FIELDS = [
      "generating_actor": "EHRSystem"},
     {"name": "available_at", "semantic_type": "Timestamp", "entry_mode": "AutoGenerated",
      "generating_actor": "EHRSystem"},
+    # a typed column whose tests read str() of the value: -0.0 == 0.0 and
+    # NaN != NaN as values, but each prints as itself
+    {"name": "score", "semantic_type": "Number", "entry_mode": "FreeEntry",
+     "generating_actor": "Clinician", "allowed_values": ["0.0", "1.0", "nan"]},
 ]
 MANIFEST = load_manifest(json.dumps({
     "dataset_id": "ref", "stage": "SourceExtract", "fields": FIELDS,
@@ -90,6 +95,7 @@ CELLS = {
         st.one_of(st.sampled_from([5, 6, 7, 8, 9, 36, 37, 54, 55]), st.integers(0, 80)).map(hours),
         "never",
     ),
+    "score": cells(st.sampled_from(["-0.0", "0", "-0", "nan", "NaN", "1", "2.5"]), "x"),
 }
 ROWS = st.lists(st.fixed_dictionaries(CELLS), max_size=30)
 
@@ -98,6 +104,8 @@ SUBSETS = st.sampled_from([
     WHERE_REQUIRED,
     SubsetPredicate("billable", frozenset({"Y"})),
     SubsetPredicate("code", frozenset({"A", "B"})),
+    SubsetPredicate("score", frozenset({"0.0", "nan"})),
+    SubsetPredicate("score", frozenset({"-0.0", "1.0"})),
 ])
 
 
@@ -113,13 +121,14 @@ def definitions(draw, kind):
     if kind is CheckKind.COMPLETENESS:
         fields = (draw(st.sampled_from(NAMES)),)
     elif kind is CheckKind.CONFORMANCE_VALUE:
-        fields = ("code",)
+        fields = (draw(st.sampled_from(["code", "score"])),)
     elif kind is CheckKind.CONFORMANCE_FORMAT:
-        fields = (draw(st.sampled_from(["label", "age", "injury_date", "recorded_at"])),)
+        fields = (draw(st.sampled_from(["label", "age", "injury_date", "recorded_at", "score"])),)
     elif kind is CheckKind.PLAUSIBILITY_RANGE:
-        fields = ("age",)
-        lo = draw(st.integers(-5, 150))
-        config = {"min": lo, "max": draw(st.integers(lo, 150))}
+        fields = (draw(st.sampled_from(["age", "score"])),)
+        top = 150 if fields == ("age",) else 2  # a score range often leaves out 0
+        lo = draw(st.integers(-5 if top == 150 else -1, top))
+        config = {"min": lo, "max": draw(st.integers(lo, top))}
     elif kind is CheckKind.PLAUSIBILITY_TEMPORAL:
         fields = draw(st.sampled_from([("injury_date", "visit_date"), ("visit_date", "recorded_at")]))
     else:
@@ -260,6 +269,28 @@ def test_evaluator_equals_reference(rows, suite):
             assert sum(s.denominator for s in outcome.strata.values()) == outcome.denominator
 
 
+def test_signed_zeros_and_nans_are_judged_cell_by_cell():
+    """Equal typed values that print apart, and NaNs that equal nothing,
+    each get their own verdict and reason: no per-value memo may merge
+    them."""
+    cells = {name: "" for name in NAMES}
+    scores = ["0", "-0.0", "nan", "0.0", "-0", "NaN", "2.5"]
+    snapshot = snapshot_of([dict(cells, actor_id="a", score=score) for score in scores])
+    suite = [
+        CheckDefinition(id="value", kind=CheckKind.CONFORMANCE_VALUE, target_fields=("score",)),
+        CheckDefinition(id="range", kind=CheckKind.PLAUSIBILITY_RANGE, target_fields=("score",),
+                        config={"min": 1, "max": 3}),
+        CheckDefinition(id="subset", kind=CheckKind.COMPLETENESS, target_fields=("label",),
+                        subset=SubsetPredicate("score", frozenset({"0.0", "nan"}))),
+    ]
+    for definition in suite:
+        assert evaluated(snapshot, definition)[1] == reference(snapshot, definition), definition.id
+    value, _ = evaluated(snapshot, suite[0])
+    assert [(v.row, v.reason) for v in value.violations] == [
+        (1, "value not allowed: -0.0"), (4, "value not allowed: -0.0"), (6, "value not allowed: 2.5"),
+    ]
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), rows=ROWS, suite=SUITES)
 def test_shuffling_rows_leaves_counts_unchanged(data, rows, suite):
@@ -270,6 +301,88 @@ def test_shuffling_rows_leaves_counts_unchanged(data, rows, suite):
         assert (after.numerator, after.denominator) == (before.numerator, before.denominator)
         assert after.strata == before.strata
         assert sorted(v.reason for v in after.violations) == sorted(v.reason for v in before.violations)
+
+
+# --- DegeneracyByActor -----------------------------------------------------
+
+def degeneracy_reference(snapshot, name, cfg):
+    """(strata, violations, details), each actor screened from its own rows:
+    an attributed actor with at least ``min_records`` rows is flagged when
+    it records no typed value, or when one value's text makes up at least
+    ``max_dominant_share`` of what it records (ties go to the larger text)."""
+    min_records = cfg.get("min_records", 10)
+    threshold = Fraction(str(cfg.get("max_dominant_share", 1)))
+    actors = [UNATTRIBUTED_STRATUM if a is None else a for a in snapshot.columns["actor_id"].values]
+    values = snapshot.columns[name].values
+    strata, violations, flagged = {}, [], {}
+    for actor in sorted(set(actors)):
+        rows = [i for i in range(snapshot.row_count) if actors[i] == actor]
+        if actor == UNATTRIBUTED_STRATUM or len(rows) < min_records:
+            strata[actor] = (0, 0, ())
+            continue
+        recorded = [str(values[i]) for i in rows if typed(snapshot, name, i)]
+        flags = ()
+        if not recorded:
+            flags = ("NeverRecords",)
+        else:
+            top = max(recorded.count(text) for text in recorded)
+            dominant = max(text for text in recorded if recorded.count(text) == top)
+            share = Fraction(top, len(recorded))
+            if share >= threshold:
+                flags = ("AlwaysSame",)
+                flagged[actor] = {"dominant_value": dominant, "share": str(share)}
+        strata[actor] = (1 if flags else 0, 1, flags)
+        violations += [(i, f"{actor}: {'+'.join(flags)}") for i in rows if flags]
+    details = {"min_records": min_records, "max_dominant_share": str(threshold), "flagged_actors": flagged}
+    return strata, sorted(violations), details
+
+
+#: Shares on and beside the boundaries that small actor groups reach.
+SHARES = st.sampled_from([0, 1, "1", "1/2", "2/3", "3/4", 0.5, "0.75", "1/3", "0.5001"]) | st.builds(
+    lambda k, n: f"{k}/{n}", st.integers(0, 5), st.integers(1, 5)
+)
+
+
+def degeneracy_outcome(snapshot, name, config):
+    definition = CheckDefinition(id="d", kind=CheckKind.DEGENERACY_BY_ACTOR, target_fields=(name,), config=config)
+    outcome = run_check(definition, Snapshots(source=snapshot))
+    strata = {sid: (s.numerator, s.denominator, tuple(f.value for f in s.flags)) for sid, s in outcome.strata.items()}
+    return outcome, (strata, [(v.row, v.reason) for v in outcome.violations], outcome.details)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=ROWS,
+    name=st.sampled_from(NAMES),
+    min_records=st.none() | st.integers(0, 8),
+    share=st.none() | SHARES,
+)
+def test_degeneracy_equals_reference(rows, name, min_records, share):
+    snapshot = snapshot_of(rows)
+    drawn = {"min_records": min_records, "max_dominant_share": share}
+    config = {key: value for key, value in drawn.items() if value is not None}  # absent: the default
+    outcome, got = degeneracy_outcome(snapshot, name, config)
+    expected = degeneracy_reference(snapshot, name, config)
+    assert got == expected
+    assert outcome.numerator == sum(s[0] for s in expected[0].values())
+    assert outcome.denominator == sum(s[1] for s in expected[0].values())
+    expected_status = CheckStatus.OK if outcome.denominator else CheckStatus.NOT_ASSESSABLE
+    assert outcome.status is expected_status
+
+
+def test_degeneracy_boundaries():
+    """Actor a has 4 rows recording 0.0, 0.0, -0.0 and 1 in the score
+    column: 4 rows meet min_records 4, and 0.0 has a share of exactly 1/2
+    (-0.0 is another text)."""
+    cells = {name: "" for name in NAMES}
+    scores = ["0.0", "0", "-0.0", "1"]
+    snapshot = snapshot_of([dict(cells, actor_id="a", score=score) for score in scores])
+    for min_records, share, flagged in [(4, "1/2", True), (5, "1/2", False), (4, "0.5001", False), (0, 0.5, True)]:
+        outcome, got = degeneracy_outcome(snapshot, "score", {"min_records": min_records, "max_dominant_share": share})
+        assert got == degeneracy_reference(snapshot, "score", {"min_records": min_records, "max_dominant_share": share})
+        assert outcome.numerator == int(flagged)
+        if flagged:
+            assert outcome.details["flagged_actors"] == {"a": {"dominant_value": "0.0", "share": "1/2"}}
 
 
 # --- MappingSuccess ---------------------------------------------------------
