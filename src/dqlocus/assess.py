@@ -177,11 +177,9 @@ def _field(snapshot: DatasetSnapshot, name: str) -> tuple[Column, FieldSpec]:
 
 def _rows_where(snapshot: DatasetSnapshot, field_name: str, values: frozenset[str]) -> list[int]:
     """Rows on which ``field_name`` is present and takes one of ``values``."""
-    col, spec = _field(snapshot, field_name)
-    # a text cell is the text it is compared as; a typed value is str() of it
-    texts = col.values if spec.semantic_type in _UNTYPED else map(str, col.values)
+    col = _column(snapshot, field_name)
     missing = col.missing
-    return [i for i, text in enumerate(texts) if text in values and i not in missing]
+    return [i for i, text in enumerate(map(str, col.values)) if text in values and i not in missing]
 
 
 def _required_rows(snapshot: DatasetSnapshot, field_name: str) -> Rows:
@@ -263,12 +261,13 @@ def _outcome(
 # judges (the denominator), a mapping from each failing row among them to its
 # violation reason, and the outcome details; ``run_check`` does the rest.
 # Each kind does only the work its failures need: completeness reads the
-# column's missing and failed rows, a value test over a text column runs
-# once per distinct text, and only a test over typed values runs per row. A
-# paired kind's function takes the ``Snapshots`` in place of one snapshot. A
-# strata kind's function takes (snapshot, target fields, config, actor ids),
-# where actor ids gives a snapshot's per-row actor ids, and returns the
-# strata, the failing rows with their reasons, and the details.
+# column's missing and failed rows, a typed format check without a pattern
+# reads only the failed rows, and a value or pattern test runs once per
+# present cell. A paired kind's function takes the ``Snapshots`` in place of
+# one snapshot. A strata kind's function takes (snapshot, target fields,
+# config, actor ids), where actor ids gives a snapshot's per-row actor ids,
+# and returns the strata, the failing rows with their reasons, and the
+# details.
 
 Fields = tuple[str, ...]
 Config = dict[str, Any]
@@ -311,21 +310,12 @@ def _present_cells(
     snapshot: DatasetSnapshot, name: str, scope: Scope, test: Callable[[Any], str | None] | None
 ) -> RowCheck:
     """Judge every non-missing cell: coercion failures are violations, typed
-    values go to ``test`` (when there is one).
-
-    In a text column the value is the text the test reads, so the test runs
-    once per distinct value. A typed column's test runs once per cell: a
-    typed value is no key for it, as -0.0 == 0.0 while they print apart.
-    """
-    col, spec = _field(snapshot, name)
+    values go to ``test`` (when there is one)."""
+    col = _column(snapshot, name)
     rows = _eligible(snapshot, scope, col.missing)
     failing = _in_scope(dict.fromkeys((i for i, _ in col.failures), "malformed"), scope)
-    values = col.values
-    if test is not None and spec.semantic_type in _UNTYPED:
-        bad = {v: reason for v in set(values) if v is not None and (reason := test(v)) is not None}
-        if bad:
-            failing.update({i: bad[values[i]] for i in rows if values[i] in bad})
-    elif test is not None:  # a malformed cell's value is None; it failed above
+    if test is not None:  # a malformed cell's value is None; it failed above
+        values = col.values
         failing.update({
             i: reason for i in rows if (v := values[i]) is not None and (reason := test(v)) is not None
         })
@@ -945,10 +935,22 @@ def outcome_from_dict(doc: dict[str, Any]) -> CheckOutcome:
         stage=Stage(doc["stage"]) if doc.get("stage") else None,
         subset=doc.get("subset"),
         strata=strata,
-        violations=tuple(Violation(row, reason) for row, reason in doc.get("violations", [])),
+        violations=_violations_from(doc.get("violations", [])),
         details=doc.get("details", {}),
         error=doc.get("error"),
     )
+
+
+def _violations_from(pairs: Any) -> tuple[Violation, ...]:
+    """The ``[row, reason]`` pairs of a loaded outcome, which ``run_check``
+    writes as an int and a string; ``_violations_json`` relies on that, so
+    a pair of any other shape raises SchemaViolation."""
+    if not isinstance(pairs, list) or not all(
+        isinstance(pair, list) and len(pair) == 2 and type(pair[0]) is int and isinstance(pair[1], str)
+        for pair in pairs
+    ):
+        raise SchemaViolation("violations must be a list of [row, reason] pairs of an int and a string")
+    return tuple(Violation(row, reason) for row, reason in pairs)
 
 
 #: What ``json.dumps(indent=2)`` writes in an outcomes document between a

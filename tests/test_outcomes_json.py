@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +25,7 @@ from dqlocus.assess import (
     outcomes_from_json,
     outcomes_to_json,
 )
+from dqlocus.errors import SchemaViolation
 from dqlocus.ingest import Stage
 from dqlocus.taxonomy import _PARAMETERS_BY_NAME
 
@@ -99,3 +101,22 @@ def test_empty_and_full_documents():
         violations=(Violation(0, 'a "quoted"\nreason'), Violation(2, "]\n[")),
     )
     assert outcomes_to_json([outcome, outcome]) == reference_json([outcome, outcome])
+
+
+@pytest.mark.parametrize("violations", [
+    [[0, ["a", "b"]]],
+    [[0, {"a": 1}]],
+    [["0", "reason"]],
+    [[True, "reason"]],
+    [[0, "reason", "extra"]],
+    [[0]],
+    {"0": "reason"},
+])
+def test_a_violation_that_is_not_an_int_and_a_string_is_rejected(violations):
+    doc = json.loads(outcomes_to_json([CheckOutcome(
+        check_id="c", kind=CheckKind.COMPLETENESS, parameter=None, status=CheckStatus.OK,
+        numerator=0, denominator=1, violations=(Violation(0, "missing"),),
+    )]))
+    doc["outcomes"][0]["violations"] = violations
+    with pytest.raises(SchemaViolation, match="violations"):
+        outcomes_from_json(json.dumps(doc))
