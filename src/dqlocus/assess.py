@@ -17,7 +17,7 @@ import re
 from collections import Counter
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
-from datetime import date, datetime, time, timedelta, timezone
+from datetime import date, datetime, time, timedelta
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -35,12 +35,31 @@ from .errors import (
     NonNumericField,
     NonTemporalField,
     NoTimestampColumns,
+    Reader,
     SchemaViolation,
     StageMismatch,
     UnknownField,
+    list_of,
     load_json,
+    non_empty,
+    nullable,
+    read_bool,
+    read_dict,
+    read_enum,
+    read_int,
+    read_object,
+    read_str,
 )
-from .ingest import Column, DatasetManifest, DatasetSnapshot, FieldSpec, SemanticType, Stage
+from .ingest import (
+    COERCERS,
+    Column,
+    DatasetManifest,
+    DatasetSnapshot,
+    FieldSpec,
+    SemanticType,
+    Stage,
+    read_predicate,
+)
 from .taxonomy import DQParameter, parameter_by_name
 
 #: Stratum key for rows whose actor id cell is missing.
@@ -176,10 +195,11 @@ def _field(snapshot: DatasetSnapshot, name: str) -> tuple[Column, FieldSpec]:
 
 
 def _rows_where(snapshot: DatasetSnapshot, field_name: str, values: frozenset[str]) -> list[int]:
-    """Rows on which ``field_name`` is present and takes one of ``values``."""
+    """Rows on which ``field_name`` has a typed value whose ``str()`` is one
+    of ``values``."""
     col = _column(snapshot, field_name)
-    missing = col.missing
-    return [i for i, text in enumerate(map(str, col.values)) if text in values and i not in missing]
+    absent = col.absent
+    return [i for i, text in enumerate(map(str, col.values)) if text in values and i not in absent]
 
 
 def _required_rows(snapshot: DatasetSnapshot, field_name: str) -> Rows:
@@ -369,24 +389,16 @@ def _plausibility_range(snapshot: DatasetSnapshot, fields: Fields, cfg: Config, 
 
 
 def _coerce_bound(bound: Any, semantic: SemanticType) -> Any:
-    if semantic is SemanticType.NUMBER:
-        if isinstance(bound, (int, float)) and not isinstance(bound, bool):
-            return float(bound)
-        raise InvalidRange(f"numeric field bound must be a number, got {bound!r}")
-    if isinstance(bound, str):
+    """A number bound of a Number field, or an ISO-8601 bound of a Date or
+    Timestamp field, parsed by the coercer that loads the field's cells; a
+    date or datetime given in code is read as its ISO-8601 text."""
+    text = bound.isoformat() if isinstance(bound, date) else bound
+    accepted = (int, float) if semantic is SemanticType.NUMBER else str
+    if isinstance(text, accepted) and not isinstance(text, bool):
         try:
-            if semantic is SemanticType.DATE:
-                return date.fromisoformat(bound)
-            parsed = datetime.fromisoformat(bound)
-        except ValueError:
-            raise InvalidRange(f"bound {bound!r} is not ISO-8601") from None
-        if parsed.tzinfo is not None:  # columns hold naive UTC
-            parsed = parsed.astimezone(timezone.utc).replace(tzinfo=None)
-        return parsed
-    if semantic is SemanticType.DATE and isinstance(bound, date) and not isinstance(bound, datetime):
-        return bound
-    if semantic is SemanticType.TIMESTAMP and isinstance(bound, datetime):
-        return bound
+            return COERCERS[semantic](text)
+        except (ValueError, OverflowError):  # overflow: an offset at datetime's range edge
+            pass
     raise InvalidRange(f"bound {bound!r} does not fit a {semantic.value} field")
 
 
@@ -568,39 +580,31 @@ _DURATION_RE = re.compile(r"(\d+)([smhd])")
 _DURATION_UNIT = {"s": 1, "m": 60, "h": 3600, "d": 86400}
 
 
-def parse_duration(text: str | int | float) -> timedelta:
+def parse_duration(text: str | int | float, where: str = "duration") -> timedelta:
     """Parse durations like '30d', '12h', '15m', '45s' (or raw seconds)."""
-    if isinstance(text, (int, float)) and not isinstance(text, bool):
-        seconds: float = float(text)
-    elif isinstance(text, str) and (m := _DURATION_RE.fullmatch(text.strip())):
-        seconds = int(m.group(1)) * _DURATION_UNIT[m.group(2)]
-    else:
-        raise SchemaViolation(f"duration {text!r} must be '<integer><s|m|h|d>'")
     try:
-        return timedelta(seconds=seconds)
-    except (ValueError, OverflowError):  # NaN, or beyond timedelta's range
-        raise SchemaViolation(f"duration {text!r} is out of range") from None
+        if isinstance(text, (int, float)) and not isinstance(text, bool):
+            return timedelta(seconds=float(text))
+        if isinstance(text, str) and (m := _DURATION_RE.fullmatch(text.strip())):
+            return timedelta(seconds=int(m.group(1)) * _DURATION_UNIT[m.group(2)])
+    except (ValueError, OverflowError):  # NaN, beyond timedelta's range, or too many digits
+        raise SchemaViolation(f"{where} must be a duration in range, got {text!r}") from None
+    raise SchemaViolation(f"{where} must be '<integer><s|m|h|d>' or seconds, got {text!r}")
 
 
-def _read_bound(value: Any) -> Any:
+def _read_bound(value: Any, where: str) -> Any:
     if isinstance(value, (int, float, str, date)) and not isinstance(value, bool) and value == value:
         return value  # the equality test rejects NaN, the one value unequal to itself
-    raise SchemaViolation(f"range bound must be a number or an ISO-8601 string, got {value!r}")
+    raise SchemaViolation(f"{where} must be a number or an ISO-8601 string, got {value!r}")
 
 
-def _read_min_records(value: Any) -> int:
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise SchemaViolation(f"'min_records' must be an integer, got {value!r}")
-
-
-def _read_share(value: Any) -> Fraction:
+def _read_share(value: Any, where: str) -> Fraction:
     if isinstance(value, (int, float, str, Fraction)) and not isinstance(value, bool):
         try:
             return Fraction(str(value))
         except (ValueError, ZeroDivisionError):
             pass
-    raise SchemaViolation(f"'max_dominant_share' must be a number, got {value!r}")
+    raise SchemaViolation(f"{where} must be a number, got {value!r}")
 
 
 # --- the kind table and the evaluator ----------------------------------------
@@ -619,7 +623,7 @@ class KindSpec:
 
     parameter: str
     arity: tuple[int, ...]
-    config: dict[str, Callable[[Any], Any]]
+    config: dict[str, Reader]
     rows: Callable[..., RowCheck] | None = None
     strata: Callable[..., StrataCheck] | None = None
     paired: bool = False
@@ -636,7 +640,7 @@ CHECK_KINDS: dict[CheckKind, KindSpec] = {
     CheckKind.DEGENERACY_BY_ACTOR: KindSpec(
         "Plausibility",
         (1,),
-        {"min_records": _read_min_records, "max_dominant_share": _read_share},
+        {"min_records": read_int, "max_dominant_share": _read_share},
         strata=_degeneracy_by_actor,
     ),
     CheckKind.TIMELINESS: KindSpec("Timeliness", (2,), {"max_lag": parse_duration}, rows=_timeliness),
@@ -644,19 +648,6 @@ CHECK_KINDS: dict[CheckKind, KindSpec] = {
         "Interoperability", (1, 2), {}, rows=_mapping_success, paired=True
     ),
 }
-
-
-def _read_config(kind: CheckKind, config: Any) -> Config:
-    """The definition's config read through the kind's readers. An unknown
-    key or a value of the wrong type raises SchemaViolation; absent keys
-    stay absent, for the kind to default or require."""
-    if not isinstance(config, dict):
-        raise SchemaViolation(f"{kind.value} config must be an object")
-    readers = CHECK_KINDS[kind].config
-    unknown = set(config) - set(readers)
-    if unknown:
-        raise SchemaViolation(f"{kind.value} config has unknown keys {sorted(unknown)}")
-    return {key: readers[key](value) for key, value in config.items()}
 
 
 @dataclass(frozen=True)
@@ -725,7 +716,8 @@ def run_check(definition: CheckDefinition, snapshots: Snapshots) -> CheckOutcome
     scoped = spec.rows is not None and not spec.paired
     if not scoped and (definition.subset is not None or definition.stratify_by_actor):
         raise MissingConfig(f"{kind.value} check takes no subset or stratify_by_actor")
-    cfg = _read_config(kind, definition.config)
+    # absent keys stay absent, for the kind to default or require
+    cfg = read_object(definition.config, spec.config, f"{kind.value} config")
 
     if spec.strata is not None:
         strata, failing, details = spec.strata(target, fields, cfg, snapshots.actor_ids)
@@ -817,71 +809,40 @@ def mapping_suite(source: DatasetManifest, transformed: DatasetManifest) -> list
 
 # --- suite/outcome (de)serialization ---------------------------------------
 
+def _read_subset(value: Any, where: str) -> SubsetPredicate | str:
+    if value == WHERE_REQUIRED:
+        return value
+    if isinstance(value, str):
+        raise SchemaViolation(f"{where} must be {WHERE_REQUIRED!r} or {{field, values}}")
+    return read_predicate(SubsetPredicate)(value, where)
+
+
+_DEFINITION_READERS: dict[str, Reader] = {
+    "id": non_empty(read_str),
+    "kind": read_enum(CheckKind),
+    "target_fields": list_of(read_str),
+    "subset": nullable(_read_subset),
+    "stratify_by_actor": read_bool,
+    "stage": nullable(read_enum(Stage)),
+    "config": read_dict,  # read again by the kind's readers, as run_check reads it
+}
+
+
+def _read_definition(value: Any, where: str) -> CheckDefinition:
+    definition = CheckDefinition(**read_object(value, _DEFINITION_READERS, where, ("id", "kind", "target_fields")))
+    read_object(definition.config, CHECK_KINDS[definition.kind].config, f"{where}.config")
+    return definition
+
+
 def load_suite(text: str | bytes) -> list[CheckDefinition]:
-    """Load a check-suite document: a JSON list of check definitions."""
-    doc = load_json(text, "suite")
-    if not isinstance(doc, list):
-        raise SchemaViolation("suite must be a JSON list of check definitions")
-    defs = []
+    """Load a check-suite document: a JSON list of check definitions with
+    distinct ids."""
+    defs = list_of(_read_definition, list)(load_json(text, "suite"), "suite")
     seen_ids: set[str] = set()
-    for i, entry in enumerate(doc):
-        where = f"suite[{i}]"
-        if not isinstance(entry, dict):
-            raise SchemaViolation(f"{where}: definition must be an object")
-        unknown = set(entry) - {"id", "kind", "target_fields", "subset", "stratify_by_actor", "stage", "config"}
-        if unknown:
-            raise SchemaViolation(f"{where}: unknown keys {sorted(unknown)}")
-        check_id = entry.get("id")
-        if not isinstance(check_id, str) or not check_id:
-            raise SchemaViolation(f"{where}: 'id' must be a non-empty string")
-        if check_id in seen_ids:
-            raise SchemaViolation(f"{where}: duplicate check id {check_id!r}")
-        seen_ids.add(check_id)
-        try:
-            kind = CheckKind(entry.get("kind"))
-        except ValueError:
-            raise SchemaViolation(f"{where}: unknown kind {entry.get('kind')!r}") from None
-        targets = entry.get("target_fields")
-        if not isinstance(targets, list) or not all(isinstance(t, str) for t in targets):
-            raise SchemaViolation(f"{where}: 'target_fields' must be a list of strings")
-        subset: SubsetPredicate | str | None = None
-        raw_subset = entry.get("subset")
-        if raw_subset == WHERE_REQUIRED:
-            subset = WHERE_REQUIRED
-        elif isinstance(raw_subset, dict):
-            if set(raw_subset) != {"field", "values"} or not isinstance(raw_subset["field"], str):
-                raise SchemaViolation(f"{where}: subset must be {{field, values}}")
-            values = raw_subset["values"]
-            if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
-                raise SchemaViolation(f"{where}: subset values must be a list of strings")
-            subset = SubsetPredicate(raw_subset["field"], frozenset(values))
-        elif raw_subset is not None:
-            raise SchemaViolation(f"{where}: subset must be 'where-required' or {{field, values}}")
-        stage = None
-        if entry.get("stage") is not None:
-            try:
-                stage = Stage(entry["stage"])
-            except ValueError:
-                raise SchemaViolation(f"{where}: unknown stage {entry['stage']!r}") from None
-        stratify = entry.get("stratify_by_actor", False)
-        if not isinstance(stratify, bool):
-            raise SchemaViolation(f"{where}: 'stratify_by_actor' must be a boolean")
-        config = entry.get("config", {})
-        try:
-            _read_config(kind, config)
-        except SchemaViolation as e:
-            raise SchemaViolation(f"{where}: {e}") from None
-        defs.append(
-            CheckDefinition(
-                id=check_id,
-                kind=kind,
-                target_fields=tuple(targets),
-                subset=subset,
-                stratify_by_actor=stratify,
-                stage=stage,
-                config=config,
-            )
-        )
+    for i, definition in enumerate(defs):
+        if definition.id in seen_ids:
+            raise SchemaViolation(f"suite[{i}].id must be unique, got {definition.id!r} again")
+        seen_ids.add(definition.id)
     return defs
 
 
@@ -915,42 +876,54 @@ def outcome_to_dict(outcome: CheckOutcome) -> dict[str, Any]:
     return doc
 
 
-def outcome_from_dict(doc: dict[str, Any]) -> CheckOutcome:
-    strata = None
-    if doc.get("strata") is not None:
-        strata = {
-            sid: StratumOutcome(
-                s["numerator"], s["denominator"], tuple(DegeneracyFlag(f) for f in s["flags"])
-            )
-            for sid, s in doc["strata"].items()
-        }
-    return CheckOutcome(
-        check_id=doc["check_id"],
-        kind=CheckKind(doc["kind"]),
-        parameter=parameter_by_name(doc["parameter"]) if doc.get("parameter") else None,
-        status=CheckStatus(doc["status"]),
-        numerator=doc["numerator"],
-        denominator=doc["denominator"],
-        target_fields=tuple(doc.get("target_fields", ())),
-        stage=Stage(doc["stage"]) if doc.get("stage") else None,
-        subset=doc.get("subset"),
-        strata=strata,
-        violations=_violations_from(doc.get("violations", [])),
-        details=doc.get("details", {}),
-        error=doc.get("error"),
-    )
+_STRATUM_READERS: dict[str, Reader] = {
+    "numerator": read_int,
+    "denominator": read_int,
+    "flags": list_of(read_enum(DegeneracyFlag)),
+}
 
 
-def _violations_from(pairs: Any) -> tuple[Violation, ...]:
-    """The ``[row, reason]`` pairs of a loaded outcome, which ``run_check``
-    writes as an int and a string; ``_violations_json`` relies on that, so
-    a pair of any other shape raises SchemaViolation."""
-    if not isinstance(pairs, list) or not all(
-        isinstance(pair, list) and len(pair) == 2 and type(pair[0]) is int and isinstance(pair[1], str)
-        for pair in pairs
-    ):
-        raise SchemaViolation("violations must be a list of [row, reason] pairs of an int and a string")
-    return tuple(Violation(row, reason) for row, reason in pairs)
+def _read_strata(value: Any, where: str) -> dict[str, StratumOutcome]:
+    return {
+        sid: StratumOutcome(**read_object(s, _STRATUM_READERS, f"{where}[{sid!r}]", tuple(_STRATUM_READERS)))
+        for sid, s in read_dict(value, where).items()
+    }
+
+
+def _read_violation(value: Any, where: str) -> Violation:
+    """A ``[row, reason]`` pair, which ``run_check`` writes as an int and a
+    string; ``_violations_json`` relies on that."""
+    if isinstance(value, list) and len(value) == 2:
+        return Violation(read_int(value[0], f"{where}[0]"), read_str(value[1], f"{where}[1]"))
+    raise SchemaViolation(f"{where} must be a [row, reason] pair")
+
+
+#: The reader of each key ``outcome_to_dict`` writes: the outcome's
+#: attributes, and ``rate``, which is read and dropped.
+_OUTCOME_READERS: dict[str, Reader] = {
+    "check_id": read_str,
+    "kind": read_enum(CheckKind),
+    "parameter": nullable(lambda value, where: parameter_by_name(read_str(value, where))),
+    "status": read_enum(CheckStatus),
+    "numerator": read_int,
+    "denominator": read_int,
+    "rate": nullable(read_str),
+    "target_fields": list_of(read_str),
+    "stage": nullable(read_enum(Stage)),
+    "subset": nullable(read_str),
+    "strata": nullable(_read_strata),
+    "violations": list_of(_read_violation),
+    "details": read_dict,
+    "error": nullable(read_str),
+}
+
+
+def outcome_from_dict(doc: Any, where: str) -> CheckOutcome:
+    """The outcome ``outcome_to_dict`` wrote as ``doc``, at path ``where``:
+    every key is required, so that no count reads as a default."""
+    attributes = read_object(doc, _OUTCOME_READERS, where, tuple(_OUTCOME_READERS))
+    del attributes["rate"]
+    return CheckOutcome(**attributes)
 
 
 #: What ``json.dumps(indent=2)`` writes in an outcomes document between a
@@ -990,8 +963,14 @@ def outcomes_to_json(outcomes: list[CheckOutcome]) -> str:
     return f'{{\n  "outcomes": {outcomes_text},\n  "schema_version": "1"\n}}\n'
 
 
+def _read_schema_version(value: Any, where: str) -> str:
+    if value != "1":
+        raise SchemaViolation(f"{where} must be '1'")
+    return value
+
+
 def outcomes_from_json(text: str | bytes) -> list[CheckOutcome]:
+    """The outcomes of a document ``outcomes_to_json`` wrote."""
+    readers = {"schema_version": _read_schema_version, "outcomes": list_of(outcome_from_dict, list)}
     doc = load_json(text, "outcomes document")
-    if not isinstance(doc, dict) or "outcomes" not in doc:
-        raise SchemaViolation("outcomes document must be {schema_version, outcomes}")
-    return [outcome_from_dict(o) for o in doc["outcomes"]]
+    return read_object(doc, readers, "outcomes document", tuple(readers))["outcomes"]

@@ -2,14 +2,20 @@
 
 Every error the toolkit raises deliberately derives from ``DqError`` so
 callers (and the CLI) can distinguish tool-level failures from ordinary
-Python bugs. ``load_json`` reads every JSON document the toolkit takes,
-so that one which cannot be decoded is a ``SchemaViolation`` too.
+Python bugs. ``load_json`` decodes every JSON document the toolkit takes
+and ``read_object`` reads each object in it through a table that maps
+each key to its reader, so that a document which cannot be decoded or
+does not fit its schema is a ``SchemaViolation`` too. A reader takes a
+value and its path in the document, such as ``manifest.fields[2].name``,
+and returns the value to use or raises ``SchemaViolation`` saying
+``<path> must be ...``.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any
+from enum import Enum
+from typing import Any, Callable
 
 
 class DqError(Exception):
@@ -145,9 +151,87 @@ def load_json(text: str | bytes, what: str) -> Any:
     ``what`` and the cause."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as e:
-        raise SchemaViolation(f"{what} is not valid JSON: {e}") from None
     except UnicodeDecodeError as e:
         raise SchemaViolation(f"{what} is not UTF-8, UTF-16 or UTF-32 text: {e}") from None
+    except ValueError as e:  # a JSONDecodeError, or an integer too long to convert
+        raise SchemaViolation(f"{what} is not valid JSON: {e}") from None
     except RecursionError:
         raise SchemaViolation(f"{what} is nested too deeply to decode") from None
+
+
+Reader = Callable[[Any, str], Any]
+
+
+def read_object(
+    doc: Any, readers: dict[str, Reader], where: str, required: tuple[str, ...] = ()
+) -> dict[str, Any]:
+    """Each key of the JSON object ``doc`` read by its reader, in the order
+    of ``readers``. A value that is not an object, a key without a reader
+    and a missing ``required`` key raise SchemaViolation. Every other key
+    is optional and, when absent, stays absent."""
+    unknown = read_dict(doc, where).keys() - readers.keys()
+    if unknown:
+        raise SchemaViolation(f"{where} must not have the keys {sorted(unknown)}")
+    for key in required:
+        if key not in doc:
+            raise SchemaViolation(f"{where}.{key} must be given")
+    return {key: read(doc[key], f"{where}.{key}") for key, read in readers.items() if key in doc}
+
+
+def read_str(value: Any, where: str) -> str:
+    if isinstance(value, str):
+        return value
+    raise SchemaViolation(f"{where} must be a string")
+
+
+def read_bool(value: Any, where: str) -> bool:
+    if isinstance(value, bool):
+        return value
+    raise SchemaViolation(f"{where} must be a boolean")
+
+
+def read_int(value: Any, where: str) -> int:
+    if type(value) is int:  # not a bool
+        return value
+    raise SchemaViolation(f"{where} must be an integer")
+
+
+def read_dict(value: Any, where: str) -> dict[str, Any]:
+    """A JSON object whose keys and values are the caller's to check."""
+    if isinstance(value, dict):
+        return value
+    raise SchemaViolation(f"{where} must be an object")
+
+
+def read_enum(cls: type[Enum]) -> Reader:
+    """Reader of the value of one of ``cls``'s members."""
+    def read(value: Any, where: str) -> Any:
+        try:
+            return cls(read_str(value, where))
+        except ValueError:
+            raise SchemaViolation(f"{where} must be one of {[m.value for m in cls]}, got {value!r}") from None
+    return read
+
+
+def list_of(reader: Reader, into: Callable[[Any], Any] = tuple) -> Reader:
+    """Reader of a JSON list whose items ``reader`` reads, collected by ``into``."""
+    def read(value: Any, where: str) -> Any:
+        if not isinstance(value, list):
+            raise SchemaViolation(f"{where} must be a list")
+        return into(reader(item, f"{where}[{i}]") for i, item in enumerate(value))
+    return read
+
+
+def non_empty(reader: Reader) -> Reader:
+    """``reader``, rejecting an empty string or list."""
+    def read(value: Any, where: str) -> Any:
+        result = reader(value, where)
+        if not result:
+            raise SchemaViolation(f"{where} must be non-empty")
+        return result
+    return read
+
+
+def nullable(reader: Reader, default: Any = None) -> Reader:
+    """``reader``, reading null as ``default``: the value of an absent key."""
+    return lambda value, where: default if value is None else reader(value, where)

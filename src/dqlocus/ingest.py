@@ -15,7 +15,7 @@ import csv
 import io
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from datetime import date, datetime, timezone
 from enum import Enum
 from functools import cached_property
@@ -27,8 +27,16 @@ from .errors import (
     DuplicateFieldName,
     HeaderMalformed,
     MissingColumn,
+    Reader,
     SchemaViolation,
+    list_of,
     load_json,
+    non_empty,
+    nullable,
+    read_bool,
+    read_enum,
+    read_object,
+    read_str,
 )
 
 DEFAULT_MISSING_SENTINELS = frozenset({"", "NULL", "NA"})
@@ -134,6 +142,11 @@ class DatasetSnapshot:
 
 
 # --- manifest loading -----------------------------------------------------
+#
+# Each object of a manifest is read through one table whose keys are its
+# dataclass's attributes, and ``serialize_manifest`` writes those
+# attributes back; null reads as absent for every optional key but
+# ``required``.
 
 #: Manifest keys whose value names one of the manifest's fields.
 _COLUMN_REFS = (
@@ -142,166 +155,93 @@ _COLUMN_REFS = (
     "availability_timestamp_column",
     "key_column",
 )
-_MANIFEST_KEYS = {
-    "dataset_id",
-    "stage",
-    "fields",
-    *_COLUMN_REFS,
-    "missing_sentinels",
-}
-_FIELD_KEYS = {
-    "name",
-    "semantic_type",
-    "entry_mode",
-    "generating_actor",
-    "allowed_values",
-    "numeric_range",
-    "format_pattern",
-    "required",
-    "policy_condition",
-}
 
 
-def _require_str(doc: dict, key: str, where: str) -> str:
-    value = doc.get(key)
-    if not isinstance(value, str) or not value:
-        raise SchemaViolation(f"{where}: {key!r} must be a non-empty string")
-    return value
-
-
-def _optional_str(doc: dict, key: str, where: str) -> str | None:
-    value = doc.get(key)
-    if value is None:
-        return None
-    if not isinstance(value, str):
-        raise SchemaViolation(f"{where}: {key!r} must be a string")
-    return value
-
-
-def _parse_field(doc: Any, index: int) -> FieldSpec:
-    where = f"fields[{index}]"
-    if not isinstance(doc, dict):
-        raise SchemaViolation(f"{where}: field must be an object")
-    unknown = set(doc) - _FIELD_KEYS
-    if unknown:
-        raise SchemaViolation(f"{where}: unknown keys {sorted(unknown)}")
-    name = _require_str(doc, "name", where)
-    try:
-        semantic = SemanticType(_require_str(doc, "semantic_type", where))
-        entry = EntryMode(_require_str(doc, "entry_mode", where))
-    except ValueError as e:
-        raise SchemaViolation(f"{where}: {e}") from None
-    actor = _require_str(doc, "generating_actor", where)
-
-    allowed = doc.get("allowed_values")
-    if allowed is not None:
-        if not isinstance(allowed, list) or not all(isinstance(v, str) for v in allowed):
-            raise SchemaViolation(f"{where}: 'allowed_values' must be a list of strings")
-        allowed = frozenset(allowed)
-
-    rng = doc.get("numeric_range")
-    if rng is not None:
-        if (
-            not isinstance(rng, list)
-            or len(rng) != 2
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in rng)
-        ):
-            raise SchemaViolation(f"{where}: 'numeric_range' must be [min, max]")
-        rng = (float(rng[0]), float(rng[1]))
-
-    pattern = _optional_str(doc, "format_pattern", where)
-    if pattern is not None:
+def _read_number(value: Any, where: str) -> float:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
-            re.compile(pattern)
-        except re.error as e:
-            raise SchemaViolation(f"{where}: bad format_pattern: {e}") from None
+            return float(value)
+        except OverflowError:  # an integer beyond float's range
+            pass
+    raise SchemaViolation(f"{where} must be a number")
 
-    required = doc.get("required", False)
-    if not isinstance(required, bool):
-        raise SchemaViolation(f"{where}: 'required' must be a boolean")
 
-    policy = doc.get("policy_condition")
-    if policy is not None:
-        if not isinstance(policy, dict) or set(policy) - {"field", "values"}:
-            raise SchemaViolation(f"{where}: 'policy_condition' must be {{field, values}}")
-        pc_field = _require_str(policy, "field", f"{where}.policy_condition")
-        pc_values = policy.get("values")
-        if not isinstance(pc_values, list) or not pc_values or not all(
-            isinstance(v, str) for v in pc_values
-        ):
-            raise SchemaViolation(
-                f"{where}: 'policy_condition.values' must be a non-empty list of strings"
-            )
-        policy = PolicyCondition(pc_field, frozenset(pc_values))
+def _read_range(value: Any, where: str) -> tuple[float, float]:
+    bounds = list_of(_read_number)(value, where)
+    if len(bounds) != 2:
+        raise SchemaViolation(f"{where} must be [min, max]")
+    return bounds
 
-    if entry is EntryMode.EHR_ENFORCED and allowed is None and pattern is None:
-        raise SchemaViolation(
-            f"{where}: EhrEnforced field {name!r} needs 'allowed_values' or 'format_pattern'"
-        )
 
-    return FieldSpec(
-        name=name,
-        semantic_type=semantic,
-        entry_mode=entry,
-        generating_actor=actor,
-        allowed_values=allowed,
-        numeric_range=rng,
-        format_pattern=pattern,
-        required=required,
-        policy_condition=policy,
+def _read_pattern(value: Any, where: str) -> str:
+    try:
+        re.compile(read_str(value, where))
+    except (re.error, OverflowError, RecursionError) as e:  # a repeat count or nesting too large
+        raise SchemaViolation(f"{where} must be a regular expression: {e}") from None
+    return value
+
+
+#: The reader of each key of a ``{field, values}`` predicate.
+PREDICATE_READERS: dict[str, Reader] = {
+    "field": non_empty(read_str),
+    "values": non_empty(list_of(read_str, frozenset)),
+}
+
+
+def read_predicate(cls: type) -> Reader:
+    """Reader of a ``{field, values}`` object as a ``cls``: a PolicyCondition
+    or a check's subset."""
+    return lambda value, where: cls(**read_object(value, PREDICATE_READERS, where, ("field", "values")))
+
+
+_FIELD_READERS: dict[str, Reader] = {
+    "name": non_empty(read_str),
+    "semantic_type": read_enum(SemanticType),
+    "entry_mode": read_enum(EntryMode),
+    "generating_actor": non_empty(read_str),
+    "allowed_values": nullable(list_of(read_str, frozenset)),
+    "numeric_range": nullable(_read_range),
+    "format_pattern": nullable(_read_pattern),
+    "required": read_bool,
+    "policy_condition": nullable(read_predicate(PolicyCondition)),
+}
+
+
+def _read_field(value: Any, where: str) -> FieldSpec:
+    spec = FieldSpec(
+        **read_object(value, _FIELD_READERS, where, ("name", "semantic_type", "entry_mode", "generating_actor"))
     )
+    if spec.entry_mode is EntryMode.EHR_ENFORCED and spec.allowed_values is None and spec.format_pattern is None:
+        raise SchemaViolation(f"{where} must have allowed_values or format_pattern, as it is EhrEnforced")
+    return spec
+
+
+_MANIFEST_READERS: dict[str, Reader] = {
+    "dataset_id": non_empty(read_str),
+    "stage": read_enum(Stage),
+    "fields": non_empty(list_of(_read_field)),
+    **dict.fromkeys(_COLUMN_REFS, nullable(read_str)),
+    "missing_sentinels": nullable(list_of(read_str, frozenset), DEFAULT_MISSING_SENTINELS),
+}
 
 
 def load_manifest(text: str | bytes) -> DatasetManifest:
     """Parse and validate a manifest document (strict: unknown keys rejected)."""
     doc = load_json(text, "manifest")
-    if not isinstance(doc, dict):
-        raise SchemaViolation("manifest must be a JSON object")
-    unknown = set(doc) - _MANIFEST_KEYS
-    if unknown:
-        raise SchemaViolation(f"manifest: unknown keys {sorted(unknown)}")
+    manifest = DatasetManifest(**read_object(doc, _MANIFEST_READERS, "manifest", ("dataset_id", "stage", "fields")))
 
-    dataset_id = _require_str(doc, "dataset_id", "manifest")
-    try:
-        stage = Stage(_require_str(doc, "stage", "manifest"))
-    except ValueError as e:
-        raise SchemaViolation(f"manifest: {e}") from None
-
-    raw_fields = doc.get("fields")
-    if not isinstance(raw_fields, list) or not raw_fields:
-        raise SchemaViolation("manifest: 'fields' must be a non-empty list")
-    fields = tuple(_parse_field(f, i) for i, f in enumerate(raw_fields))
-
-    names = [f.name for f in fields]
     seen: set[str] = set()
-    for name in names:
-        if name in seen:
-            raise DuplicateFieldName(f"field {name!r} defined more than once")
-        seen.add(name)
+    for f in manifest.fields:
+        if f.name in seen:
+            raise DuplicateFieldName(f"field {f.name!r} defined more than once")
+        seen.add(f.name)
 
-    sentinels = doc.get("missing_sentinels")
-    if sentinels is None:
-        sentinels = DEFAULT_MISSING_SENTINELS
-    else:
-        if not isinstance(sentinels, list) or not all(isinstance(s, str) for s in sentinels):
-            raise SchemaViolation("manifest: 'missing_sentinels' must be a list of strings")
-        sentinels = frozenset(sentinels)
-
-    refs = {key: _optional_str(doc, key, "manifest") for key in _COLUMN_REFS}
-    manifest = DatasetManifest(
-        dataset_id=dataset_id,
-        stage=stage,
-        fields=fields,
-        missing_sentinels=sentinels,
-        **refs,
-    )
-
-    field_names = set(names)
-    for label, ref in refs.items():
-        if ref is not None and ref not in field_names:
+    for label in _COLUMN_REFS:
+        ref = getattr(manifest, label)
+        if ref is not None and ref not in seen:
             raise DanglingColumnReference(f"manifest: {label} references unknown field {ref!r}")
-    for f in fields:
-        if f.policy_condition is not None and f.policy_condition.field not in field_names:
+    for f in manifest.fields:
+        if f.policy_condition is not None and f.policy_condition.field not in seen:
             raise DanglingColumnReference(
                 f"field {f.name!r}: policy_condition references unknown field"
                 f" {f.policy_condition.field!r}"
@@ -309,40 +249,29 @@ def load_manifest(text: str | bytes) -> DatasetManifest:
     return manifest
 
 
-def serialize_manifest(manifest: DatasetManifest) -> str:
-    """Render a manifest back to its JSON document form."""
-    doc: dict[str, Any] = {
-        "dataset_id": manifest.dataset_id,
-        "stage": manifest.stage.value,
-        "fields": [],
-    }
-    for f in manifest.fields:
-        entry: dict[str, Any] = {
-            "name": f.name,
-            "semantic_type": f.semantic_type.value,
-            "entry_mode": f.entry_mode.value,
-            "generating_actor": f.generating_actor,
+def _document(value: Any) -> Any:
+    """``value`` in its JSON document form: a dataclass as the object of the
+    attributes that differ from their defaults, an enum member as its
+    value, a set sorted and a tuple as a list."""
+    if is_dataclass(value):
+        return {
+            f.name: _document(getattr(value, f.name))
+            for f in fields(value)
+            if getattr(value, f.name) != f.default
         }
-        if f.allowed_values is not None:
-            entry["allowed_values"] = sorted(f.allowed_values)
-        if f.numeric_range is not None:
-            entry["numeric_range"] = list(f.numeric_range)
-        if f.format_pattern is not None:
-            entry["format_pattern"] = f.format_pattern
-        if f.required:
-            entry["required"] = True
-        if f.policy_condition is not None:
-            entry["policy_condition"] = {
-                "field": f.policy_condition.field,
-                "values": sorted(f.policy_condition.values),
-            }
-        doc["fields"].append(entry)
-    for key in _COLUMN_REFS:
-        if getattr(manifest, key) is not None:
-            doc[key] = getattr(manifest, key)
-    if manifest.missing_sentinels != DEFAULT_MISSING_SENTINELS:
-        doc["missing_sentinels"] = sorted(manifest.missing_sentinels)
-    return json.dumps(doc, indent=2, sort_keys=False) + "\n"
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, frozenset):
+        return sorted(value)
+    if isinstance(value, tuple):
+        return [_document(item) for item in value]
+    return value
+
+
+def serialize_manifest(manifest: DatasetManifest) -> str:
+    """Render a manifest back to its JSON document form, leaving out each
+    key that holds its default."""
+    return json.dumps(_document(manifest), indent=2) + "\n"
 
 
 # --- dataset loading --------------------------------------------------------
@@ -364,7 +293,7 @@ def _timestamp(raw: str) -> datetime:
 
 
 #: The coercer of each typed semantic type; the others keep their text.
-_COERCERS: dict[SemanticType, Callable[[str], Any]] = {
+COERCERS: dict[SemanticType, Callable[[str], Any]] = {
     SemanticType.NUMBER: float,
     SemanticType.DATE: date.fromisoformat,
     SemanticType.TIMESTAMP: _timestamp,
@@ -376,7 +305,7 @@ class _ColumnBuilder:
     appended a chunk of raw cells at a time with the coercer of its type."""
 
     def __init__(self, semantic: SemanticType, sentinels: frozenset[str]) -> None:
-        self.coerce = _COERCERS.get(semantic)
+        self.coerce = COERCERS.get(semantic)
         self.sentinels = sentinels
         self.values: list[Any] = []
         self.missing: list[int] = []

@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from typing import Any
 
 from .errors import (
     ActorPhaseMismatch,
@@ -21,9 +22,13 @@ from .errors import (
     EmptyAllowedPhases,
     InvalidActorName,
     InvalidPhaseForOrganization,
+    Reader,
     SchemaViolation,
     UnknownActor,
+    list_of,
     load_json,
+    read_object,
+    read_str,
 )
 
 
@@ -342,6 +347,27 @@ def enumerate_loci(registry: ActorRegistry | None = None) -> list[LifecycleLocus
     return [locus for (_, _, name), locus in registry._loci.items() if name == locus.actor]
 
 
+def _read_org_phase(value: Any, where: str) -> tuple[Organization, Phase]:
+    org, _, phase = read_str(value, where).partition("-")
+    try:
+        return Organization(org), Phase(phase)
+    except ValueError:
+        raise SchemaViolation(f"{where} must be 'ORG-PHASE', got {value!r}") from None
+
+
+#: The reader of each key of an actor entry: the parameters of
+#: ``ActorRegistry.with_actor``.
+_ACTOR_READERS: dict[str, Reader] = {
+    "name": read_str,
+    "aliases": list_of(read_str, frozenset),
+    "allowed_phases": list_of(_read_org_phase, frozenset),
+}
+
+
+def _read_actor(value: Any, where: str) -> dict[str, Any]:
+    return read_object(value, _ACTOR_READERS, where, ("name",))
+
+
 def load_registry_config(text: str | bytes) -> ActorRegistry:
     """Load custom actors from a JSON config on top of the builtin set.
 
@@ -349,35 +375,7 @@ def load_registry_config(text: str | bytes) -> ActorRegistry:
     Builtin entries cannot be redefined, only extended with new actors.
     """
     doc = load_json(text, "registry config")
-    if not isinstance(doc, dict) or set(doc) - {"actors"}:
-        raise SchemaViolation("registry config must be an object with an 'actors' list")
-    entries = doc.get("actors", [])
-    if not isinstance(entries, list):
-        raise SchemaViolation("'actors' must be a list")
     registry = _BUILTIN_REGISTRY
-    for entry in entries:
-        if not isinstance(entry, dict):
-            raise SchemaViolation("each actor entry must be an object")
-        unknown = set(entry) - {"name", "aliases", "allowed_phases"}
-        if unknown:
-            raise SchemaViolation(f"unknown actor entry keys: {sorted(unknown)}")
-        name = entry.get("name")
-        if not isinstance(name, str):
-            raise SchemaViolation("actor entry requires a string 'name'")
-        aliases = entry.get("aliases", [])
-        if not isinstance(aliases, list) or not all(isinstance(a, str) for a in aliases):
-            raise SchemaViolation(f"actor {name!r}: 'aliases' must be a list of strings")
-        raw_pairs = entry.get("allowed_phases", [])
-        if not isinstance(raw_pairs, list):
-            raise SchemaViolation(f"actor {name!r}: 'allowed_phases' must be a list")
-        pairs = set()
-        for raw in raw_pairs:
-            if not isinstance(raw, str) or raw.count("-") != 1:
-                raise SchemaViolation(f"actor {name!r}: phase {raw!r} must be 'ORG-PHASE'")
-            org_s, phase_s = raw.split("-")
-            try:
-                pairs.add((Organization(org_s), Phase(phase_s)))
-            except ValueError:
-                raise SchemaViolation(f"actor {name!r}: phase {raw!r} must be 'ORG-PHASE'") from None
-        registry = registry.with_actor(name, set(aliases), pairs)
+    for entry in read_object(doc, {"actors": list_of(_read_actor)}, "registry config").get("actors", ()):
+        registry = registry.with_actor(**entry)
     return registry

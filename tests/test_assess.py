@@ -4,7 +4,7 @@ import csv
 import io
 import json
 import re
-from datetime import timedelta
+from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 from operator import attrgetter
 from pathlib import Path
@@ -191,6 +191,21 @@ def test_plausibility_range_invalid():
     snapshot = make_snapshot({"age": ["30"]})
     with pytest.raises(InvalidRange):
         check(snapshot, CheckKind.PLAUSIBILITY_RANGE, "age", min=120, max=0)
+
+
+def test_plausibility_range_bounds_are_read_as_cells_are():
+    snapshot = make_snapshot({"recorded_at": ["2024-01-01T00:00:00"]})
+    suite = load_suite(json.dumps([{
+        "id": "edge", "kind": "PlausibilityRange", "target_fields": ["recorded_at"],
+        "config": {"min": "0001-01-01T00:00:00+01:00", "max": "2030-01-01T00:00:00"},
+    }]))
+    outcome, = run_suite(suite, Snapshots(source=snapshot))
+    assert outcome.status is CheckStatus.ERRORED
+    assert outcome.error == "InvalidRange: bound '0001-01-01T00:00:00+01:00' does not fit a Timestamp field"
+    # an aware bound given in code is normalized to naive UTC, as cells are
+    one_am = datetime(2024, 1, 1, 1, tzinfo=timezone(timedelta(hours=1)))
+    aware = check(snapshot, CheckKind.PLAUSIBILITY_RANGE, "recorded_at", min=one_am, max=datetime(2030, 1, 1))
+    assert (aware.numerator, aware.denominator) == (1, 1)
 
 
 def test_plausibility_range_non_numeric_field():
@@ -580,7 +595,7 @@ def test_parse_duration_units():
     assert parse_duration("30d") == timedelta(days=30)
     assert parse_duration("1h") == timedelta(hours=1)
     assert parse_duration("90s") == timedelta(seconds=90)
-    for bad in ("monthly", ["3d"], float("nan"), "99999999999d"):
+    for bad in ("monthly", ["3d"], float("nan"), "99999999999d", 10**400, "9" * 5000 + "d"):
         with pytest.raises(SchemaViolation):
             parse_duration(bad)
 

@@ -106,6 +106,7 @@ SUBSETS = st.sampled_from([
     SubsetPredicate("code", frozenset({"A", "B"})),
     SubsetPredicate("score", frozenset({"0.0", "nan"})),
     SubsetPredicate("score", frozenset({"-0.0", "1.0"})),
+    SubsetPredicate("age", frozenset({"None", "12.5"})),
 ])
 
 
@@ -159,8 +160,7 @@ def typed(snapshot, name, i):
 
 
 def value_in(snapshot, name, i, values):
-    col = snapshot.columns[name]
-    return i not in col.missing and str(col.values[i]) in values
+    return typed(snapshot, name, i) and str(snapshot.columns[name].values[i]) in values
 
 
 def in_subset(snapshot, definition, i):
@@ -289,6 +289,25 @@ def test_signed_zeros_and_nans_are_judged_cell_by_cell():
     assert [(v.row, v.reason) for v in value.violations] == [
         (1, "value not allowed: -0.0"), (4, "value not allowed: -0.0"), (6, "value not allowed: 2.5"),
     ]
+
+
+def test_subset_values_match_the_text_of_typed_cells_only():
+    """A subset value is compared with ``str()`` of a typed cell's value: a
+    malformed or missing cell matches no value, not even "None", and a
+    Number cell written 1 matches "1.0", not "1"."""
+    cells = {name: "" for name in NAMES}
+    snapshot = snapshot_of([dict(cells, age=age) for age in ["bad", "", "1", "1.0", "12.5"]])
+
+    def denominator(values):
+        definition = CheckDefinition(id="subset", kind=CheckKind.COMPLETENESS, target_fields=("label",),
+                                     subset=SubsetPredicate("age", frozenset(values)))
+        outcome, got = evaluated(snapshot, definition)
+        assert got == reference(snapshot, definition)
+        return outcome.denominator
+
+    assert denominator({"None"}) == 0
+    assert denominator({"1.0"}) == 2
+    assert denominator({"1"}) == 0
 
 
 @settings(max_examples=100, deadline=None)
