@@ -38,7 +38,6 @@ from .errors import (
     Reader,
     SchemaViolation,
     StageMismatch,
-    UnknownField,
     list_of,
     load_json,
     non_empty,
@@ -183,21 +182,15 @@ def _subset_label(subset: SubsetPredicate | str | None) -> str | None:
     return f"{subset.field} in [{', '.join(sorted(subset.values))}]"
 
 
-def _column(snapshot: DatasetSnapshot, name: str) -> Column:
-    if name not in snapshot.columns:
-        raise UnknownField(f"field {name!r} is not in manifest {snapshot.manifest.dataset_id!r}")
-    return snapshot.columns[name]
-
-
 def _field(snapshot: DatasetSnapshot, name: str) -> tuple[Column, FieldSpec]:
     """A snapshot column and its manifest spec (every column has one)."""
-    return _column(snapshot, name), snapshot.manifest.get_field(name)  # type: ignore[return-value]
+    return snapshot.column(name), snapshot.manifest.get_field(name)  # type: ignore[return-value]
 
 
 def _rows_where(snapshot: DatasetSnapshot, field_name: str, values: frozenset[str]) -> list[int]:
     """Rows on which ``field_name`` has a typed value whose ``str()`` is one
     of ``values``."""
-    col = _column(snapshot, field_name)
+    col = snapshot.column(field_name)
     absent = col.absent
     return [i for i, text in enumerate(map(str, col.values)) if text in values and i not in absent]
 
@@ -239,7 +232,7 @@ def _actor_ids(snapshot: DatasetSnapshot) -> list[str]:
         raise NoActorColumn(
             f"manifest {snapshot.manifest.dataset_id!r} declares no actor_id_column"
         )
-    values = _column(snapshot, actor_col_name).values
+    values = snapshot.column(actor_col_name).values
     return [UNATTRIBUTED_STRATUM if v is None else str(v) for v in values]
 
 
@@ -331,7 +324,7 @@ def _present_cells(
 ) -> RowCheck:
     """Judge every non-missing cell: coercion failures are violations, typed
     values go to ``test`` (when there is one)."""
-    col = _column(snapshot, name)
+    col = snapshot.column(name)
     rows = _eligible(snapshot, scope, col.missing)
     failing = _in_scope(dict.fromkeys((i for i, _ in col.failures), "malformed"), scope)
     if test is not None:  # a malformed cell's value is None; it failed above
@@ -413,7 +406,7 @@ def _plausibility_temporal(snapshot: DatasetSnapshot, fields: Fields, cfg: Confi
     for name in fields:
         if _field(snapshot, name)[1].semantic_type not in (SemanticType.DATE, SemanticType.TIMESTAMP):
             raise NonTemporalField(f"field {name!r} is not date/timestamp-valued")
-    before, after = _column(snapshot, fields[0]), _column(snapshot, fields[1])
+    before, after = snapshot.column(fields[0]), snapshot.column(fields[1])
     early, late = before.values, after.values
     reason = f"{fields[0]} after {fields[1]}"
     rows = _eligible(snapshot, scope, before.absent | after.absent)
@@ -433,13 +426,13 @@ def _timeliness(snapshot: DatasetSnapshot, fields: Fields, cfg: Config, scope: S
     for name in fields:
         if _field(snapshot, name)[1].semantic_type is not SemanticType.TIMESTAMP:
             raise NoTimestampColumns(f"field {name!r} is not a Timestamp column")
-    rec, avail = _column(snapshot, fields[0]), _column(snapshot, fields[1])
+    rec, avail = snapshot.column(fields[0]), snapshot.column(fields[1])
     rows = _eligible(snapshot, scope, rec.absent | avail.absent)
     recorded, available = rec.values, avail.values
     lags = [available[i] - recorded[i] for i in rows]
-    zero = timedelta(0)
+    zero, exceeds = timedelta(0), f" exceeds {max_lag}"
     failing = {
-        i: "NegativeLag" if lag < zero else f"lag {lag} exceeds {max_lag}"
+        i: "NegativeLag" if lag < zero else f"lag {lag}{exceeds}"
         for i, lag in zip(rows, lags)
         if not zero <= lag <= max_lag
     }
@@ -469,9 +462,9 @@ def _mapping_success(snapshots: Snapshots, fields: Fields, cfg: Config, scope: S
     """
     key, source_row = snapshots.key_join
     source: DatasetSnapshot = snapshots.source  # type: ignore[assignment]
-    src_missing = _column(source, fields[0]).missing
-    dst_missing = _column(snapshots.transformed, fields[-1]).missing  # type: ignore[arg-type]
-    keys = _column(source, key).values
+    src_missing = source.column(fields[0]).missing
+    dst_missing = snapshots.transformed.column(fields[-1]).missing  # type: ignore[union-attr]
+    keys = source.column(key).values
     # a row whose value is absent at source is outside the denominator: the
     # transformation owes nothing for it
     unmapped = {
@@ -513,7 +506,7 @@ def _join_keys(source: DatasetSnapshot | None, transformed: DatasetSnapshot | No
 
 
 def _key_index(snapshot: DatasetSnapshot, key: str) -> dict[str, int]:
-    values = _column(snapshot, key).values
+    values = snapshot.column(key).values
     if None in values:  # missing, or a typed key that failed coercion
         raise KeyMismatch(f"row {values.index(None)} has no key value in {snapshot.manifest.stage.value}")
     texts = list(map(str, values))
@@ -537,7 +530,7 @@ def _degeneracy_by_actor(
     """
     min_records = cfg.get("min_records", 10)
     max_dominant_share = cfg.get("max_dominant_share", Fraction(1))
-    col = _column(snapshot, fields[0])
+    col = snapshot.column(fields[0])
     rows_by_actor: dict[str, list[int]] = {}
     for i, sid in enumerate(actor_ids(snapshot)):
         rows_by_actor.setdefault(sid, []).append(i)
@@ -788,7 +781,7 @@ def standard_suite(manifest: DatasetManifest, *, max_lag: timedelta | None = Non
             add(f"plausibility-range:{f.name}", CheckKind.PLAUSIBILITY_RANGE, (f.name,), config=bounds)
     record, available = manifest.record_timestamp_column, manifest.availability_timestamp_column
     if max_lag is not None and record and available:
-        lag = {"max_lag": f"{int(max_lag.total_seconds())}s"}
+        lag = {"max_lag": max_lag.total_seconds()}
         add("timeliness", CheckKind.TIMELINESS, (record, available), config=lag)
     return defs
 

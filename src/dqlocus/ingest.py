@@ -29,6 +29,7 @@ from .errors import (
     MissingColumn,
     Reader,
     SchemaViolation,
+    UnknownField,
     list_of,
     load_json,
     non_empty,
@@ -138,6 +139,8 @@ class DatasetSnapshot:
     columns: dict[str, Column]
 
     def column(self, name: str) -> Column:
+        if name not in self.columns:
+            raise UnknownField(f"field {name!r} is not in manifest {self.manifest.dataset_id!r}")
         return self.columns[name]
 
 

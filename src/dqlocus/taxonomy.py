@@ -191,58 +191,68 @@ class LifecycleLocus:
         return f"{self.organization.value}-{self.phase.value}-{self.actor}"
 
 
+def _require_pair(org: Organization, phase: Phase) -> None:
+    """Raise for the one pair outside the lifecycle model, DRO-DG."""
+    if (org, phase) not in _PAIR_ORDER:
+        raise InvalidPhaseForOrganization(
+            f"{org.value}-{phase.value} is not a valid organization-phase pair:"
+            " data generation happens only at the data-generating organization"
+        )
+
+
 class ActorRegistry:
     """Immutable lookup of actors by canonical name or alias.
 
-    The builtin actors are always present; ``with_actor`` returns a new
-    registry, never mutating the receiver. Being immutable, a registry
-    holds every valid locus once: ``_loci`` maps (organization, phase,
-    name as written) to the shared locus, a name resolving as ``resolve``
-    resolves it. Canonical entries come first, in lifecycle order then
-    actor name.
+    The constructor checks each actor against the actors before it, so
+    every registry is valid however it was built; ``with_actor`` and
+    ``without_actor`` return a new one. ``_names`` maps each name as
+    written, canonical or alias, to its actor, and ``_loci`` maps
+    (organization, phase, name as written) to the one locus an actor's
+    names share there.
     """
 
     def __init__(self, actors: tuple[Actor, ...] = _BUILTIN_ACTORS):
-        self._actors: dict[str, Actor] = {a.canonical_name: a for a in actors}
-        self._by_alias: dict[str, str] = {}
-        for a in actors:
-            for alias in a.aliases:
-                self._by_alias[alias] = a.canonical_name
+        self._names: dict[str, Actor] = {}
         self._loci: dict[tuple[Organization, Phase, str], LifecycleLocus] = {}
-        for org, phase in ORG_PHASE_PAIRS:
-            for a in self:
-                if (org, phase) in a.allowed_phases:
-                    self._loci[(org, phase, a.canonical_name)] = LifecycleLocus(org, phase, a.canonical_name)
-        for alias, name in self._by_alias.items():
-            if alias in self._actors:  # a canonical name wins over an alias
-                continue
-            for org, phase in ORG_PHASE_PAIRS:
-                if (org, phase, name) in self._loci:
-                    self._loci[(org, phase, alias)] = self._loci[(org, phase, name)]
+        for actor in actors:
+            name = actor.canonical_name
+            if not IDENTIFIER_RE.fullmatch(name):
+                raise InvalidActorName(f"actor name {name!r} must start uppercase and contain only alphanumerics")
+            if name in self._names:
+                raise DuplicateActor(f"actor {name!r} is already registered")
+            if not actor.allowed_phases:
+                raise EmptyAllowedPhases(f"actor {name!r} must be allowed in at least one phase")
+            for org, phase in actor.allowed_phases:
+                _require_pair(org, phase)
+                locus = LifecycleLocus(org, phase, name)
+                for written in (name, *actor.aliases):
+                    self._loci[(org, phase, written)] = locus
+            self._names[name] = actor
+            for alias in sorted(actor.aliases):
+                if alias in self._names:
+                    raise AliasCollision(f"alias {alias!r} collides with an existing name")
+                self._names[alias] = actor
 
     def __contains__(self, name: str) -> bool:
-        return name in self._actors or name in self._by_alias
+        return name in self._names
 
     def __iter__(self):
-        return iter(sorted(self._actors.values(), key=lambda a: a.canonical_name))
+        actors = (a for name, a in self._names.items() if name == a.canonical_name)
+        return iter(sorted(actors, key=lambda a: a.canonical_name))
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, ActorRegistry) and self._actors == other._actors
+        return isinstance(other, ActorRegistry) and self._names == other._names
 
     def get(self, name: str) -> Actor:
         """Look up an actor by canonical name only."""
-        try:
-            return self._actors[name]
-        except KeyError:
-            raise UnknownActor(f"unknown actor: {name!r}") from None
+        return self.resolve(name, allow_aliases=False)
 
     def resolve(self, name: str, *, allow_aliases: bool = True) -> Actor:
         """Resolve a name or (optionally) alias to its actor."""
-        if name in self._actors:
-            return self._actors[name]
-        if allow_aliases and name in self._by_alias:
-            return self._actors[self._by_alias[name]]
-        raise UnknownActor(f"unknown actor: {name!r}")
+        actor = self._names.get(name)
+        if actor is None or not (allow_aliases or name == actor.canonical_name):
+            raise UnknownActor(f"unknown actor: {name!r}")
+        return actor
 
     def with_actor(
         self,
@@ -251,32 +261,13 @@ class ActorRegistry:
         allowed_phases: set[tuple[Organization, Phase]] | frozenset = frozenset(),
     ) -> "ActorRegistry":
         """Return a new registry extended with a custom actor."""
-        if not IDENTIFIER_RE.fullmatch(name):
-            raise InvalidActorName(
-                f"actor name {name!r} must start uppercase and contain only alphanumerics"
-            )
-        if name in self._actors or name in self._by_alias:
-            raise DuplicateActor(f"actor {name!r} is already registered")
-        pairs = frozenset(allowed_phases)
-        if not pairs:
-            raise EmptyAllowedPhases(f"actor {name!r} must be allowed in at least one phase")
-        for org, phase in pairs:
-            pair_order(org, phase)  # raises for a pair outside the lifecycle model
-        taken = set(self._actors) | set(self._by_alias) | {name}
-        for alias in aliases:
-            if alias in taken:
-                raise AliasCollision(f"alias {alias!r} collides with an existing name")
-            taken.add(alias)
-        actor = Actor(name, frozenset(aliases), pairs, builtin=False)
-        return ActorRegistry(tuple(self._actors.values()) + (actor,))
+        return ActorRegistry((*self, Actor(name, frozenset(aliases), frozenset(allowed_phases))))
 
     def without_actor(self, name: str) -> "ActorRegistry":
         """Return a new registry with a custom actor removed."""
-        actor = self.get(name)
-        if actor.builtin:
+        if self.get(name).builtin:
             raise BuiltinActorImmutable(f"builtin actor {name!r} cannot be removed")
-        remaining = tuple(a for a in self._actors.values() if a.canonical_name != name)
-        return ActorRegistry(remaining)
+        return ActorRegistry(tuple(a for a in self if a.canonical_name != name))
 
 
 _BUILTIN_REGISTRY = ActorRegistry()
@@ -285,16 +276,6 @@ _BUILTIN_REGISTRY = ActorRegistry()
 def builtin_registry() -> ActorRegistry:
     """The registry holding only the builtin actors."""
     return _BUILTIN_REGISTRY
-
-
-def pair_order(org: Organization, phase: Phase) -> int:
-    """Position of an (organization, phase) pair in lifecycle order."""
-    try:
-        return _PAIR_ORDER[(org, phase)]
-    except KeyError:
-        raise InvalidPhaseForOrganization(
-            f"{org.value}-{phase.value} is not a valid organization-phase pair"
-        ) from None
 
 
 def validate_locus(
@@ -315,12 +296,7 @@ def validate_locus(
     locus = registry._loci.get((org, phase, actor_name))
     if locus is not None and (allow_aliases or locus.actor == actor_name):
         return locus
-    # not a valid locus: only the error is left to decide
-    if (org, phase) not in _PAIR_ORDER:
-        raise InvalidPhaseForOrganization(
-            f"{org.value}-{phase.value} is not a valid organization-phase pair:"
-            " data generation happens only at the data-generating organization"
-        )
+    _require_pair(org, phase)  # not a valid locus: only the error is left to decide
     actor = registry.resolve(actor_name, allow_aliases=allow_aliases)
     raise ActorPhaseMismatch(
         f"actor {actor.canonical_name!r} is not allowed at {org.value}-{phase.value}"
@@ -344,7 +320,8 @@ def parse_locus(text: str, registry: ActorRegistry | None = None, *, allow_alias
 def enumerate_loci(registry: ActorRegistry | None = None) -> list[LifecycleLocus]:
     """Every valid locus, in lifecycle order then actor name."""
     registry = registry or _BUILTIN_REGISTRY
-    return [locus for (_, _, name), locus in registry._loci.items() if name == locus.actor]
+    loci = (locus for (_, _, name), locus in registry._loci.items() if name == locus.actor)
+    return sorted(loci, key=lambda locus: locus.sort_key)
 
 
 def _read_org_phase(value: Any, where: str) -> tuple[Organization, Phase]:
@@ -372,7 +349,8 @@ def load_registry_config(text: str | bytes) -> ActorRegistry:
     """Load custom actors from a JSON config on top of the builtin set.
 
     Format: ``{"actors": [{"name", "aliases", "allowed_phases": ["DGO-DG", ...]}]}``.
-    Builtin entries cannot be redefined, only extended with new actors.
+    Builtin entries cannot be redefined, only extended with new actors;
+    the first entry the registry rejects raises its error.
     """
     doc = load_json(text, "registry config")
     registry = _BUILTIN_REGISTRY

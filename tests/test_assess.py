@@ -549,6 +549,73 @@ def test_run_suite_isolates_errors():
     assert outcomes[0].status is CheckStatus.OK and outcomes[2].status is CheckStatus.OK
 
 
+def keyed(stage: str = "SourceExtract", **manifest_extra):
+    """Two rows of a record id and a code, at ``stage``."""
+    return make_snapshot({"record_id": ["r0", "r1"], "code": ["A", "B"]}, stage=stage,
+                         manifest_extra=manifest_extra)
+
+
+def one_row():
+    """One row of a Category, a Number, two Date and a Timestamp column."""
+    return make_snapshot({"side": ["Left"], "age": ["30"], "injury_date": ["2024-01-01"],
+                          "visit_date": ["2024-01-02"], "available_at": ["2024-01-01T00:00:00"]})
+
+
+#: A check's kind, target fields and other keys, the snapshots it runs
+#: against, and the error of its Errored outcome.
+CONFIG_ERRORS = [
+    (CheckKind.COMPLETENESS, ("code",), {"subset": "everywhere"}, lambda: Snapshots(source=keyed()),
+     "MissingConfig: unknown subset token 'everywhere'"),
+    (CheckKind.COMPLETENESS, ("nope",), {}, lambda: Snapshots(source=keyed()),
+     "UnknownField: field 'nope' is not in manifest 't'"),
+    (CheckKind.CONFORMANCE_FORMAT, ("side",), {}, lambda: Snapshots(source=one_row()),
+     "MissingConfig: field 'side' has no format_pattern and is not a typed column"),
+    (CheckKind.PLAUSIBILITY_RANGE, ("age",), {"config": {"min": 0}}, lambda: Snapshots(source=one_row()),
+     "MissingConfig: range check requires 'min' and 'max' in config"),
+    (CheckKind.PLAUSIBILITY_TEMPORAL, ("age", "visit_date"), {}, lambda: Snapshots(source=one_row()),
+     "NonTemporalField: field 'age' is not date/timestamp-valued"),
+    (CheckKind.TIMELINESS, ("injury_date", "available_at"), {"config": {"max_lag": "1d"}},
+     lambda: Snapshots(source=one_row()), "NoTimestampColumns: field 'injury_date' is not a Timestamp column"),
+    (CheckKind.MAPPING_SUCCESS, ("code",), {}, lambda: Snapshots(source=keyed(key_column="record_id")),
+     "StageMismatch: mapping check needs both source and transformed snapshots"),
+    (CheckKind.MAPPING_SUCCESS, ("code",), {},
+     lambda: Snapshots(source=keyed(key_column="record_id"),
+                       transformed=keyed("TransformedExtract", key_column="record_id", dataset_id="u")),
+     "StageMismatch: snapshots describe different datasets: 't' vs 'u'"),
+    (CheckKind.MAPPING_SUCCESS, ("code",), {},
+     lambda: Snapshots(source=keyed(key_column="record_id"), transformed=keyed("TransformedExtract")),
+     "KeyColumnMissing: both manifests must declare the same key_column"),
+    (CheckKind.COMPLETENESS, ("code",), {}, lambda: Snapshots(source=keyed(), transformed=keyed("TransformedExtract")),
+     "CheckConfigError: check must name a stage when two snapshots are loaded"),
+]
+
+
+@pytest.mark.parametrize("kind, fields, keys, snapshots, error", CONFIG_ERRORS)
+def test_each_config_error_names_its_class_and_cause(kind, fields, keys, snapshots, error):
+    definition = CheckDefinition(id="c", kind=kind, target_fields=fields, **keys)
+    outcome, = run_suite([definition], snapshots())
+    assert (outcome.status, outcome.error) == (CheckStatus.ERRORED, error)
+
+
+@pytest.mark.parametrize("max_lag, lags, timely, reasons", [
+    # 90.9 s was once cut to 90 s, which made a 90.5 s lag late
+    (timedelta(seconds=90.9), ["01:30.500000", "01:31"], 1, ["lag 0:01:31 exceeds 0:01:30.900000"]),
+    # and 500 ms to "0s", which errored the check
+    (timedelta(milliseconds=500), ["00:00.400000", "00:00.600000"], 1,
+     ["lag 0:00:00.600000 exceeds 0:00:00.500000"]),
+])
+def test_standard_suite_keeps_a_fractional_max_lag(max_lag, lags, timely, reasons):
+    snapshot = make_snapshot(
+        {"recorded_at": ["2024-01-01T00:00:00"] * len(lags), "available_at": [f"2024-01-01T00:{t}" for t in lags]},
+        manifest_extra={"record_timestamp_column": "recorded_at", "availability_timestamp_column": "available_at"},
+    )
+    timeliness, = (d for d in standard_suite(snapshot.manifest, max_lag=max_lag) if d.kind is CheckKind.TIMELINESS)
+    outcome = run_check(timeliness, Snapshots(source=snapshot))
+    assert (outcome.numerator, outcome.denominator) == (timely, len(lags))
+    assert [v.reason for v in outcome.violations] == reasons
+    assert outcome.details["max_lag_seconds"] == max_lag.total_seconds()
+
+
 @pytest.mark.parametrize("stage, error", [
     (None, "CheckConfigError: no snapshot is loaded"),
     (Stage.SOURCE, "CheckConfigError: no snapshot loaded at stage SourceExtract"),

@@ -227,6 +227,16 @@ def test_a_bad_manifest_value_is_named_by_its_path(path, value, message):
         load_manifest(json.dumps(doc))
 
 
+@pytest.mark.parametrize("suite, message", [
+    ([dict(SUITE[0], subset="everywhere")], "suite[0].subset must be 'where-required' or {field, values}"),
+    ([SUITE[0], SUITE[1], dict(SUITE[2], id="c")], "suite[2].id must be unique, got 'c' again"),
+])
+def test_a_bad_suite_is_named_by_its_path(suite, message):
+    with pytest.raises(SchemaViolation) as exc:
+        load_suite(json.dumps(suite))
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("null_key", [
     "actor_id_column", "record_timestamp_column", "availability_timestamp_column", "key_column",
     "missing_sentinels",

@@ -1,0 +1,40 @@
+"""The golden outputs: each benchmark workload, generated at seed 1 and full
+size, must give the same result bytes as when the benchmark was added.
+
+A refactor or speed-up that changes a single byte of an outcomes document
+or an assertion result file fails here. A change that moves a result on
+purpose (a new outcomes format, say) updates the digest and explains why.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+if str(BENCH) not in sys.path:
+    sys.path.insert(0, str(BENCH))
+
+import passes  # noqa: E402
+from workloads import generate  # noqa: E402
+
+#: SHA-256 of each workload's result bytes at seed 1, as in bench/baseline.json.
+GOLDEN = {
+    "clean-100k": "7579242342861973cc69a66aa66f9e34c8fec1ed47c2cd77a48ed65bb7b7e796",
+    "malformed-5k": "b959da23f089a1eae36d41fa73884fd9c04a9ee59ff2e039381b7c0f05493b17",
+    "paired-50k": "63bcd36afa4984c4e18afeca251267a1893d04612808978d1b7bf3e479c9b433",
+    "assertions-100k": "b3589f85b03dbd638faf8b7e8583b71a773cf3b21e484bf83a2e37d80152da43",
+}
+
+
+def test_every_workload_has_a_golden_digest():
+    assert set(GOLDEN) == set(passes.PASSES)
+
+
+@pytest.mark.parametrize("workload", sorted(GOLDEN))
+def test_seed_1_result_matches_the_golden_digest(workload):
+    files, _ = generate(workload, 1)
+    assert hashlib.sha256(passes.PASSES[workload](files)).hexdigest() == GOLDEN[workload]

@@ -11,6 +11,7 @@ from dqlocus.errors import (
     HeaderMalformed,
     MissingColumn,
     SchemaViolation,
+    UnknownField,
 )
 from dqlocus.ingest import (
     DEFAULT_MISSING_SENTINELS,
@@ -164,6 +165,25 @@ def test_load_dataset_duplicate_header():
     manifest = load_manifest(json.dumps(manifest_doc()))
     with pytest.raises(HeaderMalformed):
         load_dataset("record_id,record_id,billable,diagnosis_code,visit_date,age\n", manifest)
+
+
+@pytest.mark.parametrize("header, message", [
+    ("", "dataset has no header row"),
+    ("record_id,,billable\n", "header contains an empty column name"),
+    ("record_id,record_id,billable\n", "header contains duplicate column names"),
+])
+def test_a_malformed_header_says_why(header, message):
+    manifest = load_manifest(json.dumps(manifest_doc()))
+    with pytest.raises(HeaderMalformed) as exc:
+        load_dataset(header, manifest)
+    assert str(exc.value) == message
+
+
+def test_an_unknown_column_is_an_unknown_field():
+    snapshot = load_dataset(CSV_TEN_ROWS, load_manifest(json.dumps(manifest_doc())))
+    with pytest.raises(UnknownField) as exc:
+        snapshot.column("nope")
+    assert str(exc.value) == "field 'nope' is not in manifest 'injuries'"
 
 
 def test_load_dataset_deterministic():

@@ -22,7 +22,7 @@ from dqlocus.notation import (
     serialize_assertion,
     validate_assertion,
 )
-from dqlocus.taxonomy import LifecycleLocus, Organization, Phase, builtin_registry
+from dqlocus.taxonomy import LifecycleLocus, Organization, Phase, builtin_registry, parameter_by_name
 
 PAPER_STRINGS = [
     "DGO-DG-Clinician (Completeness: 94%)",
@@ -180,6 +180,23 @@ def test_validate_flags_invalid_locus():
     )
     findings = validate_assertion(a)
     assert any(f.code == "InvalidPhaseForOrganization" for f in findings)
+
+
+@pytest.mark.parametrize("measurement, parameter, finding", [
+    (Measurement(), None, "EmptyMeasurement: measurement has neither percent nor text"),
+    (Measurement(Fraction(9, 10)), "Timeliness",
+     "LabelParameterMismatch: label 'Completeness' does not map to parameter 'Timeliness'"),
+])
+def test_validate_flags_a_bad_measurement_or_parameter(measurement, parameter, finding):
+    a = DQAssertion(
+        locus=LifecycleLocus(Organization.DGO, Phase.DG, "Clinician"),
+        label="Completeness",
+        measurement=measurement,
+        parameter=parameter and parameter_by_name(parameter),
+    )
+    findings = validate_assertion(a)
+    assert [f"{f.code}: {f.message}" for f in findings] == [finding]
+    assert findings[0].severity is Severity.ERROR
 
 
 def test_parse_assertion_file_skips_comments_and_collects_issues():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import re
 
 import pytest
@@ -10,12 +11,15 @@ from dqlocus.errors import (
     BuiltinActorImmutable,
     DuplicateActor,
     EmptyAllowedPhases,
+    InvalidActorName,
     InvalidPhaseForOrganization,
     SchemaViolation,
     UnknownActor,
 )
 from dqlocus.taxonomy import (
+    _BUILTIN_ACTORS,
     ORG_PHASE_PAIRS,
+    Actor,
     ActorRegistry,
     MeasurementKind,
     Organization,
@@ -213,3 +217,78 @@ def test_registry_is_iterable_in_name_order():
 def test_load_registry_config_undecodable_or_too_deep_is_schema_violation(text, cause):
     with pytest.raises(SchemaViolation, match=re.escape(f"registry config {cause}")):
         load_registry_config(text)
+
+
+DGO_DG = (Organization.DGO, Phase.DG)
+DRO_DG = (Organization.DRO, Phase.DG)
+DRO_DG_MESSAGE = (
+    "DRO-DG is not a valid organization-phase pair:"
+    " data generation happens only at the data-generating organization"
+)
+
+
+@pytest.mark.parametrize("actor, error, message", [
+    # the first failing check wins: identifier, distinct name, pairs, valid pairs, aliases
+    (Actor("carer", frozenset({"EHR"}), frozenset({DRO_DG})), InvalidActorName,
+     "actor name 'carer' must start uppercase and contain only alphanumerics"),
+    (Actor("Clinician", frozenset({"EHR"})), DuplicateActor, "actor 'Clinician' is already registered"),
+    (Actor("EHR", frozenset(), frozenset({DGO_DG})), DuplicateActor, "actor 'EHR' is already registered"),
+    (Actor("Carer", frozenset({"EHR"})), EmptyAllowedPhases, "actor 'Carer' must be allowed in at least one phase"),
+    (Actor("Carer", frozenset({"EHR"}), frozenset({DGO_DG, DRO_DG})), InvalidPhaseForOrganization, DRO_DG_MESSAGE),
+    (Actor("Carer", frozenset({"EHR"}), frozenset({DGO_DG})), AliasCollision,
+     "alias 'EHR' collides with an existing name"),
+    (Actor("Carer", frozenset({"Clinician"}), frozenset({DGO_DG})), AliasCollision,
+     "alias 'Clinician' collides with an existing name"),
+    (Actor("Carer", frozenset({"Carer"}), frozenset({DGO_DG})), AliasCollision,
+     "alias 'Carer' collides with an existing name"),
+])
+def test_the_constructor_rejects_an_invalid_actor(actor, error, message):
+    with pytest.raises(error) as exc:
+        ActorRegistry((*_BUILTIN_ACTORS, actor))
+    assert str(exc.value) == message
+    with pytest.raises(error) as exc:
+        builtin_registry().with_actor(actor.canonical_name, actor.aliases, actor.allowed_phases)
+    assert str(exc.value) == message
+
+
+def test_each_actor_is_checked_against_the_actors_before_it():
+    named = Actor("Aide", frozenset(), frozenset({DGO_DG}))
+    aliased = Actor("Carer", frozenset({"Aide"}), frozenset({DGO_DG}))
+    with pytest.raises(DuplicateActor):
+        ActorRegistry((aliased, named))
+    with pytest.raises(AliasCollision):
+        ActorRegistry((named, aliased))
+
+
+def test_names_and_aliases_share_one_table():
+    registry = builtin_registry().with_actor("Carer", {"Aide"}, {DGO_DG})
+    assert "Aide" in registry and "EHR" in registry and "Nobody" not in registry
+    assert registry.resolve("Aide") is registry.get("Carer")
+    assert registry.resolve("EHR").canonical_name == "EHRSystem"
+    for alias in ("Aide", "EHR"):
+        with pytest.raises(UnknownActor, match=re.escape(f"unknown actor: {alias!r}")):
+            registry.get(alias)
+    assert [str(l) for l in enumerate_loci(registry) if l.actor == "Carer"] == ["DGO-DG-Carer"]
+    assert validate_locus(Organization.DGO, Phase.DG, "Aide", registry) is validate_locus(
+        Organization.DGO, Phase.DG, "Carer", registry, allow_aliases=False
+    )
+    assert registry.without_actor("Carer") == builtin_registry()
+
+
+@pytest.mark.parametrize("actors, error, message", [
+    ([{"name": "Carer", "allowed_phases": ["DGO"]}], SchemaViolation,
+     "registry config.actors[0].allowed_phases[0] must be 'ORG-PHASE', got 'DGO'"),
+    ([{"name": "Carer", "allowed_phases": ["DGO-XX"]}], SchemaViolation,
+     "registry config.actors[0].allowed_phases[0] must be 'ORG-PHASE', got 'DGO-XX'"),
+    ([{"name": "Carer", "allowed_phases": ["DRO-DG"]}], InvalidPhaseForOrganization, DRO_DG_MESSAGE),
+    # the first entry the registry rejects is the one reported
+    ([{"name": "Carer", "allowed_phases": ["DGO-DG"]}, {"name": "nurse", "allowed_phases": ["DGO-DG"]},
+      {"name": "Carer", "allowed_phases": ["DGO-DG"]}], InvalidActorName,
+     "actor name 'nurse' must start uppercase and contain only alphanumerics"),
+    ([{"name": "Carer", "aliases": ["Aide"], "allowed_phases": ["DGO-DG"]},
+      {"name": "Aide", "allowed_phases": ["DGO-DG"]}], DuplicateActor, "actor 'Aide' is already registered"),
+])
+def test_load_registry_config_reports_the_first_bad_entry(actors, error, message):
+    with pytest.raises(error) as exc:
+        load_registry_config(json.dumps({"actors": actors}))
+    assert str(exc.value) == message
