@@ -362,16 +362,17 @@ def load_dataset(text: str | bytes, manifest: DatasetManifest) -> DatasetSnapsho
     become missing; cells that fail type coercion are retained as
     coercion failures. Rows are read a chunk at a time and appended to
     one builder per manifest column, which picks its type's coercer once,
-    so the raw rows of the whole extract are never held at once. Bytes
-    that are not UTF-8 and rows the csv reader rejects (a field over its
-    size limit) raise SchemaViolation.
+    so the raw rows of the whole extract are never held at once. One
+    leading UTF-8 byte-order mark is skipped. Bytes that are not UTF-8 and
+    rows the csv reader rejects (a field over its size limit) raise
+    SchemaViolation.
     """
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
         except UnicodeDecodeError as e:
             raise SchemaViolation(f"dataset is not UTF-8 text: {e}") from None
-    reader = csv.reader(_lines(text))
+    reader = csv.reader(_lines(text.removeprefix("\ufeff")))
     try:
         return _read_snapshot(reader, manifest)
     except csv.Error as e:

@@ -44,6 +44,7 @@ from .errors import (
     DqError,
     NotationSyntaxError,
     PercentOutOfRange,
+    SchemaViolation,
     UnresolvedLabel,
 )
 from .taxonomy import (
@@ -54,8 +55,8 @@ from .taxonomy import (
     Organization,
     Phase,
     builtin_registry,
+    core_parameters,
     validate_locus,
-    _PARAMETERS_BY_NAME,
 )
 
 #: The whole grammar as nested optional groups, so that every text matches.
@@ -92,11 +93,11 @@ _EXPECTED = (
 _ORGANIZATIONS = {None: Organization.DGO, **{o.value: o for o in Organization}}
 _PHASES = {p.value: p for p in Phase}
 
-#: Default label resolution: the nine parameter names map to themselves;
-#: the two context labels seen in practice map onto their parameters.
-DEFAULT_LABEL_MAP: dict[str, str] = {name: name for name in _PARAMETERS_BY_NAME}
-DEFAULT_LABEL_MAP["Policy"] = "Governance"
-DEFAULT_LABEL_MAP["Mapping"] = "Interoperability"
+#: The parameter each label names: the nine parameter names name
+#: themselves, and the two context labels seen in practice name theirs.
+LABEL_PARAMETERS: dict[str, DQParameter] = {p.name: p for p in core_parameters()}
+LABEL_PARAMETERS["Policy"] = LABEL_PARAMETERS["Governance"]
+LABEL_PARAMETERS["Mapping"] = LABEL_PARAMETERS["Interoperability"]
 
 
 class ParseMode(str, Enum):
@@ -142,24 +143,35 @@ class AssertionScope:
 class DQAssertion:
     """One provenance-tagged quality statement.
 
-    ``label`` is kept exactly as written; ``parameter`` is its resolution
-    through the label map, when one exists.
+    ``label`` is kept exactly as written; ``parameter`` follows from it
+    through ``LABEL_PARAMETERS``, and is None for an unresolved label.
     """
 
     locus: LifecycleLocus
     label: str
     measurement: Measurement
-    parameter: DQParameter | None = None
     scope: AssertionScope | None = None
     method_id: str | None = None
     asserted_at: datetime | None = None
     raw_text: str | None = field(default=None, compare=False)
 
+    @property
+    def parameter(self) -> DQParameter | None:
+        return LABEL_PARAMETERS.get(self.label)
+
+
+def _precision_fault(precision: int) -> str | None:
+    """Why a percent cannot be rendered at ``precision``, or None. More
+    than ``_MAX_DECIMALS`` decimals would not parse back."""
+    if isinstance(precision, bool) or not isinstance(precision, int) or not 0 <= precision <= _MAX_DECIMALS:
+        return f"precision must be an integer from 0 to {_MAX_DECIMALS}, got {precision!r}"
+    return None
+
 
 def format_percent(value: Fraction, precision: int = 0) -> str:
     """Render a [0,1] fraction as a percent string, round-half-up."""
-    if precision < 0:
-        raise ValueError("precision must be >= 0")
+    if fault := _precision_fault(precision):
+        raise SchemaViolation(fault)
     n, d = value.numerator, value.denominator
     units = (2 * n * 100 * 10**precision + d) // (2 * d)
     digits = str(units)
@@ -173,7 +185,6 @@ def parse_assertion(
     text: str,
     registry: ActorRegistry | None = None,
     mode: ParseMode = ParseMode.STRICT,
-    label_map: dict[str, str] | None = None,
 ) -> DQAssertion:
     """Parse a single assertion.
 
@@ -222,18 +233,10 @@ def parse_assertion(
         raise NotationSyntaxError("unexpected text after ')'", m.end())
 
     locus = validate_locus(_ORGANIZATIONS[org], _PHASES[phase], actor, registry, allow_aliases=lenient)
-    label_map = DEFAULT_LABEL_MAP if label_map is None else label_map
-    parameter = _PARAMETERS_BY_NAME.get(label_map.get(label))
-    if parameter is None and not lenient:
+    if label not in LABEL_PARAMETERS and not lenient:
         raise UnresolvedLabel(f"label {label!r} does not resolve to a core parameter")
 
-    return DQAssertion(
-        locus=locus,
-        label=label,
-        measurement=Measurement(numeric, precision, qualifier),
-        parameter=parameter,
-        raw_text=text,
-    )
+    return DQAssertion(locus, label, Measurement(numeric, precision, qualifier), raw_text=text)
 
 
 def serialize_assertion(assertion: DQAssertion) -> str:
@@ -251,7 +254,6 @@ def serialize_assertion(assertion: DQAssertion) -> str:
 def validate_assertion(
     assertion: DQAssertion,
     registry: ActorRegistry | None = None,
-    label_map: dict[str, str] | None = None,
 ) -> list[Finding]:
     """Check an assertion against the taxonomy and measurement invariants.
 
@@ -259,7 +261,6 @@ def validate_assertion(
     assertion is fully valid. An unresolved label is a warning only.
     """
     registry = registry or builtin_registry()
-    label_map = DEFAULT_LABEL_MAP if label_map is None else label_map
     findings: list[Finding] = []
     locus = assertion.locus
 
@@ -283,18 +284,10 @@ def validate_assertion(
                 f"numeric fraction {m.numeric_fraction} outside [0, 1]",
             )
         )
+    if fault := _precision_fault(m.display_precision):
+        findings.append(Finding(Severity.ERROR, "InvalidPrecision", fault))
 
-    mapped = label_map.get(assertion.label)
-    if assertion.parameter is not None:
-        if mapped != assertion.parameter.name:
-            findings.append(
-                Finding(
-                    Severity.ERROR,
-                    "LabelParameterMismatch",
-                    f"label {assertion.label!r} does not map to parameter {assertion.parameter.name!r}",
-                )
-            )
-    elif mapped is None:
+    if assertion.parameter is None:
         findings.append(
             Finding(
                 Severity.WARNING,
@@ -332,7 +325,6 @@ def parse_assertion_file(
     text: str,
     registry: ActorRegistry | None = None,
     mode: ParseMode = ParseMode.LENIENT,
-    label_map: dict[str, str] | None = None,
 ) -> tuple[list[tuple[int, DQAssertion]], list[LineIssue]]:
     """Parse an assertion file: one assertion per line, ``#`` comments.
 
@@ -346,7 +338,7 @@ def parse_assertion_file(
         if not stripped or stripped.startswith("#"):
             continue
         try:
-            assertions.append((n, parse_assertion(line, registry, mode, label_map)))
+            assertions.append((n, parse_assertion(line, registry, mode)))
         except NotationSyntaxError as e:
             issues.append(LineIssue(n, "NotationSyntaxError", str(e), e.offset))
         except DqError as e:

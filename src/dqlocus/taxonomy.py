@@ -229,6 +229,8 @@ class ActorRegistry:
                     self._loci[(org, phase, written)] = locus
             self._names[name] = actor
             for alias in sorted(actor.aliases):
+                if not IDENTIFIER_RE.fullmatch(alias):
+                    raise InvalidActorName(f"alias {alias!r} must start uppercase and contain only alphanumerics")
                 if alias in self._names:
                     raise AliasCollision(f"alias {alias!r} collides with an existing name")
                 self._names[alias] = actor

@@ -70,6 +70,8 @@ def reference_load(text, manifest):
             text = text.decode("utf-8")
         except UnicodeDecodeError as e:
             raise SchemaViolation(f"dataset is not UTF-8 text: {e}") from None
+    if text.startswith("\ufeff"):  # one byte-order mark is not text
+        text = text[1:]
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         return reference_rows(reader, manifest)
@@ -142,10 +144,11 @@ SENTINEL_SETS = st.sampled_from([None, {"-1"}, {"0", ""}, {"2024-01-01", "NA"}, 
 
 
 @st.composite
-def csv_texts(draw, max_rows=12, ragged=False, quotings=(csv.QUOTE_MINIMAL, csv.QUOTE_ALL)):
-    """CSV text, or its UTF-8 bytes. Minimal quoting leaves a lone carriage
-    return unquoted, which ends the row there, so ragged rows occur then
-    too."""
+def csv_texts(draw, max_rows=12, ragged=False, quotings=(csv.QUOTE_MINIMAL, csv.QUOTE_ALL),
+              marks=("", "", "", "\ufeff", "\ufeff\ufeff")):
+    """CSV text, or its UTF-8 bytes, after one of ``marks`` (byte-order
+    marks). Minimal quoting leaves a lone carriage return unquoted, which
+    ends the row there, so ragged rows occur then too."""
     header = draw(st.permutations(NAMES + draw(st.sampled_from([[], EXTRA[:1], EXTRA]))))
     quoting = draw(st.sampled_from(quotings))
     newline = draw(st.sampled_from(["\n", "\r\n"]))
@@ -162,6 +165,7 @@ def csv_texts(draw, max_rows=12, ragged=False, quotings=(csv.QUOTE_MINIMAL, csv.
     text = buffer.getvalue()
     if draw(st.booleans()):
         text = text.removesuffix(newline)
+    text = draw(st.sampled_from(marks)) + text
     return text.encode() if draw(st.booleans()) else text
 
 
@@ -194,7 +198,7 @@ def test_ragged_rows_raise_as_the_reference_does(text, chunk_rows, slice_chars):
 
 
 @settings(max_examples=200, deadline=None)
-@given(text=csv_texts(quotings=(csv.QUOTE_ALL,)), sentinels=SENTINEL_SETS)
+@given(text=csv_texts(quotings=(csv.QUOTE_ALL,), marks=("", "\ufeff")), sentinels=SENTINEL_SETS)
 def test_cell_states_partition_every_column(text, sentinels):
     snapshot = load_dataset(text, manifest(sentinels))
     rows = set(range(snapshot.row_count))
@@ -275,3 +279,11 @@ def test_undecodable_bytes_and_oversized_cells_are_schema_violations(text, messa
     with pytest.raises(SchemaViolation, match=re.escape(message)):
         load_dataset(text, m)
     assert result(load_dataset, text, m) == result(reference_load, text, m)
+
+
+@pytest.mark.parametrize("encode", [str, str.encode], ids=["str", "bytes"])
+def test_one_leading_byte_order_mark_is_skipped(encode):
+    m = manifest()
+    assert result(load_dataset, encode("\ufeff" + HEADER + ROW), m) == result(load_dataset, HEADER + ROW, m)
+    with pytest.raises(MissingColumn, match=re.escape("dataset is missing manifest column 'id'")):
+        load_dataset(encode("\ufeff\ufeff" + HEADER + ROW), m)

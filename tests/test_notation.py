@@ -8,11 +8,13 @@ from dqlocus.errors import (
     InvalidPhaseForOrganization,
     NotationSyntaxError,
     PercentOutOfRange,
+    SchemaViolation,
     UnknownActor,
     UnresolvedLabel,
 )
 from dqlocus.notation import (
     DQAssertion,
+    Finding,
     Measurement,
     ParseMode,
     Severity,
@@ -22,7 +24,7 @@ from dqlocus.notation import (
     serialize_assertion,
     validate_assertion,
 )
-from dqlocus.taxonomy import LifecycleLocus, Organization, Phase, builtin_registry, parameter_by_name
+from dqlocus.taxonomy import LifecycleLocus, Organization, Phase, builtin_registry
 
 PAPER_STRINGS = [
     "DGO-DG-Clinician (Completeness: 94%)",
@@ -141,6 +143,31 @@ def test_format_percent_round_half_up():
     assert format_percent(Fraction(1), 2) == "100.00%"
 
 
+@pytest.mark.parametrize("precision", [-1, 101, 1.5, True, False, "2", None])
+def test_a_precision_that_cannot_render_is_an_error(precision):
+    message = f"precision must be an integer from 0 to 100, got {precision!r}"
+    with pytest.raises(SchemaViolation) as exc:
+        format_percent(Fraction(1, 3), precision)
+    assert str(exc.value) == message
+    a = DQAssertion(
+        locus=LifecycleLocus(Organization.DGO, Phase.DG, "Clinician"),
+        label="Completeness",
+        measurement=Measurement(Fraction(1, 3), precision),
+    )
+    assert validate_assertion(a) == [Finding(Severity.ERROR, "InvalidPrecision", message)]
+
+
+@pytest.mark.parametrize("precision", [0, 100])
+def test_a_precision_of_0_to_100_renders_and_parses_back(precision):
+    a = DQAssertion(
+        locus=LifecycleLocus(Organization.DGO, Phase.DG, "Clinician"),
+        label="Completeness",
+        measurement=Measurement(Fraction(1, 4), precision),
+    )
+    assert validate_assertion(a) == []
+    assert parse_assertion(serialize_assertion(a)) == a
+
+
 def test_validate_paper_assertions_have_no_errors():
     for text in PAPER_STRINGS:
         a = parse_assertion(text, mode=ParseMode.LENIENT)
@@ -167,9 +194,6 @@ def test_validate_warns_on_unresolved_label():
 def test_validate_mapping_label_resolves_by_default():
     a = parse_assertion("DRO-DT-DataEngineer (Mapping: 92%)", mode=ParseMode.LENIENT)
     assert validate_assertion(a) == []
-    # without the default mapping the label is only a warning
-    findings = validate_assertion(a, label_map={"Mapping": "Interoperability"})
-    assert findings == []
 
 
 def test_validate_flags_invalid_locus():
@@ -182,21 +206,31 @@ def test_validate_flags_invalid_locus():
     assert any(f.code == "InvalidPhaseForOrganization" for f in findings)
 
 
-@pytest.mark.parametrize("measurement, parameter, finding", [
-    (Measurement(), None, "EmptyMeasurement: measurement has neither percent nor text"),
-    (Measurement(Fraction(9, 10)), "Timeliness",
-     "LabelParameterMismatch: label 'Completeness' does not map to parameter 'Timeliness'"),
+@pytest.mark.parametrize("measurement, finding", [
+    (Measurement(), "EmptyMeasurement: measurement has neither percent nor text"),
 ])
-def test_validate_flags_a_bad_measurement_or_parameter(measurement, parameter, finding):
+def test_validate_flags_a_bad_measurement_or_parameter(measurement, finding):
     a = DQAssertion(
         locus=LifecycleLocus(Organization.DGO, Phase.DG, "Clinician"),
         label="Completeness",
         measurement=measurement,
-        parameter=parameter and parameter_by_name(parameter),
     )
     findings = validate_assertion(a)
     assert [f"{f.code}: {f.message}" for f in findings] == [finding]
     assert findings[0].severity is Severity.ERROR
+
+
+@pytest.mark.parametrize("locus, label, measurement, parameter", [
+    ((Organization.DRO, Phase.DT, "DataEngineer"), "Mapping",
+     Measurement(Fraction(92, 100), 0, "success"), "Interoperability"),
+    ((Organization.DGO, Phase.DG, "Organization"), "Policy",
+     Measurement(None, 0, "states diagnosis required only for billable"), "Governance"),
+])
+def test_a_hand_built_assertion_takes_its_parameter_from_its_label(locus, label, measurement, parameter):
+    a = DQAssertion(LifecycleLocus(*locus), label, measurement)
+    assert a.parameter is not None and a.parameter.name == parameter
+    assert validate_assertion(a) == []
+    assert parse_assertion(serialize_assertion(a)) == a
 
 
 def test_parse_assertion_file_skips_comments_and_collects_issues():

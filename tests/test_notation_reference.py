@@ -25,7 +25,7 @@ from dqlocus.errors import (
     UnresolvedLabel,
 )
 from dqlocus.notation import (
-    DEFAULT_LABEL_MAP,
+    LABEL_PARAMETERS,
     DQAssertion,
     Measurement,
     ParseMode,
@@ -38,14 +38,13 @@ from dqlocus.taxonomy import (
     IDENTIFIER_RE,
     ORG_PHASE_PAIRS,
     ActorRegistry,
-    DQParameter,
     LifecycleLocus,
     Organization,
     Phase,
     builtin_registry,
+    core_parameters,
     enumerate_loci,
     validate_locus,
-    _PARAMETERS_BY_NAME,
 )
 
 # --- the reference ------------------------------------------------------------
@@ -53,6 +52,10 @@ from dqlocus.taxonomy import (
 _NUMBER_RE = re.compile(r"[0-9]+(?:\.([0-9]+))?%")
 #: The most decimals a percent literal may have.
 MAX_DECIMALS = 100
+#: The parameter name each resolvable label names.
+REFERENCE_PARAMETERS = {p.name: p.name for p in core_parameters()} | {
+    "Policy": "Governance", "Mapping": "Interoperability"
+}
 
 
 def reference_locus(org, phase, actor_name, registry, allow_aliases):
@@ -141,10 +144,8 @@ def reference_parse(
     text: str,
     registry: ActorRegistry | None = None,
     mode: ParseMode = ParseMode.STRICT,
-    label_map: dict[str, str] | None = None,
 ) -> DQAssertion:
     registry = registry or builtin_registry()
-    label_map = DEFAULT_LABEL_MAP if label_map is None else label_map
     lenient = mode is ParseMode.LENIENT
 
     body = text
@@ -186,27 +187,17 @@ def reference_parse(
 
     locus = reference_locus(org, phase, actor_name, registry, allow_aliases=lenient)
 
-    parameter: DQParameter | None = None
-    mapped = label_map.get(label)
-    if mapped is not None and mapped in _PARAMETERS_BY_NAME:
-        parameter = _PARAMETERS_BY_NAME[mapped]
-    elif not lenient:
+    if label not in REFERENCE_PARAMETERS and not lenient:
         raise UnresolvedLabel(f"label {label!r} does not resolve to a core parameter")
 
-    return DQAssertion(
-        locus=locus,
-        label=label,
-        measurement=measurement,
-        parameter=parameter,
-        raw_text=text,
-    )
+    return DQAssertion(locus=locus, label=label, measurement=measurement, raw_text=text)
 
 
-def result(parse, line, registry, mode, label_map):
+def result(parse, line, registry, mode):
     """A comparable form of a parse: the assertion with its raw text, or
     the exception with its message and offset."""
     try:
-        a = parse(line, registry, mode, label_map)
+        a = parse(line, registry, mode)
     except Exception as e:  # noqa: BLE001 - both parsers must fail alike
         return ("raised", type(e), str(e), getattr(e, "offset", None))
     return ("parsed", a, a.raw_text)
@@ -218,11 +209,9 @@ CARER = builtin_registry().with_actor(
     "Carer", {"Aide"}, {(Organization.DGO, Phase.DG), (Organization.DRO, Phase.DR)}
 )
 REGISTRIES = [builtin_registry(), CARER]
-CUSTOM_LABELS = {"Done": "Completeness", "Mapping": "Interoperability", "Policy": "Nope"}
-LABEL_MAPS = [None, CUSTOM_LABELS]
 
 NAMES = sorted({a.canonical_name for a in CARER} | {"Engineer", "AI", "EHR", "Org", "Aide"})
-LABELS = sorted(DEFAULT_LABEL_MAP) + ["Done", "Uptime", "Legibility"]
+LABELS = sorted(REFERENCE_PARAMETERS) + ["Done", "Uptime", "Legibility"]
 QUALIFIERS = ["success", "of encounters", "(a", "a (b", "x)", " ", "  two  spaces", "٩٤%", "12.%"]
 
 
@@ -299,14 +288,25 @@ GRAMMAR_CHARS = "DGORTX-( ):%.0159 \tCliniaEngr٩"
     line=st.one_of(lines(), lines(), lines(), st.text(GRAMMAR_CHARS, max_size=40)),
     registry=st.sampled_from(REGISTRIES),
     mode=st.sampled_from(list(ParseMode)),
-    label_map=st.sampled_from(LABEL_MAPS),
 )
-def test_parse_assertion_matches_the_reference(line, registry, mode, label_map):
-    got = result(parse_assertion, line, registry, mode, label_map)
-    assert got == result(reference_parse, line, registry, mode, label_map)
+def test_parse_assertion_matches_the_reference(line, registry, mode):
+    got = result(parse_assertion, line, registry, mode)
+    assert got == result(reference_parse, line, registry, mode)
     if got[0] == "parsed":  # the locus is the registry's, not built per line
         loci = {str(locus): locus for locus in enumerate_loci(registry)}
         assert got[1].locus is loci[str(got[1].locus)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(line=lines(), registry=st.sampled_from(REGISTRIES), mode=st.sampled_from(list(ParseMode)))
+def test_an_assertions_parameter_follows_from_its_label(line, registry, mode):
+    """A hand-built assertion equals the parse of the same parts."""
+    got = result(parse_assertion, line, registry, mode)
+    if got[0] == "parsed":
+        a = got[1]
+        assert a.parameter is LABEL_PARAMETERS.get(a.label)
+        assert (a.parameter and a.parameter.name) == REFERENCE_PARAMETERS.get(a.label)
+        assert DQAssertion(a.locus, a.label, a.measurement) == a
 
 
 @pytest.mark.parametrize(
@@ -332,7 +332,7 @@ def test_each_syntax_message_and_its_offset(line, mode, message, offset):
     with pytest.raises(NotationSyntaxError) as exc:
         parse_assertion(line, mode=mode)
     assert (str(exc.value), exc.value.offset) == (f"{message} (offset {offset})", offset)
-    assert result(reference_parse, line, None, mode, None)[1:] == (NotationSyntaxError, str(exc.value), offset)
+    assert result(reference_parse, line, None, mode)[1:] == (NotationSyntaxError, str(exc.value), offset)
 
 
 def test_percent_out_of_range_comes_before_later_syntax_errors():
@@ -357,8 +357,8 @@ def test_percent_out_of_range_comes_before_later_syntax_errors():
 )
 def test_long_percent_literals_end_in_a_dq_error(value, expected):
     line = f"DGO-DG-Clinician (Completeness: {value})"
-    got = result(parse_assertion, line, None, ParseMode.STRICT, None)
-    assert got == result(reference_parse, line, None, ParseMode.STRICT, None)
+    got = result(parse_assertion, line, None, ParseMode.STRICT)
+    assert got == result(reference_parse, line, None, ParseMode.STRICT)
     if isinstance(expected, Measurement):
         assert got[0] == "parsed" and got[1].measurement == expected
     else:
@@ -393,7 +393,7 @@ def test_percent_digits_are_ascii_only():
 # --- parse∘serialize ----------------------------------------------------------
 
 LOCI = enumerate_loci()
-RESOLVABLE = sorted(label for label, name in DEFAULT_LABEL_MAP.items() if name in _PARAMETERS_BY_NAME)
+RESOLVABLE = sorted(REFERENCE_PARAMETERS)
 NUMBER_PREFIX = re.compile(r"[0-9]+(?:\.[0-9]+)?%")
 
 

@@ -241,6 +241,14 @@ DRO_DG_MESSAGE = (
      "alias 'Clinician' collides with an existing name"),
     (Actor("Carer", frozenset({"Carer"}), frozenset({DGO_DG})), AliasCollision,
      "alias 'Carer' collides with an existing name"),
+    # an alias is an identifier, as a name is, or no line could spell it
+    (Actor("Carer", frozenset({"carer"}), frozenset({DGO_DG})), InvalidActorName,
+     "alias 'carer' must start uppercase and contain only alphanumerics"),
+    (Actor("Carer", frozenset({"Care-giver"}), frozenset({DGO_DG})), InvalidActorName,
+     "alias 'Care-giver' must start uppercase and contain only alphanumerics"),
+    # aliases are taken in sorted order, each checked before its collision
+    (Actor("Carer", frozenset({"carer", "EHR"}), frozenset({DGO_DG})), AliasCollision,
+     "alias 'EHR' collides with an existing name"),
 ])
 def test_the_constructor_rejects_an_invalid_actor(actor, error, message):
     with pytest.raises(error) as exc:
@@ -287,6 +295,8 @@ def test_names_and_aliases_share_one_table():
      "actor name 'nurse' must start uppercase and contain only alphanumerics"),
     ([{"name": "Carer", "aliases": ["Aide"], "allowed_phases": ["DGO-DG"]},
       {"name": "Aide", "allowed_phases": ["DGO-DG"]}], DuplicateActor, "actor 'Aide' is already registered"),
+    ([{"name": "Carer", "aliases": ["Aide", "carer"], "allowed_phases": ["DGO-DG"]}], InvalidActorName,
+     "alias 'carer' must start uppercase and contain only alphanumerics"),
 ])
 def test_load_registry_config_reports_the_first_bad_entry(actors, error, message):
     with pytest.raises(error) as exc:
