@@ -19,8 +19,8 @@ from dataclasses import dataclass, fields, is_dataclass
 from datetime import date, datetime, timezone
 from enum import Enum
 from functools import cached_property
-from itertools import islice
-from typing import Any, Callable, Iterator
+from itertools import chain, islice, repeat
+from typing import Any, Callable, Iterator, Sequence
 
 from .errors import (
     DanglingColumnReference,
@@ -314,7 +314,7 @@ class _ColumnBuilder:
         self.missing: list[int] = []
         self.failures: list[tuple[int, str]] = []
 
-    def extend(self, cells: tuple[str, ...], first_row: int) -> None:
+    def extend(self, cells: Sequence[str], first_row: int) -> None:
         sentinels, coerce = self.sentinels, self.coerce
         if coerce is None:
             missing = [i for i, raw in enumerate(cells, first_row) if raw in sentinels]
@@ -344,15 +344,60 @@ class _ColumnBuilder:
         )
 
 
-def _lines(text: str) -> Iterator[str]:
-    """The lines of ``text`` as ``io.StringIO(text, newline="")`` gives them,
-    read from slices of about ``_SLICE_CHARS`` characters that each end a
-    line, so that the reader's copy of the text stays small."""
+def _slices(text: str) -> Iterator[str]:
+    """``text`` in slices of about ``_SLICE_CHARS`` characters that each end
+    a line, so that what is split or read from it at a time stays small."""
     start = 0
     while start < len(text):
         end = text.find("\n", start + _SLICE_CHARS) + 1 or len(text)
-        yield from io.StringIO(text[start:end], newline="")
+        yield text[start:end]
         start = end
+
+
+def _lines(text: str) -> Iterator[str]:
+    """The lines of ``text`` as ``io.StringIO(text, newline="")`` gives them."""
+    for piece in _slices(text):
+        yield from io.StringIO(piece, newline="")
+
+
+def _quote_free_slices(text: str, limit: int) -> Iterator[list[str]]:
+    """The lines of each slice of a ``text`` that holds no quote, CR or NUL.
+    A cell (text between commas) longer than ``limit`` raises once the
+    lines before its own are taken, with its line's number, as it does in
+    the csv reader."""
+    number = 0  # lines before this slice
+    for piece in _slices(text):
+        lines = piece.removesuffix("\n").split("\n")
+        if max(map(len, lines)) <= limit:
+            yield lines
+        else:
+            for n, line in enumerate(lines, number + 1):
+                if max(map(len, line.split(","))) > limit:
+                    raise SchemaViolation(f"dataset row at line {n}: field larger than field limit ({limit})")
+                yield [line]
+        number += len(lines)
+
+
+def _split_lines(text: str) -> Iterator[list[str] | str]:
+    """The header's cells, then each later line, of a ``text`` that holds no
+    quote, CR or NUL."""
+    lines = chain.from_iterable(_quote_free_slices(text, csv.field_size_limit()))
+    header = next(lines, None)
+    if header is None:
+        return lines
+    return chain([header.split(",") if header else []], lines)  # [] as the csv reader reads a blank line
+
+
+def _reader_chunk(rows: list[list[str]], width: int) -> tuple[list[int], list[tuple[str, ...]]]:
+    """The cell count of each csv row, and the rows' columns."""
+    return list(map(len, rows)), list(zip(*rows))
+
+
+def _split_chunk(lines: list[str], width: int) -> tuple[list[int], list[list[str]]]:
+    """The cell count of each quote-free line, and the lines' ``width``
+    columns: all cells split at once, then one stride of them per column."""
+    cells = ",".join(lines).split(",")
+    return [c + 1 for c in map(str.count, lines, repeat(","))], [cells[j::width] for j in range(width)]
 
 
 def load_dataset(text: str | bytes, manifest: DatasetManifest) -> DatasetSnapshot:
@@ -366,23 +411,36 @@ def load_dataset(text: str | bytes, manifest: DatasetManifest) -> DatasetSnapsho
     leading UTF-8 byte-order mark is skipped. Bytes that are not UTF-8 and
     rows the csv reader rejects (a field over its size limit) raise
     SchemaViolation.
+
+    A text with no quote, CR or NUL is split on commas and newlines; any
+    other goes through ``csv.reader``. Both give the same snapshot and the
+    same errors. NUL goes to the reader as Python 3.10's rejects it.
     """
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
         except UnicodeDecodeError as e:
             raise SchemaViolation(f"dataset is not UTF-8 text: {e}") from None
-    reader = csv.reader(_lines(text.removeprefix("\ufeff")))
+    text = text.removeprefix("\ufeff")
+    if '"' not in text and "\r" not in text and "\0" not in text:
+        return _read_snapshot(_split_lines(text), _split_chunk, manifest)
+    reader = csv.reader(_lines(text))
     try:
-        return _read_snapshot(reader, manifest)
+        return _read_snapshot(reader, _reader_chunk, manifest)
     except csv.Error as e:
         raise SchemaViolation(f"dataset row at line {reader.line_num}: {e}") from None
 
 
-def _read_snapshot(reader: Iterator[list[str]], manifest: DatasetManifest) -> DatasetSnapshot:
-    """The snapshot of the CSV rows ``reader`` yields, header first."""
+def _read_snapshot(
+    rows: Iterator[Any],
+    split: Callable[[list[Any], int], tuple[list[int], list[Sequence[str]]]],
+    manifest: DatasetManifest,
+) -> DatasetSnapshot:
+    """The snapshot of the rows ``rows`` yields, after the header's cells:
+    ``split`` gives the cell count of each row of a chunk and the chunk's
+    columns. An empty row is a blank line."""
     try:
-        header = next(reader)
+        header = next(rows)
     except StopIteration:
         raise HeaderMalformed("dataset has no header row") from None
     if any(not h for h in header):
@@ -397,15 +455,14 @@ def _read_snapshot(reader: Iterator[list[str]], manifest: DatasetManifest) -> Da
 
     sentinels = manifest.missing_sentinels
     builders = {f.name: _ColumnBuilder(f.semantic_type, sentinels) for f in manifest.fields}
-    rows = filter(None, reader)  # RFC-4180: ignore blank lines
+    rows = filter(None, rows)  # RFC-4180: ignore blank lines
+    width = len(header)
     row_count = 0
     while chunk := list(islice(rows, _CHUNK_ROWS)):
-        for k, row in enumerate(chunk):
-            if len(row) != len(header):
-                raise HeaderMalformed(
-                    f"row {row_count + k} has {len(row)} cells, header has {len(header)}"
-                )
-        cells = list(zip(*chunk))
+        counts, cells = split(chunk, width)
+        if counts.count(width) != len(counts):
+            k = next(k for k, c in enumerate(counts) if c != width)
+            raise HeaderMalformed(f"row {row_count + k} has {counts[k]} cells, header has {width}")
         for name, builder in builders.items():
             builder.extend(cells[positions[name]], row_count)
         row_count += len(chunk)

@@ -59,6 +59,9 @@ from .taxonomy import (
     validate_locus,
 )
 
+#: A percent literal, which a value is read as whenever it starts with one.
+_PERCENT_RE = re.compile(r"(?P<whole>[0-9]+)(?:\.(?P<decimals>[0-9]+))?%")
+
 #: The whole grammar as nested optional groups, so that every text matches.
 #: A valid line matches through its closing paren; on an invalid one the
 #: first group left unmatched is what was expected at ``m.end()``. As
@@ -73,7 +76,7 @@ _ASSERTION_RE = re.compile(
     r"(?:(?P<open> \()"
     rf"(?:(?P<label>{IDENTIFIER_RE.pattern})"
     r"(?:(?P<colon>: )"
-    r"(?:(?P<percent>(?P<whole>[0-9]+)(?:\.(?P<decimals>[0-9]+))?%)(?P<space> )?)?"
+    rf"(?:(?P<percent>{_PERCENT_RE.pattern})(?P<space> )?)?"
     r"(?P<qualifier>[^)]*)(?P<close>\))?"
     r")?)?)?)?)?"
 )
@@ -258,7 +261,10 @@ def validate_assertion(
     """Check an assertion against the taxonomy and measurement invariants.
 
     Returns findings rather than raising; an empty list means the
-    assertion is fully valid. An unresolved label is a warning only.
+    assertion is fully valid. An ERROR finding also marks an assertion
+    whose serialized line would not parse back to it; a percent that is
+    not exact at its precision reads back rounded, which is no error. An
+    unresolved label is a warning only.
     """
     registry = registry or builtin_registry()
     findings: list[Finding] = []
@@ -270,31 +276,39 @@ def validate_assertion(
         findings.append(Finding(Severity.ERROR, type(e).__name__, str(e)))
 
     m = assertion.measurement
-    if m.numeric_fraction is None and not m.qualifier_text:
-        findings.append(
-            Finding(Severity.ERROR, "EmptyMeasurement", "measurement has neither percent nor text")
-        )
-    if m.numeric_fraction is not None and not (
-        0 <= m.numeric_fraction.numerator <= m.numeric_fraction.denominator
-    ):
-        findings.append(
-            Finding(
-                Severity.ERROR,
-                "PercentOutOfRange",
-                f"numeric fraction {m.numeric_fraction} outside [0, 1]",
-            )
-        )
+    numeric, text = m.numeric_fraction, m.qualifier_text
+    if numeric is None:
+        if text is None:
+            findings.append(Finding(Severity.ERROR, "EmptyMeasurement", "measurement has neither percent nor text"))
+    elif not isinstance(numeric, Fraction):
+        message = f"numeric fraction must be a Fraction or None, got {numeric!r}"
+        findings.append(Finding(Severity.ERROR, "InvalidFraction", message))
+    elif not 0 <= numeric.numerator <= numeric.denominator:
+        findings.append(Finding(Severity.ERROR, "PercentOutOfRange", f"numeric fraction {numeric} outside [0, 1]"))
     if fault := _precision_fault(m.display_precision):
         findings.append(Finding(Severity.ERROR, "InvalidPrecision", fault))
+    elif numeric is None and m.display_precision:  # a line without a percent reads as precision 0
+        message = f"precision must be 0 without a percent, got {m.display_precision}"
+        findings.append(Finding(Severity.ERROR, "InvalidPrecision", message))
+    # the qualifier must read back as itself from the serialized line
+    if isinstance(text, str) and text:
+        if ")" in text:
+            message = f"qualifier text {text!r} holds ')', which ends the value"
+            findings.append(Finding(Severity.ERROR, "ParenInQualifier", message))
+        if numeric is None and "%" in text and _PERCENT_RE.match(text):
+            message = f"qualifier text {text!r} starts with a percent, so it reads as one"
+            findings.append(Finding(Severity.ERROR, "QualifierReadsAsPercent", message))
+    elif text is not None:
+        message = f"qualifier text must be a non-empty string or None, got {text!r}"
+        findings.append(Finding(Severity.ERROR, "InvalidQualifier", message))
 
     if assertion.parameter is None:
-        findings.append(
-            Finding(
-                Severity.WARNING,
-                "UnresolvedLabel",
-                f"label {assertion.label!r} resolves to no core parameter",
-            )
-        )
+        label = assertion.label
+        if not isinstance(label, str) or not IDENTIFIER_RE.fullmatch(label):
+            findings.append(Finding(Severity.ERROR, "InvalidLabel", f"label {label!r} is not an identifier"))
+        else:
+            message = f"label {label!r} resolves to no core parameter"
+            findings.append(Finding(Severity.WARNING, "UnresolvedLabel", message))
     return findings
 
 

@@ -169,6 +169,28 @@ def csv_texts(draw, max_rows=12, ragged=False, quotings=(csv.QUOTE_MINIMAL, csv.
     return text.encode() if draw(st.booleans()) else text
 
 
+QUOTE_FREE_CELLS = st.sampled_from(TYPED + MALFORMED + SENTINELS + [" "])
+
+
+@st.composite
+def quote_free_texts(draw, max_rows=12):
+    """CSV text, or its UTF-8 bytes, with no quote, CR or NUL, so that it is
+    split on commas: LF line ends, blank lines (before the header too),
+    ragged rows, and 0-2 byte-order marks."""
+    header = draw(st.permutations(NAMES + draw(st.sampled_from([[], EXTRA[:1], EXTRA]))))
+    lines = [""] if draw(st.integers(0, 9)) == 0 else []
+    lines.append(",".join(header))
+    for _ in range(draw(st.integers(0, max_rows))):
+        row = draw(st.lists(QUOTE_FREE_CELLS, min_size=len(header), max_size=len(header)))
+        if draw(st.integers(0, 9)) == 0:
+            row = row[:-1] if draw(st.booleans()) else row + ["spare"]
+        lines.append(",".join(row))
+        lines += [""] * draw(st.sampled_from([0, 0, 0, 1, 2]))  # blank lines
+    text = "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+    text = draw(st.sampled_from(["", "", "\ufeff", "\ufeff\ufeff"])) + text
+    return text.encode() if draw(st.booleans()) else text
+
+
 #: Chunk sizes of 2 and 3 rows put the drawn row counts on both sides of a
 #: chunk boundary; small slices cut the text between most lines.
 CHUNKS = st.sampled_from([2, 3, ingest._CHUNK_ROWS])
@@ -195,6 +217,19 @@ def test_load_equals_reference(text, sentinels, chunk_rows, slice_chars):
 def test_ragged_rows_raise_as_the_reference_does(text, chunk_rows, slice_chars):
     m = manifest()
     assert load_in_chunks(text, m, chunk_rows, slice_chars) == result(reference_load, text, m)
+
+
+def no_reader(*args, **kwargs):
+    raise AssertionError("csv.reader was called")
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=quote_free_texts(), sentinels=SENTINEL_SETS, chunk_rows=CHUNKS, slice_chars=SLICES)
+def test_split_load_of_quote_free_text_equals_reference(text, sentinels, chunk_rows, slice_chars):
+    m = manifest(sentinels)
+    expected = result(reference_load, text, m)
+    with mock.patch.object(ingest.csv, "reader", no_reader):
+        assert load_in_chunks(text, m, chunk_rows, slice_chars) == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -287,3 +322,100 @@ def test_one_leading_byte_order_mark_is_skipped(encode):
     assert result(load_dataset, encode("\ufeff" + HEADER + ROW), m) == result(load_dataset, HEADER + ROW, m)
     with pytest.raises(MissingColumn, match=re.escape("dataset is missing manifest column 'id'")):
         load_dataset(encode("\ufeff\ufeff" + HEADER + ROW), m)
+
+
+# --- the split path and the reader path, pinned -------------------------------
+
+@pytest.mark.parametrize("text", [HEADER + ROW, (HEADER + ROW).encode(), HEADER + ROW.rstrip("\n"), "", "\n"],
+                         ids=["text", "bytes", "no-final-newline", "empty", "blank"])
+def test_a_quote_free_text_is_split_without_the_reader(text):
+    m = manifest()
+    expected = result(reference_load, text, m)
+    with mock.patch.object(ingest.csv, "reader", no_reader):
+        assert result(load_dataset, text, m) == expected
+
+
+@pytest.mark.parametrize("text", [
+    HEADER + ROW.replace("n", '"n"', 1),
+    HEADER.replace("\n", "\r\n") + ROW,
+    HEADER + ROW + "\r",
+    HEADER + ROW.replace("n", "n\0", 1),
+], ids=["quote", "crlf", "cr", "nul"])
+def test_a_text_with_a_quote_cr_or_nul_goes_to_the_reader(text):
+    with mock.patch.object(ingest.csv, "reader", no_reader):
+        with pytest.raises(AssertionError, match="csv.reader was called"):
+            load_dataset(text, manifest())
+    m = manifest()
+    assert result(load_dataset, text, m) == result(reference_load, text, m)
+
+
+def on_reader_path(text):
+    """``text`` with its first cell quoted, which the reader reads as the
+    same cell, so that it loads through the reader."""
+    return re.sub(r"[^,\n]+", lambda cell: f'"{cell[0]}"', text, count=1)
+
+
+BOTH_PATHS = pytest.mark.parametrize("path", [lambda text: text, on_reader_path], ids=["split", "reader"])
+
+
+@pytest.fixture(params=[None, 20], ids=["default-limit", "limit-20"])
+def field_limit(request):
+    """The csv field size limit, lowered by the caller for the test's
+    duration when the param is set."""
+    old = csv.field_size_limit()
+    if request.param is not None:
+        csv.field_size_limit(request.param)
+    try:
+        yield csv.field_size_limit()
+    finally:
+        csv.field_size_limit(old)
+
+
+@BOTH_PATHS
+@pytest.mark.parametrize("text", [
+    "\n" + HEADER + ROW,  # a blank first line is a header of no cells
+    HEADER + "r1,n,1,2024-01-01,\n",  # a trailing empty cell
+    HEADER + "r1,n,1,2024-01-01,",
+    "\n\n",
+], ids=["leading-blank-line", "trailing-empty-cell", "trailing-empty-cell-at-end", "blank-lines"])
+def test_edge_texts_load_as_the_reference_does(path, text):
+    m = manifest()
+    assert result(load_dataset, path(text), m) == result(reference_load, text, m)
+
+
+@BOTH_PATHS
+@pytest.mark.parametrize("where", ["header", "row"])
+@pytest.mark.parametrize("over", [0, 1])
+@pytest.mark.parametrize("slice_chars", [8, ingest._SLICE_CHARS])
+def test_a_cell_over_the_field_limit_names_its_line(path, where, over, slice_chars, field_limit):
+    big = "x" * (field_limit + over)
+    if where == "header":
+        text = HEADER.replace("\n", f",{big}\n") + ROW.replace("\n", ",extra\n")
+        line = 1
+    else:
+        text = HEADER + ROW + "\n" + ROW.replace(",n,", f",{big},")
+        line = 4
+    m = manifest()
+    with mock.patch.object(ingest, "_SLICE_CHARS", slice_chars):
+        loaded = result(load_dataset, path(text), m)
+    assert loaded == result(reference_load, text, m)
+    if over:
+        message = f"dataset row at line {line}: field larger than field limit ({field_limit})"
+        assert loaded == ("raised", SchemaViolation, message)
+    else:
+        assert loaded[0] == (1 if where == "header" else 2)
+
+
+@pytest.mark.parametrize("big_at", [2, 3], ids=["same-chunk", "next-chunk"])
+def test_a_ragged_row_and_a_long_cell_fail_alike_on_both_paths(big_at):
+    """Rows are read a chunk at a time on both paths, so a long cell in the
+    chunk of a ragged row fails first, and one in a later chunk does not."""
+    rows = [ROW] * 5
+    rows[1] = ROW.replace("\n", ",spare\n")
+    rows[big_at] = ROW.replace(",n,", f",{'x' * (csv.field_size_limit() + 1)},")
+    text = HEADER + "".join(rows)
+    with mock.patch.object(ingest, "_CHUNK_ROWS", 3):
+        split = result(load_dataset, text, manifest())
+        read = result(load_dataset, on_reader_path(text), manifest())
+    assert split == read
+    assert split[1] is (SchemaViolation if big_at == 2 else HeaderMalformed)

@@ -208,6 +208,14 @@ def test_validate_flags_invalid_locus():
 
 @pytest.mark.parametrize("measurement, finding", [
     (Measurement(), "EmptyMeasurement: measurement has neither percent nor text"),
+    (Measurement(0.5), "InvalidFraction: numeric fraction must be a Fraction or None, got 0.5"),
+    (Measurement(None, 0, 5), "InvalidQualifier: qualifier text must be a non-empty string or None, got 5"),
+    (Measurement(Fraction(1, 2), 0, ""),
+     "InvalidQualifier: qualifier text must be a non-empty string or None, got ''"),
+    (Measurement(None, 2, "text"), "InvalidPrecision: precision must be 0 without a percent, got 2"),
+    (Measurement(None, 0, "a) b"), "ParenInQualifier: qualifier text 'a) b' holds ')', which ends the value"),
+    (Measurement(None, 0, "94% of rows"),
+     "QualifierReadsAsPercent: qualifier text '94% of rows' starts with a percent, so it reads as one"),
 ])
 def test_validate_flags_a_bad_measurement_or_parameter(measurement, finding):
     a = DQAssertion(
@@ -218,6 +226,16 @@ def test_validate_flags_a_bad_measurement_or_parameter(measurement, finding):
     findings = validate_assertion(a)
     assert [f"{f.code}: {f.message}" for f in findings] == [finding]
     assert findings[0].severity is Severity.ERROR
+
+
+@pytest.mark.parametrize("label, finding", [
+    ("bad label", "InvalidLabel: label 'bad label' is not an identifier"),
+    (7, "InvalidLabel: label 7 is not an identifier"),
+])
+def test_validate_flags_a_label_that_is_not_an_identifier(label, finding):
+    a = DQAssertion(LifecycleLocus(Organization.DGO, Phase.DG, "Clinician"), label, Measurement(Fraction(1, 2)))
+    findings = validate_assertion(a)
+    assert [(f.severity, f"{f.code}: {f.message}") for f in findings] == [(Severity.ERROR, finding)]
 
 
 @pytest.mark.parametrize("locus, label, measurement, parameter", [

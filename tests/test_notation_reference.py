@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from dqlocus.errors import (
     ActorPhaseMismatch,
+    DqError,
     InvalidPhaseForOrganization,
     NotationSyntaxError,
     PercentOutOfRange,
@@ -29,6 +30,7 @@ from dqlocus.notation import (
     DQAssertion,
     Measurement,
     ParseMode,
+    Severity,
     format_percent,
     parse_assertion,
     serialize_assertion,
@@ -418,6 +420,39 @@ def test_parse_serialize_is_the_identity_on_canonical_text(locus, label, value):
     a = parse_assertion(text, mode=ParseMode.STRICT)
     assert serialize_assertion(a) == text
     assert parse_assertion(serialize_assertion(a), mode=ParseMode.STRICT) == a
+
+
+#: Loci, labels and qualifiers of hand-built assertions, valid or not.
+HAND_LOCI = LOCI + [LifecycleLocus(Organization.DRO, Phase.DG, "Clinician"),
+                    LifecycleLocus(Organization.DGO, Phase.DG, "Nobody"),
+                    LifecycleLocus(Organization.DGO, Phase.DG, "clinician")]
+HAND_LABELS = RESOLVABLE + ["Legibility", "bad label", "completeness", "9", "", "Lab)el", "Lab-el"]
+HAND_QUALIFIERS = ["success", "a) b", ")", "94% of rows", "94%", "5%x", "1.5% ok", "100.5%", "94.% ok",
+                   "٩٤%", "x%", "", " ", "a\nb"]
+
+
+@st.composite
+def hand_built_assertions(draw):
+    """An assertion of a locus, a label and a measurement whose percent, if
+    any, is exact at its precision; drawn valid or not."""
+    precision = draw(st.integers(0, 3))
+    scale = 100 * 10**precision
+    numeric = draw(st.none() | st.integers(-1, scale + 1).map(lambda units: Fraction(units, scale)))
+    text = draw(st.none() | st.sampled_from(HAND_QUALIFIERS) | st.text("0123456789.% )ab", max_size=8))
+    shown = precision if numeric is not None else draw(st.sampled_from([0, precision]))
+    measurement = Measurement(numeric, shown, text)
+    return DQAssertion(draw(st.sampled_from(HAND_LOCI)), draw(st.sampled_from(HAND_LABELS)), measurement)
+
+
+@settings(max_examples=500, deadline=None)
+@given(a=hand_built_assertions())
+def test_an_assertion_has_an_error_exactly_when_its_line_does_not_parse_back(a):
+    errors = [f for f in validate_assertion(a) if f.severity is Severity.ERROR]
+    try:
+        back = parse_assertion(serialize_assertion(a), mode=ParseMode.LENIENT)
+    except DqError:
+        back = None
+    assert (back == a) == (not errors), errors
 
 
 def reference_format_percent(value: Fraction, precision: int) -> str:
