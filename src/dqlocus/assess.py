@@ -130,15 +130,15 @@ class Violation:
 class CheckOutcome:
     """Result of one check: exact counts, violations, optional strata.
 
-    ``rate`` is numerator/denominator; it is None (not 0, not 1) when the
-    check is not assessable. Per-stratum numerators and denominators sum
-    exactly to the overall counts.
+    It stores what the check measured, or the error that stopped it;
+    ``status``, ``parameter`` and ``rate`` are derived from those. ``rate``
+    is numerator/denominator, and None (not 0, not 1) unless Ok. Each
+    numerator, overall and per stratum, lies in ``0..denominator``, and
+    per-stratum counts sum exactly to the overall counts.
     """
 
     check_id: str
     kind: CheckKind
-    parameter: DQParameter | None
-    status: CheckStatus
     numerator: int = 0
     denominator: int = 0
     target_fields: tuple[str, ...] = ()
@@ -150,10 +150,18 @@ class CheckOutcome:
     error: str | None = None
 
     @property
+    def status(self) -> CheckStatus:
+        if self.error is not None:
+            return CheckStatus.ERRORED
+        return CheckStatus.OK if self.denominator else CheckStatus.NOT_ASSESSABLE
+
+    @property
+    def parameter(self) -> DQParameter | None:
+        return None if self.error is not None else parameter_by_name(CHECK_KINDS[self.kind].parameter)
+
+    @property
     def rate(self) -> Fraction | None:
-        if self.status is not CheckStatus.OK or self.denominator == 0:
-            return None
-        return Fraction(self.numerator, self.denominator)
+        return Fraction(self.numerator, self.denominator) if self.status is CheckStatus.OK else None
 
     def flagged_strata(self) -> dict[str, StratumOutcome]:
         if not self.strata:
@@ -240,31 +248,6 @@ def _stratify(actors: list[str], rows: Rows, failing: Failing) -> dict[str, Stra
     den = Counter(map(actors.__getitem__, rows))
     failed = Counter(map(actors.__getitem__, failing))
     return {sid: StratumOutcome(den[sid] - failed[sid], den[sid]) for sid in sorted(den)}
-
-
-def _outcome(
-    definition: CheckDefinition,
-    stage: Stage,
-    numerator: int,
-    denominator: int,
-    violations: list[Violation],
-    strata: dict[str, StratumOutcome] | None,
-    details: dict[str, Any],
-) -> CheckOutcome:
-    return CheckOutcome(
-        check_id=definition.id,
-        kind=definition.kind,
-        parameter=parameter_by_name(CHECK_KINDS[definition.kind].parameter),
-        status=CheckStatus.OK if denominator else CheckStatus.NOT_ASSESSABLE,
-        numerator=numerator,
-        denominator=denominator,
-        target_fields=tuple(definition.target_fields),
-        stage=stage,
-        subset=_subset_label(definition.subset),
-        strata=strata,
-        violations=tuple(violations),
-        details=details,
-    )
 
 
 # --- the checks -------------------------------------------------------------
@@ -724,8 +707,11 @@ def run_check(definition: CheckDefinition, snapshots: Snapshots) -> CheckOutcome
             strata = _stratify(snapshots.actor_ids(target), rows, failing) or None
         else:
             strata = None
-    violations = [Violation(i, failing[i]) for i in sorted(failing)]
-    return _outcome(definition, stage, numerator, denominator, violations, strata, details)
+    return CheckOutcome(
+        check_id=definition.id, kind=kind, numerator=numerator, denominator=denominator,
+        target_fields=tuple(fields), stage=stage, subset=_subset_label(definition.subset), strata=strata,
+        violations=tuple(Violation(i, failing[i]) for i in sorted(failing)), details=details,
+    )
 
 
 def run_suite(definitions: list[CheckDefinition], snapshots: Snapshots) -> list[CheckOutcome]:
@@ -739,8 +725,6 @@ def run_suite(definitions: list[CheckDefinition], snapshots: Snapshots) -> list[
                 CheckOutcome(
                     check_id=definition.id,
                     kind=definition.kind,
-                    parameter=None,
-                    status=CheckStatus.ERRORED,
                     target_fields=definition.target_fields,
                     stage=definition.stage,
                     error=f"{type(e).__name__}: {e}",
@@ -891,16 +875,16 @@ def _read_violation(value: Any, where: str) -> Violation:
     raise SchemaViolation(f"{where} must be a [row, reason] pair")
 
 
+#: The keys ``outcome_to_dict`` writes from what an outcome derives.
+_DERIVED = ("parameter", "status", "rate")
+
 #: The reader of each key ``outcome_to_dict`` writes: the outcome's
-#: attributes, and ``rate``, which is read and dropped.
+#: attributes, and the derived keys, which are read as written.
 _OUTCOME_READERS: dict[str, Reader] = {
     "check_id": read_str,
     "kind": read_enum(CheckKind),
-    "parameter": nullable(lambda value, where: parameter_by_name(read_str(value, where))),
-    "status": read_enum(CheckStatus),
     "numerator": read_int,
     "denominator": read_int,
-    "rate": nullable(read_str),
     "target_fields": list_of(read_str),
     "stage": nullable(read_enum(Stage)),
     "subset": nullable(read_str),
@@ -908,15 +892,35 @@ _OUTCOME_READERS: dict[str, Reader] = {
     "violations": list_of(_read_violation),
     "details": read_dict,
     "error": nullable(read_str),
+    **dict.fromkeys(_DERIVED, lambda value, where: value),
 }
 
 
 def outcome_from_dict(doc: Any, where: str) -> CheckOutcome:
     """The outcome ``outcome_to_dict`` wrote as ``doc``, at path ``where``:
-    every key is required, so that no count reads as a default."""
+    every key is required, so that no count reads as a default. Counts
+    that break ``CheckOutcome``'s invariants, and a derived key that is
+    not what the outcome derives, raise SchemaViolation."""
     attributes = read_object(doc, _OUTCOME_READERS, where, tuple(_OUTCOME_READERS))
-    del attributes["rate"]
-    return CheckOutcome(**attributes)
+    written = {key: attributes.pop(key) for key in _DERIVED}
+    outcome = CheckOutcome(**attributes)
+    strata = outcome.strata or {}
+    for counts, at in [(outcome, where), *((s, f"{where}.strata[{sid!r}]") for sid, s in strata.items())]:
+        if not 0 <= counts.numerator <= counts.denominator:
+            raise SchemaViolation(
+                f"{at}.numerator must be from 0 to the denominator {counts.denominator}, got {counts.numerator}"
+            )
+    sums = (sum(s.numerator for s in strata.values()), sum(s.denominator for s in strata.values()))
+    if outcome.strata is not None and sums != (outcome.numerator, outcome.denominator):
+        raise SchemaViolation(
+            f"{where}.strata must sum to the numerator {outcome.numerator} and the denominator"
+            f" {outcome.denominator}, got {sums[0]} and {sums[1]}"
+        )
+    derived = outcome_to_dict(outcome)
+    for key, value in written.items():
+        if value != derived[key]:
+            raise SchemaViolation(f"{where}.{key} must be {derived[key]!r}, got {value!r}")
+    return outcome
 
 
 #: What ``json.dumps(indent=2)`` writes in an outcomes document between a

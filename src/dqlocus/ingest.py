@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import re
+from collections import deque
 from dataclasses import dataclass, fields, is_dataclass
 from datetime import date, datetime, timezone
 from enum import Enum
@@ -438,7 +439,9 @@ def _read_snapshot(
 ) -> DatasetSnapshot:
     """The snapshot of the rows ``rows`` yields, after the header's cells:
     ``split`` gives the cell count of each row of a chunk and the chunk's
-    columns. An empty row is a blank line."""
+    columns. An empty row is a blank line. A ragged row raises only once
+    every row is read, so that a row the reader rejects anywhere in the
+    text is what raises, whatever the chunk size."""
     try:
         header = next(rows)
     except StopIteration:
@@ -462,6 +465,7 @@ def _read_snapshot(
         counts, cells = split(chunk, width)
         if counts.count(width) != len(counts):
             k = next(k for k, c in enumerate(counts) if c != width)
+            deque(rows, maxlen=0)  # read to the end: a later reader error wins
             raise HeaderMalformed(f"row {row_count + k} has {counts[k]} cells, header has {width}")
         for name, builder in builders.items():
             builder.extend(cells[positions[name]], row_count)

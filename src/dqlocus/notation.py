@@ -243,14 +243,20 @@ def parse_assertion(
 
 
 def serialize_assertion(assertion: DQAssertion) -> str:
-    """Render the canonical ``ORG-PHASE-Actor (Label: value)`` form."""
+    """Render the canonical ``ORG-PHASE-Actor (Label: value)`` form. A
+    percent or qualifier of the wrong type raises SchemaViolation, with
+    the message of ``validate_assertion``'s finding."""
     m = assertion.measurement
     parts = []
-    if m.numeric_fraction is not None:
-        parts.append(format_percent(m.numeric_fraction, m.display_precision))
-    if m.qualifier_text:
-        parts.append(m.qualifier_text)
-    value = " ".join(parts)
+    try:
+        if m.numeric_fraction is not None:
+            parts.append(format_percent(m.numeric_fraction, m.display_precision))
+        if m.qualifier_text:
+            parts.append(m.qualifier_text)
+        value = " ".join(parts)
+    except (AttributeError, TypeError):
+        faults = [f.message for f in validate_assertion(assertion) if f.code in ("InvalidFraction", "InvalidQualifier")]
+        raise SchemaViolation(faults[0]) from None
     return f"{assertion.locus} ({assertion.label}: {value})"
 
 

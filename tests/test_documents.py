@@ -192,7 +192,7 @@ def test_outcomes_of_the_wrong_shape_are_schema_violations(outcomes, message):
     ("kind", "Nope", "outcomes document.outcomes[0].kind must be one of"),
     ("strata", {"x": 1}, "outcomes document.outcomes[0].strata['x'] must be an object"),
     ("numerator", True, "outcomes document.outcomes[0].numerator must be an integer"),
-    ("parameter", "Nope", "unknown DQ parameter: 'Nope'"),
+    ("parameter", "Nope", "outcomes document.outcomes[0].parameter must be 'Completeness', got 'Nope'"),
 ])
 def test_an_outcome_value_of_the_wrong_type_is_a_schema_violation(key, value, message):
     doc = outcomes_document()
@@ -263,7 +263,7 @@ def test_an_integer_too_long_to_convert_is_a_schema_violation(what):
     (SubsetPredicate, ingest.PREDICATE_READERS, set()),
     (CheckDefinition, assess._DEFINITION_READERS, set()),
     (StratumOutcome, assess._STRATUM_READERS, set()),
-    (CheckOutcome, assess._OUTCOME_READERS, {"rate"}),
+    (CheckOutcome, assess._OUTCOME_READERS, {"parameter", "status", "rate"}),
 ])
 def test_each_reader_table_has_the_keys_of_its_dataclass(cls, readers, extra):
     assert set(readers) == {f.name for f in dataclasses.fields(cls)} | extra

@@ -17,7 +17,7 @@ from datetime import date, datetime, timezone
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dqlocus import ingest
@@ -141,14 +141,26 @@ TEXT = ["a,b", "line1\nline2", "two\r\nlines", 'say "hi"', "x\ry", " "]
 CELLS = st.sampled_from(TYPED + MALFORMED + SENTINELS + TEXT)
 #: Default sentinels, or custom ones that would otherwise parse as typed.
 SENTINEL_SETS = st.sampled_from([None, {"-1"}, {"0", ""}, {"2024-01-01", "NA"}, {"", "-1", "abc"}])
+#: The csv field size limit ``low_field_limit`` sets, longer than any
+#: other cell drawn, and long cells of exactly the limit and one over it.
+LOW_LIMIT = 32
+LONG_CELLS = st.sampled_from(["x" * LOW_LIMIT, "x" * (LOW_LIMIT + 1)])
+
+
+def with_long_cell(draw, row):
+    """``row``, with one cell in ten rows replaced by a long cell."""
+    if draw(st.integers(0, 9)) == 0:
+        row[draw(st.integers(0, len(row) - 1))] = draw(LONG_CELLS)
+    return row
 
 
 @st.composite
 def csv_texts(draw, max_rows=12, ragged=False, quotings=(csv.QUOTE_MINIMAL, csv.QUOTE_ALL),
               marks=("", "", "", "\ufeff", "\ufeff\ufeff")):
     """CSV text, or its UTF-8 bytes, after one of ``marks`` (byte-order
-    marks). Minimal quoting leaves a lone carriage return unquoted, which
-    ends the row there, so ragged rows occur then too."""
+    marks), with long cells in some rows. Minimal quoting leaves a lone
+    carriage return unquoted, which ends the row there, so ragged rows
+    occur then too."""
     header = draw(st.permutations(NAMES + draw(st.sampled_from([[], EXTRA[:1], EXTRA]))))
     quoting = draw(st.sampled_from(quotings))
     newline = draw(st.sampled_from(["\n", "\r\n"]))
@@ -156,7 +168,7 @@ def csv_texts(draw, max_rows=12, ragged=False, quotings=(csv.QUOTE_MINIMAL, csv.
     writer = csv.writer(buffer, lineterminator=newline, quoting=quoting)
     writer.writerow(header)
     for _ in range(draw(st.integers(0, max_rows))):
-        row = draw(st.lists(CELLS, min_size=len(header), max_size=len(header)))
+        row = with_long_cell(draw, draw(st.lists(CELLS, min_size=len(header), max_size=len(header))))
         if ragged and draw(st.integers(0, 9)) == 0:
             row = row[:-1] if draw(st.booleans()) else row + ["spare"]
         writer.writerow(row)
@@ -176,12 +188,12 @@ QUOTE_FREE_CELLS = st.sampled_from(TYPED + MALFORMED + SENTINELS + [" "])
 def quote_free_texts(draw, max_rows=12):
     """CSV text, or its UTF-8 bytes, with no quote, CR or NUL, so that it is
     split on commas: LF line ends, blank lines (before the header too),
-    ragged rows, and 0-2 byte-order marks."""
+    ragged rows, long cells, and 0-2 byte-order marks."""
     header = draw(st.permutations(NAMES + draw(st.sampled_from([[], EXTRA[:1], EXTRA]))))
     lines = [""] if draw(st.integers(0, 9)) == 0 else []
     lines.append(",".join(header))
     for _ in range(draw(st.integers(0, max_rows))):
-        row = draw(st.lists(QUOTE_FREE_CELLS, min_size=len(header), max_size=len(header)))
+        row = with_long_cell(draw, draw(st.lists(QUOTE_FREE_CELLS, min_size=len(header), max_size=len(header))))
         if draw(st.integers(0, 9)) == 0:
             row = row[:-1] if draw(st.booleans()) else row + ["spare"]
         lines.append(",".join(row))
@@ -203,18 +215,34 @@ def load_in_chunks(text, m, chunk_rows, slice_chars):
             return result(load_dataset, text, m)
 
 
+@pytest.fixture
+def low_field_limit():
+    """The csv field size limit lowered to ``LOW_LIMIT`` for the test, so
+    that a long cell drawn is over it, and restored after the test."""
+    old = csv.field_size_limit(LOW_LIMIT)
+    try:
+        yield
+    finally:
+        csv.field_size_limit(old)
+
+
+#: The limit ``low_field_limit`` sets holds for every example of a test,
+#: so the fixture is meant to run once per test, not once per example.
+ONCE_PER_TEST = [HealthCheck.function_scoped_fixture]
+
+
 # --- properties -------------------------------------------------------------
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, suppress_health_check=ONCE_PER_TEST)
 @given(text=csv_texts(), sentinels=SENTINEL_SETS, chunk_rows=CHUNKS, slice_chars=SLICES)
-def test_load_equals_reference(text, sentinels, chunk_rows, slice_chars):
+def test_load_equals_reference(text, sentinels, chunk_rows, slice_chars, low_field_limit):
     m = manifest(sentinels)
     assert load_in_chunks(text, m, chunk_rows, slice_chars) == result(reference_load, text, m)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, suppress_health_check=ONCE_PER_TEST)
 @given(text=csv_texts(ragged=True), chunk_rows=CHUNKS, slice_chars=SLICES)
-def test_ragged_rows_raise_as_the_reference_does(text, chunk_rows, slice_chars):
+def test_ragged_rows_raise_as_the_reference_does(text, chunk_rows, slice_chars, low_field_limit):
     m = manifest()
     assert load_in_chunks(text, m, chunk_rows, slice_chars) == result(reference_load, text, m)
 
@@ -223,9 +251,9 @@ def no_reader(*args, **kwargs):
     raise AssertionError("csv.reader was called")
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, suppress_health_check=ONCE_PER_TEST)
 @given(text=quote_free_texts(), sentinels=SENTINEL_SETS, chunk_rows=CHUNKS, slice_chars=SLICES)
-def test_split_load_of_quote_free_text_equals_reference(text, sentinels, chunk_rows, slice_chars):
+def test_split_load_of_quote_free_text_equals_reference(text, sentinels, chunk_rows, slice_chars, low_field_limit):
     m = manifest(sentinels)
     expected = result(reference_load, text, m)
     with mock.patch.object(ingest.csv, "reader", no_reader):
@@ -408,8 +436,9 @@ def test_a_cell_over_the_field_limit_names_its_line(path, where, over, slice_cha
 
 @pytest.mark.parametrize("big_at", [2, 3], ids=["same-chunk", "next-chunk"])
 def test_a_ragged_row_and_a_long_cell_fail_alike_on_both_paths(big_at):
-    """Rows are read a chunk at a time on both paths, so a long cell in the
-    chunk of a ragged row fails first, and one in a later chunk does not."""
+    """Rows are read a chunk at a time on both paths, but a ragged row
+    raises only once every row is read, so a long cell fails first, in the
+    ragged row's chunk or a later one, as in the reference."""
     rows = [ROW] * 5
     rows[1] = ROW.replace("\n", ",spare\n")
     rows[big_at] = ROW.replace(",n,", f",{'x' * (csv.field_size_limit() + 1)},")
@@ -417,5 +446,5 @@ def test_a_ragged_row_and_a_long_cell_fail_alike_on_both_paths(big_at):
     with mock.patch.object(ingest, "_CHUNK_ROWS", 3):
         split = result(load_dataset, text, manifest())
         read = result(load_dataset, on_reader_path(text), manifest())
-    assert split == read
-    assert split[1] is (SchemaViolation if big_at == 2 else HeaderMalformed)
+    assert split == read == result(reference_load, text, manifest())
+    assert split[1] is SchemaViolation

@@ -228,6 +228,18 @@ def test_validate_flags_a_bad_measurement_or_parameter(measurement, finding):
     assert findings[0].severity is Severity.ERROR
 
 
+@pytest.mark.parametrize("measurement, message", [
+    (Measurement(0.5), "numeric fraction must be a Fraction or None, got 0.5"),
+    (Measurement(None, 0, 5), "qualifier text must be a non-empty string or None, got 5"),
+])
+def test_serializing_a_percent_or_qualifier_of_the_wrong_type_is_a_schema_violation(measurement, message):
+    a = DQAssertion(LifecycleLocus(Organization.DGO, Phase.DG, "Clinician"), "Completeness", measurement)
+    with pytest.raises(SchemaViolation) as raised:
+        serialize_assertion(a)
+    assert type(raised.value) is SchemaViolation and str(raised.value) == message
+    assert message in [f.message for f in validate_assertion(a)]
+
+
 @pytest.mark.parametrize("label, finding", [
     ("bad label", "InvalidLabel: label 'bad label' is not an identifier"),
     (7, "InvalidLabel: label 7 is not an identifier"),

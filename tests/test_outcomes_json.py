@@ -8,7 +8,10 @@ over the whole document.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -47,30 +50,50 @@ def json_values(nan: bool):
     )
 
 
-def outcomes(nan: bool):
-    stratum = st.builds(
-        StratumOutcome,
-        st.integers(0, 10**6),
-        st.integers(0, 10**6),
+def counts(high: int):
+    """(numerator, denominator) with 0 <= numerator <= denominator <= high."""
+    return st.integers(0, high).flatmap(lambda d: st.tuples(st.integers(0, d), st.just(d)))
+
+
+STRATA = st.dictionaries(
+    TEXT,
+    st.builds(
+        lambda c, flags: StratumOutcome(*c, flags),
+        counts(10**6),
         st.lists(st.sampled_from(list(DegeneracyFlag)), max_size=2).map(tuple),
+    ),
+    max_size=3,
+)
+
+
+@st.composite
+def outcome(draw, nan: bool):
+    """An outcome whose counts keep ``CheckOutcome``'s invariants, which the
+    reader checks: the strata come first, when there are any, and the
+    totals are summed from them, as ``run_check`` sums them."""
+    strata = draw(st.none() | STRATA)
+    if strata is None:
+        numerator, denominator = draw(counts(10**9))
+    else:
+        numerator = sum(s.numerator for s in strata.values())
+        denominator = sum(s.denominator for s in strata.values())
+    return CheckOutcome(
+        check_id=draw(TEXT),
+        kind=draw(st.sampled_from(list(CheckKind))),
+        numerator=numerator,
+        denominator=denominator,
+        target_fields=draw(st.lists(TEXT, max_size=2).map(tuple)),
+        stage=draw(st.none() | st.sampled_from(list(Stage))),
+        subset=draw(st.none() | TEXT),
+        strata=strata,
+        violations=draw(st.lists(st.builds(Violation, st.integers(0, 10**9), TEXT), max_size=6).map(tuple)),
+        details=draw(st.dictionaries(TEXT, json_values(nan), max_size=4)),
+        error=draw(st.none() | TEXT),
     )
-    outcome = st.builds(
-        CheckOutcome,
-        check_id=TEXT,
-        kind=st.sampled_from(list(CheckKind)),
-        parameter=st.none() | st.sampled_from(list(_PARAMETERS_BY_NAME.values())),
-        status=st.sampled_from(list(CheckStatus)),
-        numerator=st.integers(0, 10**9),
-        denominator=st.integers(0, 10**9),
-        target_fields=st.lists(TEXT, max_size=2).map(tuple),
-        stage=st.none() | st.sampled_from(list(Stage)),
-        subset=st.none() | TEXT,
-        strata=st.none() | st.dictionaries(TEXT, stratum, max_size=3),
-        violations=st.lists(st.builds(Violation, st.integers(0, 10**9), TEXT), max_size=6).map(tuple),
-        details=st.dictionaries(TEXT, json_values(nan), max_size=4),
-        error=st.none() | TEXT,
-    )
-    return st.lists(outcome, max_size=4)
+
+
+def outcomes(nan: bool):
+    return st.lists(outcome(nan), max_size=4)
 
 
 def reference_json(xs: list[CheckOutcome]) -> str:
@@ -96,8 +119,7 @@ def test_outcomes_survive_a_json_round_trip(xs):
 def test_empty_and_full_documents():
     assert outcomes_to_json([]) == '{\n  "outcomes": [],\n  "schema_version": "1"\n}\n'
     outcome = CheckOutcome(
-        check_id="c", kind=CheckKind.COMPLETENESS, parameter=None, status=CheckStatus.OK,
-        numerator=1, denominator=3,
+        check_id="c", kind=CheckKind.COMPLETENESS, numerator=1, denominator=3,
         violations=(Violation(0, 'a "quoted"\nreason'), Violation(2, "]\n[")),
     )
     assert outcomes_to_json([outcome, outcome]) == reference_json([outcome, outcome])
@@ -114,9 +136,75 @@ def test_empty_and_full_documents():
 ])
 def test_a_violation_that_is_not_an_int_and_a_string_is_rejected(violations):
     doc = json.loads(outcomes_to_json([CheckOutcome(
-        check_id="c", kind=CheckKind.COMPLETENESS, parameter=None, status=CheckStatus.OK,
-        numerator=0, denominator=1, violations=(Violation(0, "missing"),),
+        check_id="c", kind=CheckKind.COMPLETENESS, numerator=0, denominator=1,
+        violations=(Violation(0, "missing"),),
     )]))
     doc["outcomes"][0]["violations"] = violations
     with pytest.raises(SchemaViolation, match="violations"):
+        outcomes_from_json(json.dumps(doc))
+
+
+# --- what an outcome derives ------------------------------------------------
+
+def test_an_outcome_stores_no_status_parameter_or_rate():
+    assert not {"parameter", "status", "rate"} & {f.name for f in dataclasses.fields(CheckOutcome)}
+
+
+@pytest.mark.parametrize("numerator, denominator, error, status, parameter, rate", [
+    (1, 2, None, CheckStatus.OK, "Timeliness", Fraction(1, 2)),
+    (0, 0, None, CheckStatus.NOT_ASSESSABLE, "Timeliness", None),
+    (0, 0, "", CheckStatus.ERRORED, None, None),
+    (1, 2, "MissingConfig: no max_lag", CheckStatus.ERRORED, None, None),
+])
+def test_status_parameter_and_rate_follow_from_the_counts_and_error(
+    numerator, denominator, error, status, parameter, rate
+):
+    o = CheckOutcome("c", CheckKind.TIMELINESS, numerator, denominator, error=error)
+    assert (o.status, o.parameter and o.parameter.name, o.rate) == (status, parameter, rate)
+
+
+#: Values a derived key might be replaced with: the other parameters,
+#: statuses and rates, an unreduced rate, and any JSON value.
+REPLACEMENTS = st.sampled_from(
+    [None, *_PARAMETERS_BY_NAME, *(s.value for s in CheckStatus), "0", "1", "1/2", "2/4"]
+) | json_values(nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(o=outcome(nan=False), key=st.sampled_from(["parameter", "status", "rate"]), data=st.data())
+def test_a_derived_key_that_differs_from_the_outcome_is_rejected_at_its_path(o, key, data):
+    doc = json.loads(outcomes_to_json([o]))
+    written = doc["outcomes"][0][key]
+    doc["outcomes"][0][key] = data.draw(REPLACEMENTS.filter(lambda value: value != written))
+    with pytest.raises(SchemaViolation, match=re.escape(f"outcomes document.outcomes[0].{key} must be {written!r}, got")):
+        outcomes_from_json(json.dumps(doc))
+
+
+# --- the count invariants, pinned ---------------------------------------------
+
+STRATIFIED = CheckOutcome(
+    "c", CheckKind.COMPLETENESS, 3, 4, strata={"a": StratumOutcome(1, 2), "b": StratumOutcome(2, 2)}
+)
+
+
+def strata(a: tuple[int, int], b: tuple[int, int]) -> dict:
+    return {sid: {"numerator": n, "denominator": d, "flags": []} for sid, (n, d) in zip("ab", (a, b))}
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"numerator": -5}, "outcomes[0].numerator must be from 0 to the denominator 4, got -5"),
+    ({"numerator": 9, "status": "NotAssessable", "parameter": "Timeliness", "rate": "1/2"},
+     "outcomes[0].numerator must be from 0 to the denominator 4, got 9"),
+    ({"strata": strata((3, 2), (0, 2))}, "outcomes[0].strata['a'].numerator must be from 0 to the denominator 2, got 3"),
+    ({"strata": strata((0, 2), (2, 2))},
+     "outcomes[0].strata must sum to the numerator 3 and the denominator 4, got 2 and 4"),
+    ({"strata": strata((1, 3), (2, 2))},
+     "outcomes[0].strata must sum to the numerator 3 and the denominator 4, got 3 and 5"),
+], ids=["negative-numerator", "numerator-over-denominator", "stratum-numerator-over-denominator",
+        "strata-numerators-do-not-sum", "strata-denominators-do-not-sum"])
+def test_counts_that_break_the_outcome_invariants_are_rejected(edit, message):
+    doc = json.loads(outcomes_to_json([STRATIFIED]))
+    assert outcomes_from_json(json.dumps(doc)) == [STRATIFIED]
+    doc["outcomes"][0].update(edit)
+    with pytest.raises(SchemaViolation, match=re.escape(f"outcomes document.{message}")):
         outcomes_from_json(json.dumps(doc))
