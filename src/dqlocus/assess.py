@@ -59,7 +59,7 @@ from .ingest import (
     Stage,
     read_predicate,
 )
-from .taxonomy import DQParameter, parameter_by_name
+from .taxonomy import LABEL_PARAMETERS, DQParameter
 
 #: Stratum key for rows whose actor id cell is missing.
 UNATTRIBUTED_STRATUM = "<unattributed>"
@@ -157,29 +157,11 @@ class CheckOutcome:
 
     @property
     def parameter(self) -> DQParameter | None:
-        return None if self.error is not None else parameter_by_name(CHECK_KINDS[self.kind].parameter)
+        return None if self.error is not None else LABEL_PARAMETERS[CHECK_KINDS[self.kind].label]
 
     @property
     def rate(self) -> Fraction | None:
         return Fraction(self.numerator, self.denominator) if self.status is CheckStatus.OK else None
-
-    def flagged_strata(self) -> dict[str, StratumOutcome]:
-        if not self.strata:
-            return {}
-        return {k: s for k, s in self.strata.items() if s.flags}
-
-    def has_findings(self) -> bool:
-        """True when the outcome carries a quality defect worth attributing."""
-        if self.status is not CheckStatus.OK:
-            return False
-        if self.kind is CheckKind.DEGENERACY_BY_ACTOR:
-            # inverted semantics: the numerator counts flagged actors
-            return self.numerator > 0
-        if self.violations:
-            return True
-        if self.denominator > 0 and self.numerator < self.denominator:
-            return True
-        return bool(self.flagged_strata())
 
 
 def _subset_label(subset: SubsetPredicate | str | None) -> str | None:
@@ -589,15 +571,17 @@ def _read_share(value: Any, where: str) -> Fraction:
 class KindSpec:
     """How ``run_check`` evaluates one check kind.
 
-    ``parameter`` is the Kahn et al. 2016 parameter every outcome of the
-    kind carries; ``arity`` lists the allowed numbers of target fields;
-    ``config`` maps each config key the kind reads to its reader. A row
-    kind has ``rows``; DegeneracyByActor has ``strata`` instead. A
-    ``paired`` kind reads both snapshots. Row kinds that are not paired
-    honour ``subset`` and ``stratify_by_actor``; the others reject them.
+    ``label`` is the notation label of the kind's findings; through
+    ``LABEL_PARAMETERS`` it names the Kahn et al. 2016 parameter every
+    outcome of the kind carries. ``arity`` lists the allowed numbers of
+    target fields; ``config`` maps each config key the kind reads to its
+    reader. A row kind has ``rows``; DegeneracyByActor has ``strata``
+    instead. A ``paired`` kind reads both snapshots. Row kinds that are
+    not paired honour ``subset`` and ``stratify_by_actor``; the others
+    reject them.
     """
 
-    parameter: str
+    label: str
     arity: tuple[int, ...]
     config: dict[str, Reader]
     rows: Callable[..., RowCheck] | None = None
@@ -620,9 +604,7 @@ CHECK_KINDS: dict[CheckKind, KindSpec] = {
         strata=_degeneracy_by_actor,
     ),
     CheckKind.TIMELINESS: KindSpec("Timeliness", (2,), {"max_lag": parse_duration}, rows=_timeliness),
-    CheckKind.MAPPING_SUCCESS: KindSpec(
-        "Interoperability", (1, 2), {}, rows=_mapping_success, paired=True
-    ),
+    CheckKind.MAPPING_SUCCESS: KindSpec("Mapping", (1, 2), {}, rows=_mapping_success, paired=True),
 }
 
 
@@ -896,14 +878,23 @@ _OUTCOME_READERS: dict[str, Reader] = {
 }
 
 
+#: What ``run_suite`` writes in an errored outcome: nothing was measured.
+_ERRORED = {"numerator": 0, "denominator": 0, "strata": None, "violations": [], "details": {}}
+
+
 def outcome_from_dict(doc: Any, where: str) -> CheckOutcome:
     """The outcome ``outcome_to_dict`` wrote as ``doc``, at path ``where``:
     every key is required, so that no count reads as a default. Counts
-    that break ``CheckOutcome``'s invariants, and a derived key that is
-    not what the outcome derives, raise SchemaViolation."""
+    that break ``CheckOutcome``'s invariants, an errored outcome that
+    carries a measurement, and a derived key that is not what the outcome
+    derives raise SchemaViolation."""
     attributes = read_object(doc, _OUTCOME_READERS, where, tuple(_OUTCOME_READERS))
     written = {key: attributes.pop(key) for key in _DERIVED}
     outcome = CheckOutcome(**attributes)
+    if outcome.error is not None:
+        for key, empty in _ERRORED.items():
+            if doc[key] != empty:
+                raise SchemaViolation(f"{where}.{key} must be {empty!r} in an errored outcome, got {doc[key]!r}")
     strata = outcome.strata or {}
     for counts, at in [(outcome, where), *((s, f"{where}.strata[{sid!r}]") for sid, s in strata.items())]:
         if not 0 <= counts.numerator <= counts.denominator:

@@ -52,10 +52,6 @@ class InvalidActorName(DqError):
     """Actor name does not fit the notation's identifier grammar."""
 
 
-class BuiltinActorImmutable(DqError):
-    """Builtin actors cannot be removed or redefined."""
-
-
 # --- notation -----------------------------------------------------------
 
 class NotationSyntaxError(DqError):

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import re
 from collections import deque
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from enum import Enum
 from functools import cached_property
@@ -148,8 +147,7 @@ class DatasetSnapshot:
 # --- manifest loading -----------------------------------------------------
 #
 # Each object of a manifest is read through one table whose keys are its
-# dataclass's attributes, and ``serialize_manifest`` writes those
-# attributes back; null reads as absent for every optional key but
+# dataclass's attributes; null reads as absent for every optional key but
 # ``required``.
 
 #: Manifest keys whose value names one of the manifest's fields.
@@ -251,31 +249,6 @@ def load_manifest(text: str | bytes) -> DatasetManifest:
                 f" {f.policy_condition.field!r}"
             )
     return manifest
-
-
-def _document(value: Any) -> Any:
-    """``value`` in its JSON document form: a dataclass as the object of the
-    attributes that differ from their defaults, an enum member as its
-    value, a set sorted and a tuple as a list."""
-    if is_dataclass(value):
-        return {
-            f.name: _document(getattr(value, f.name))
-            for f in fields(value)
-            if getattr(value, f.name) != f.default
-        }
-    if isinstance(value, Enum):
-        return value.value
-    if isinstance(value, frozenset):
-        return sorted(value)
-    if isinstance(value, tuple):
-        return [_document(item) for item in value]
-    return value
-
-
-def serialize_manifest(manifest: DatasetManifest) -> str:
-    """Render a manifest back to its JSON document form, leaving out each
-    key that holds its default."""
-    return json.dumps(_document(manifest), indent=2) + "\n"
 
 
 # --- dataset loading --------------------------------------------------------

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
-from datetime import datetime
 from enum import Enum
 from fractions import Fraction
 
@@ -49,13 +48,13 @@ from .errors import (
 )
 from .taxonomy import (
     IDENTIFIER_RE,
+    LABEL_PARAMETERS,
     ActorRegistry,
     DQParameter,
     LifecycleLocus,
     Organization,
     Phase,
     builtin_registry,
-    core_parameters,
     validate_locus,
 )
 
@@ -96,12 +95,6 @@ _EXPECTED = (
 _ORGANIZATIONS = {None: Organization.DGO, **{o.value: o for o in Organization}}
 _PHASES = {p.value: p for p in Phase}
 
-#: The parameter each label names: the nine parameter names name
-#: themselves, and the two context labels seen in practice name theirs.
-LABEL_PARAMETERS: dict[str, DQParameter] = {p.name: p for p in core_parameters()}
-LABEL_PARAMETERS["Policy"] = LABEL_PARAMETERS["Governance"]
-LABEL_PARAMETERS["Mapping"] = LABEL_PARAMETERS["Interoperability"]
-
 
 class ParseMode(str, Enum):
     STRICT = "Strict"
@@ -134,15 +127,6 @@ class Measurement:
 
 
 @dataclass(frozen=True)
-class AssertionScope:
-    """Optional narrowing of what an assertion covers."""
-
-    dataset_id: str | None = None
-    field_name: str | None = None
-    subset_description: str | None = None
-
-
-@dataclass(frozen=True)
 class DQAssertion:
     """One provenance-tagged quality statement.
 
@@ -153,9 +137,6 @@ class DQAssertion:
     locus: LifecycleLocus
     label: str
     measurement: Measurement
-    scope: AssertionScope | None = None
-    method_id: str | None = None
-    asserted_at: datetime | None = None
     raw_text: str | None = field(default=None, compare=False)
 
     @property
@@ -242,22 +223,33 @@ def parse_assertion(
     return DQAssertion(locus, label, Measurement(numeric, precision, qualifier), raw_text=text)
 
 
+def _type_faults(m: Measurement) -> list[Finding]:
+    """ERROR findings for a percent or qualifier of a type no line holds:
+    a percent that is not a Fraction, or a qualifier that is not a
+    non-empty string."""
+    faults = []
+    if m.numeric_fraction is not None and not isinstance(m.numeric_fraction, Fraction):
+        message = f"numeric fraction must be a Fraction or None, got {m.numeric_fraction!r}"
+        faults.append(Finding(Severity.ERROR, "InvalidFraction", message))
+    if m.qualifier_text is not None and not (isinstance(m.qualifier_text, str) and m.qualifier_text):
+        message = f"qualifier text must be a non-empty string or None, got {m.qualifier_text!r}"
+        faults.append(Finding(Severity.ERROR, "InvalidQualifier", message))
+    return faults
+
+
 def serialize_assertion(assertion: DQAssertion) -> str:
     """Render the canonical ``ORG-PHASE-Actor (Label: value)`` form. A
     percent or qualifier of the wrong type raises SchemaViolation, with
     the message of ``validate_assertion``'s finding."""
     m = assertion.measurement
+    if faults := _type_faults(m):
+        raise SchemaViolation(faults[0].message)
     parts = []
-    try:
-        if m.numeric_fraction is not None:
-            parts.append(format_percent(m.numeric_fraction, m.display_precision))
-        if m.qualifier_text:
-            parts.append(m.qualifier_text)
-        value = " ".join(parts)
-    except (AttributeError, TypeError):
-        faults = [f.message for f in validate_assertion(assertion) if f.code in ("InvalidFraction", "InvalidQualifier")]
-        raise SchemaViolation(faults[0]) from None
-    return f"{assertion.locus} ({assertion.label}: {value})"
+    if m.numeric_fraction is not None:
+        parts.append(format_percent(m.numeric_fraction, m.display_precision))
+    if m.qualifier_text is not None:
+        parts.append(m.qualifier_text)
+    return f"{assertion.locus} ({assertion.label}: {' '.join(parts)})"
 
 
 def validate_assertion(
@@ -283,13 +275,10 @@ def validate_assertion(
 
     m = assertion.measurement
     numeric, text = m.numeric_fraction, m.qualifier_text
-    if numeric is None:
-        if text is None:
-            findings.append(Finding(Severity.ERROR, "EmptyMeasurement", "measurement has neither percent nor text"))
-    elif not isinstance(numeric, Fraction):
-        message = f"numeric fraction must be a Fraction or None, got {numeric!r}"
-        findings.append(Finding(Severity.ERROR, "InvalidFraction", message))
-    elif not 0 <= numeric.numerator <= numeric.denominator:
+    findings.extend(_type_faults(m))
+    if numeric is None and text is None:
+        findings.append(Finding(Severity.ERROR, "EmptyMeasurement", "measurement has neither percent nor text"))
+    elif isinstance(numeric, Fraction) and not 0 <= numeric.numerator <= numeric.denominator:
         findings.append(Finding(Severity.ERROR, "PercentOutOfRange", f"numeric fraction {numeric} outside [0, 1]"))
     if fault := _precision_fault(m.display_precision):
         findings.append(Finding(Severity.ERROR, "InvalidPrecision", fault))
@@ -304,9 +293,6 @@ def validate_assertion(
         if numeric is None and "%" in text and _PERCENT_RE.match(text):
             message = f"qualifier text {text!r} starts with a percent, so it reads as one"
             findings.append(Finding(Severity.ERROR, "QualifierReadsAsPercent", message))
-    elif text is not None:
-        message = f"qualifier text must be a non-empty string or None, got {text!r}"
-        findings.append(Finding(Severity.ERROR, "InvalidQualifier", message))
 
     if assertion.parameter is None:
         label = assertion.label
@@ -365,10 +351,3 @@ def parse_assertion_file(
             issues.append(LineIssue(n, type(e).__name__, str(e)))
     return assertions, issues
 
-
-def sorted_for_report(assertions: list[DQAssertion]) -> list[DQAssertion]:
-    """Stable lifecycle ordering used by the report renderers."""
-    return sorted(
-        assertions,
-        key=lambda a: (a.locus.sort_key, a.label, serialize_assertion(a)),
-    )

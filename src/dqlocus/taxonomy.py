@@ -17,7 +17,6 @@ from typing import Any
 from .errors import (
     ActorPhaseMismatch,
     AliasCollision,
-    BuiltinActorImmutable,
     DuplicateActor,
     EmptyAllowedPhases,
     InvalidActorName,
@@ -113,19 +112,16 @@ _CORE_PARAMETERS: tuple[DQParameter, ...] = (
     DQParameter("OperatingPlatform", ParameterCategory.SYSTEM_TECHNICAL, MeasurementKind.ATTESTED),
 )
 
-_PARAMETERS_BY_NAME = {p.name: p for p in _CORE_PARAMETERS}
+#: The parameter each label names: the nine parameter names name
+#: themselves, and the two context labels seen in practice name theirs.
+LABEL_PARAMETERS: dict[str, DQParameter] = {p.name: p for p in _CORE_PARAMETERS}
+LABEL_PARAMETERS["Policy"] = LABEL_PARAMETERS["Governance"]
+LABEL_PARAMETERS["Mapping"] = LABEL_PARAMETERS["Interoperability"]
 
 
 def core_parameters() -> list[DQParameter]:
     """The nine core parameters in stable order (by category, then name)."""
     return list(_CORE_PARAMETERS)
-
-
-def parameter_by_name(name: str) -> DQParameter:
-    try:
-        return _PARAMETERS_BY_NAME[name]
-    except KeyError:
-        raise SchemaViolation(f"unknown DQ parameter: {name!r}") from None
 
 
 @dataclass(frozen=True)
@@ -135,11 +131,10 @@ class Actor:
     canonical_name: str
     aliases: frozenset[str] = frozenset()
     allowed_phases: frozenset[tuple[Organization, Phase]] = frozenset()
-    builtin: bool = False
 
 
 def _actor(name: str, aliases: tuple[str, ...], pairs: tuple[tuple[Organization, Phase], ...]) -> Actor:
-    return Actor(name, frozenset(aliases), frozenset(pairs), builtin=True)
+    return Actor(name, frozenset(aliases), frozenset(pairs))
 
 
 _DGO_DG = (Organization.DGO, Phase.DG)
@@ -204,11 +199,10 @@ class ActorRegistry:
     """Immutable lookup of actors by canonical name or alias.
 
     The constructor checks each actor against the actors before it, so
-    every registry is valid however it was built; ``with_actor`` and
-    ``without_actor`` return a new one. ``_names`` maps each name as
-    written, canonical or alias, to its actor, and ``_loci`` maps
-    (organization, phase, name as written) to the one locus an actor's
-    names share there.
+    every registry is valid however it was built; ``with_actor`` returns
+    a new one. ``_names`` maps each name as written, canonical or alias,
+    to its actor, and ``_loci`` maps (organization, phase, name as
+    written) to the one locus an actor's names share there.
     """
 
     def __init__(self, actors: tuple[Actor, ...] = _BUILTIN_ACTORS):
@@ -245,10 +239,6 @@ class ActorRegistry:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, ActorRegistry) and self._names == other._names
 
-    def get(self, name: str) -> Actor:
-        """Look up an actor by canonical name only."""
-        return self.resolve(name, allow_aliases=False)
-
     def resolve(self, name: str, *, allow_aliases: bool = True) -> Actor:
         """Resolve a name or (optionally) alias to its actor."""
         actor = self._names.get(name)
@@ -264,12 +254,6 @@ class ActorRegistry:
     ) -> "ActorRegistry":
         """Return a new registry extended with a custom actor."""
         return ActorRegistry((*self, Actor(name, frozenset(aliases), frozenset(allowed_phases))))
-
-    def without_actor(self, name: str) -> "ActorRegistry":
-        """Return a new registry with a custom actor removed."""
-        if self.get(name).builtin:
-            raise BuiltinActorImmutable(f"builtin actor {name!r} cannot be removed")
-        return ActorRegistry(tuple(a for a in self if a.canonical_name != name))
 
 
 _BUILTIN_REGISTRY = ActorRegistry()
@@ -303,20 +287,6 @@ def validate_locus(
     raise ActorPhaseMismatch(
         f"actor {actor.canonical_name!r} is not allowed at {org.value}-{phase.value}"
     )
-
-
-def parse_locus(text: str, registry: ActorRegistry | None = None, *, allow_aliases: bool = True) -> LifecycleLocus:
-    """Parse an ``ORG-PHASE-Actor`` string into a validated locus."""
-    parts = text.split("-", 2)
-    if len(parts) != 3:
-        raise SchemaViolation(f"locus must be ORG-PHASE-Actor, got {text!r}")
-    org_s, phase_s, actor_s = parts
-    try:
-        org = Organization(org_s)
-        phase = Phase(phase_s)
-    except ValueError:
-        raise SchemaViolation(f"locus must be ORG-PHASE-Actor, got {text!r}") from None
-    return validate_locus(org, phase, actor_s, registry, allow_aliases=allow_aliases)
 
 
 def enumerate_loci(registry: ActorRegistry | None = None) -> list[LifecycleLocus]:

@@ -98,6 +98,9 @@ def outcomes_document() -> dict:
     return json.loads(outcomes_to_json(outcomes))
 
 
+#: The errored outcome of ``outcomes_document``, as ``run_suite`` writes it.
+ERRORED = outcomes_document()["outcomes"][-1]
+
 LOADERS = {
     "manifest": (load_manifest, MANIFEST),
     "suite": (load_suite, SUITE),
@@ -182,6 +185,15 @@ def test_a_mutated_document_loads_or_raises_a_dq_error(what, data):
     ([{}], "outcomes document.outcomes[0].check_id must be given"),
     (5, "outcomes document.outcomes must be a list"),
     ([1], "outcomes document.outcomes[0] must be an object"),
+    # an errored outcome carries nothing but its error
+    ([dict(ERRORED, numerator=5, denominator=9)],
+     "outcomes document.outcomes[0].numerator must be 0 in an errored outcome, got 5"),
+    ([dict(ERRORED, denominator=9)], "outcomes document.outcomes[0].denominator must be 0 in an errored outcome, got 9"),
+    ([dict(ERRORED, strata={})], "outcomes document.outcomes[0].strata must be None in an errored outcome, got {}"),
+    ([dict(ERRORED, violations=[[0, "missing"]])],
+     "outcomes document.outcomes[0].violations must be [] in an errored outcome, got [[0, 'missing']]"),
+    ([dict(ERRORED, details={"x": 1})],
+     "outcomes document.outcomes[0].details must be {} in an errored outcome, got {'x': 1}"),
 ])
 def test_outcomes_of_the_wrong_shape_are_schema_violations(outcomes, message):
     with pytest.raises(SchemaViolation, match=re.escape(message)):

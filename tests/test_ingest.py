@@ -17,7 +17,6 @@ from dqlocus.ingest import (
     DEFAULT_MISSING_SENTINELS,
     load_dataset,
     load_manifest,
-    serialize_manifest,
     Stage,
 )
 
@@ -213,11 +212,6 @@ def test_extra_columns_are_ignored():
     )
     snapshot = load_dataset(csv_text, manifest)
     assert "extra" not in snapshot.columns
-
-
-def test_manifest_round_trips_through_serialization():
-    manifest = load_manifest(json.dumps(manifest_doc()))
-    assert load_manifest(serialize_manifest(manifest)) == manifest
 
 
 def test_timestamps_normalize_to_naive_utc():

@@ -231,6 +231,8 @@ def test_validate_flags_a_bad_measurement_or_parameter(measurement, finding):
 @pytest.mark.parametrize("measurement, message", [
     (Measurement(0.5), "numeric fraction must be a Fraction or None, got 0.5"),
     (Measurement(None, 0, 5), "qualifier text must be a non-empty string or None, got 5"),
+    (Measurement(1), "numeric fraction must be a Fraction or None, got 1"),
+    (Measurement(Fraction(1, 2), 0, 0), "qualifier text must be a non-empty string or None, got 0"),
 ])
 def test_serializing_a_percent_or_qualifier_of_the_wrong_type_is_a_schema_violation(measurement, message):
     a = DQAssertion(LifecycleLocus(Organization.DGO, Phase.DG, "Clinician"), "Completeness", measurement)

@@ -23,10 +23,10 @@ from dqlocus.errors import (
     InvalidPhaseForOrganization,
     NotationSyntaxError,
     PercentOutOfRange,
+    SchemaViolation,
     UnresolvedLabel,
 )
 from dqlocus.notation import (
-    LABEL_PARAMETERS,
     DQAssertion,
     Measurement,
     ParseMode,
@@ -38,6 +38,7 @@ from dqlocus.notation import (
 )
 from dqlocus.taxonomy import (
     IDENTIFIER_RE,
+    LABEL_PARAMETERS,
     ORG_PHASE_PAIRS,
     ActorRegistry,
     LifecycleLocus,
@@ -429,16 +430,22 @@ HAND_LOCI = LOCI + [LifecycleLocus(Organization.DRO, Phase.DG, "Clinician"),
 HAND_LABELS = RESOLVABLE + ["Legibility", "bad label", "completeness", "9", "", "Lab)el", "Lab-el"]
 HAND_QUALIFIERS = ["success", "a) b", ")", "94% of rows", "94%", "5%x", "1.5% ok", "100.5%", "94.% ok",
                    "٩٤%", "x%", "", " ", "a\nb"]
+#: A percent or a qualifier of a type no line holds.
+WRONG_PERCENTS = st.integers(0, 1) | st.floats(0, 1)
+WRONG_QUALIFIERS = st.sampled_from([0, 5, False])
 
 
 @st.composite
 def hand_built_assertions(draw):
     """An assertion of a locus, a label and a measurement whose percent, if
-    any, is exact at its precision; drawn valid or not."""
+    any, is exact at its precision or of the wrong type; drawn valid or
+    not."""
     precision = draw(st.integers(0, 3))
     scale = 100 * 10**precision
-    numeric = draw(st.none() | st.integers(-1, scale + 1).map(lambda units: Fraction(units, scale)))
-    text = draw(st.none() | st.sampled_from(HAND_QUALIFIERS) | st.text("0123456789.% )ab", max_size=8))
+    numeric = draw(st.none() | st.integers(-1, scale + 1).map(lambda units: Fraction(units, scale)) | WRONG_PERCENTS)
+    text = draw(
+        st.none() | st.sampled_from(HAND_QUALIFIERS) | st.text("0123456789.% )ab", max_size=8) | WRONG_QUALIFIERS
+    )
     shown = precision if numeric is not None else draw(st.sampled_from([0, precision]))
     measurement = Measurement(numeric, shown, text)
     return DQAssertion(draw(st.sampled_from(HAND_LOCI)), draw(st.sampled_from(HAND_LABELS)), measurement)
@@ -453,6 +460,21 @@ def test_an_assertion_has_an_error_exactly_when_its_line_does_not_parse_back(a):
     except DqError:
         back = None
     assert (back == a) == (not errors), errors
+    if not validate_assertion(a):  # no warning either: the label resolves
+        assert parse_assertion(serialize_assertion(a), mode=ParseMode.STRICT) == a
+
+
+@settings(max_examples=500, deadline=None)
+@given(a=hand_built_assertions())
+def test_serialize_raises_exactly_when_a_percent_or_qualifier_has_the_wrong_type(a):
+    codes = {f.code for f in validate_assertion(a)}
+    try:
+        serialize_assertion(a)
+    except SchemaViolation:
+        raised = True
+    else:
+        raised = False
+    assert raised == bool(codes & {"InvalidFraction", "InvalidQualifier"}), codes
 
 
 def reference_format_percent(value: Fraction, precision: int) -> str:

@@ -30,7 +30,7 @@ from dqlocus.assess import (
 )
 from dqlocus.errors import SchemaViolation
 from dqlocus.ingest import Stage
-from dqlocus.taxonomy import _PARAMETERS_BY_NAME
+from dqlocus.taxonomy import core_parameters
 
 #: Text the encoder must escape or pass through: quotes, backslashes,
 #: control characters, separators in line-based framings, non-ASCII.
@@ -70,7 +70,18 @@ STRATA = st.dictionaries(
 def outcome(draw, nan: bool):
     """An outcome whose counts keep ``CheckOutcome``'s invariants, which the
     reader checks: the strata come first, when there are any, and the
-    totals are summed from them, as ``run_check`` sums them."""
+    totals are summed from them, as ``run_check`` sums them. An errored
+    outcome carries no measurement, as ``run_suite`` writes it."""
+    identity = dict(
+        check_id=draw(TEXT),
+        kind=draw(st.sampled_from(list(CheckKind))),
+        target_fields=draw(st.lists(TEXT, max_size=2).map(tuple)),
+        stage=draw(st.none() | st.sampled_from(list(Stage))),
+        subset=draw(st.none() | TEXT),
+    )
+    error = draw(st.none() | TEXT)
+    if error is not None:
+        return CheckOutcome(**identity, error=error)
     strata = draw(st.none() | STRATA)
     if strata is None:
         numerator, denominator = draw(counts(10**9))
@@ -78,17 +89,12 @@ def outcome(draw, nan: bool):
         numerator = sum(s.numerator for s in strata.values())
         denominator = sum(s.denominator for s in strata.values())
     return CheckOutcome(
-        check_id=draw(TEXT),
-        kind=draw(st.sampled_from(list(CheckKind))),
+        **identity,
         numerator=numerator,
         denominator=denominator,
-        target_fields=draw(st.lists(TEXT, max_size=2).map(tuple)),
-        stage=draw(st.none() | st.sampled_from(list(Stage))),
-        subset=draw(st.none() | TEXT),
         strata=strata,
         violations=draw(st.lists(st.builds(Violation, st.integers(0, 10**9), TEXT), max_size=6).map(tuple)),
         details=draw(st.dictionaries(TEXT, json_values(nan), max_size=4)),
-        error=draw(st.none() | TEXT),
     )
 
 
@@ -166,7 +172,7 @@ def test_status_parameter_and_rate_follow_from_the_counts_and_error(
 #: Values a derived key might be replaced with: the other parameters,
 #: statuses and rates, an unreduced rate, and any JSON value.
 REPLACEMENTS = st.sampled_from(
-    [None, *_PARAMETERS_BY_NAME, *(s.value for s in CheckStatus), "0", "1", "1/2", "2/4"]
+    [None, *(p.name for p in core_parameters()), *(s.value for s in CheckStatus), "0", "1", "1/2", "2/4"]
 ) | json_values(nan=False)
 
 
