@@ -94,6 +94,9 @@ _EXPECTED = (
 # the short form, with no organization, defaults to the generating one
 _ORGANIZATIONS = {None: Organization.DGO, **{o.value: o for o in Organization}}
 _PHASES = {p.value: p for p in Phase}
+#: Each label that names a parameter, mapped to its own key string in
+#: ``LABEL_PARAMETERS``, so that every parsed line holds that one string.
+_LABEL_KEYS = {label: label for label in LABEL_PARAMETERS}
 
 
 class ParseMode(str, Enum):
@@ -113,7 +116,7 @@ class Finding:
     message: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Measurement:
     """The measured part of an assertion: exact percent and/or free text.
 
@@ -126,12 +129,13 @@ class Measurement:
     qualifier_text: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DQAssertion:
     """One provenance-tagged quality statement.
 
     ``label`` is kept exactly as written; ``parameter`` follows from it
-    through ``LABEL_PARAMETERS``, and is None for an unresolved label.
+    through ``LABEL_PARAMETERS``, and is None for an unresolved label or
+    one that is not a string.
     """
 
     locus: LifecycleLocus
@@ -141,12 +145,15 @@ class DQAssertion:
 
     @property
     def parameter(self) -> DQParameter | None:
-        return LABEL_PARAMETERS.get(self.label)
+        label = self.label
+        return LABEL_PARAMETERS.get(label) if isinstance(label, str) else None
 
 
 def _precision_fault(precision: int) -> str | None:
     """Why a percent cannot be rendered at ``precision``, or None. More
     than ``_MAX_DECIMALS`` decimals would not parse back."""
+    if type(precision) is int and 0 <= precision <= _MAX_DECIMALS:  # the common case, at once
+        return None
     if isinstance(precision, bool) or not isinstance(precision, int) or not 0 <= precision <= _MAX_DECIMALS:
         return f"precision must be an integer from 0 to {_MAX_DECIMALS}, got {precision!r}"
     return None
@@ -216,23 +223,31 @@ def parse_assertion(
     if m.end() != end:
         raise NotationSyntaxError("unexpected text after ')'", m.end())
 
-    locus = validate_locus(_ORGANIZATIONS[org], _PHASES[phase], actor, registry, allow_aliases=lenient)
-    if label not in LABEL_PARAMETERS and not lenient:
+    # the matched codes hash and compare equal to the members that key the
+    # table; the full check runs only to raise the error of an invalid locus
+    locus = (registry or builtin_registry())._loci.get((org or "DGO", phase, actor))
+    if locus is None or not (lenient or locus.actor == actor):
+        locus = validate_locus(_ORGANIZATIONS[org], _PHASES[phase], actor, registry, allow_aliases=lenient)
+    key = _LABEL_KEYS.get(label)
+    if key is None and not lenient:
         raise UnresolvedLabel(f"label {label!r} does not resolve to a core parameter")
 
-    return DQAssertion(locus, label, Measurement(numeric, precision, qualifier), raw_text=text)
+    return DQAssertion(locus, key or label, Measurement(numeric, precision, qualifier), raw_text=text)
 
 
 def _type_faults(m: Measurement) -> list[Finding]:
     """ERROR findings for a percent or qualifier of a type no line holds:
     a percent that is not a Fraction, or a qualifier that is not a
     non-empty string."""
+    numeric, text = m.numeric_fraction, m.qualifier_text
+    if (numeric is None or type(numeric) is Fraction) and (text is None or (type(text) is str and text)):
+        return []  # the common case, at once
     faults = []
-    if m.numeric_fraction is not None and not isinstance(m.numeric_fraction, Fraction):
-        message = f"numeric fraction must be a Fraction or None, got {m.numeric_fraction!r}"
+    if numeric is not None and not isinstance(numeric, Fraction):
+        message = f"numeric fraction must be a Fraction or None, got {numeric!r}"
         faults.append(Finding(Severity.ERROR, "InvalidFraction", message))
-    if m.qualifier_text is not None and not (isinstance(m.qualifier_text, str) and m.qualifier_text):
-        message = f"qualifier text must be a non-empty string or None, got {m.qualifier_text!r}"
+    if text is not None and not (isinstance(text, str) and text):
+        message = f"qualifier text must be a non-empty string or None, got {text!r}"
         faults.append(Finding(Severity.ERROR, "InvalidQualifier", message))
     return faults
 
@@ -244,12 +259,14 @@ def serialize_assertion(assertion: DQAssertion) -> str:
     m = assertion.measurement
     if faults := _type_faults(m):
         raise SchemaViolation(faults[0].message)
-    parts = []
-    if m.numeric_fraction is not None:
-        parts.append(format_percent(m.numeric_fraction, m.display_precision))
-    if m.qualifier_text is not None:
-        parts.append(m.qualifier_text)
-    return f"{assertion.locus} ({assertion.label}: {' '.join(parts)})"
+    numeric, text = m.numeric_fraction, m.qualifier_text
+    if numeric is None:
+        value = "" if text is None else text
+    elif text is None:
+        value = format_percent(numeric, m.display_precision)
+    else:
+        value = f"{format_percent(numeric, m.display_precision)} {text}"
+    return f"{assertion.locus} ({assertion.label}: {value})"
 
 
 def validate_assertion(
@@ -268,10 +285,12 @@ def validate_assertion(
     findings: list[Finding] = []
     locus = assertion.locus
 
-    try:
-        validate_locus(locus.organization, locus.phase, locus.actor, registry, allow_aliases=False)
-    except DqError as e:
-        findings.append(Finding(Severity.ERROR, type(e).__name__, str(e)))
+    # the registry's own locus is valid; any other, equal or not, is checked
+    if registry._loci.get((locus.organization, locus.phase, locus.actor)) is not locus:
+        try:
+            validate_locus(locus.organization, locus.phase, locus.actor, registry, allow_aliases=False)
+        except DqError as e:
+            findings.append(Finding(Severity.ERROR, type(e).__name__, str(e)))
 
     m = assertion.measurement
     numeric, text = m.numeric_fraction, m.qualifier_text
@@ -305,15 +324,17 @@ def validate_assertion(
 
 
 def canonicalize(assertion: DQAssertion, registry: ActorRegistry | None = None) -> DQAssertion:
-    """Resolve the locus actor to its canonical name."""
+    """Resolve the locus actor to its canonical name. A locus the registry
+    holds becomes the registry's own locus object."""
     registry = registry or builtin_registry()
     locus = assertion.locus
     actor = registry.resolve(locus.actor)
     if actor.canonical_name == locus.actor:
         return assertion
+    shared = registry._loci.get((locus.organization, locus.phase, locus.actor))
     return replace(
         assertion,
-        locus=LifecycleLocus(locus.organization, locus.phase, actor.canonical_name),
+        locus=shared or LifecycleLocus(locus.organization, locus.phase, actor.canonical_name),
     )
 
 

@@ -10,7 +10,7 @@ five (organization, phase) pairs are valid.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any
 
@@ -172,6 +172,11 @@ class LifecycleLocus:
     organization: Organization
     phase: Phase
     actor: str
+    #: ``ORG-PHASE-Actor``, spelled once per locus object.
+    _text: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_text", _spell(self.organization, self.phase, self.actor))
 
     @property
     def org_phase(self) -> tuple[Organization, Phase]:
@@ -183,14 +188,21 @@ class LifecycleLocus:
         return (_PAIR_ORDER.get((self.organization, self.phase), len(_PAIR_ORDER)), self.actor)
 
     def __str__(self) -> str:
-        return f"{self.organization.value}-{self.phase.value}-{self.actor}"
+        return self._text
+
+
+def _spell(*codes: Any) -> str:
+    """Codes joined by ``-``. A member is spelled by its value and any
+    other code by ``str()``, so a code given as a plain string reads as
+    itself; ``f"{member}"`` would differ between Python versions."""
+    return "-".join(str(c.value) if isinstance(c, Enum) else str(c) for c in codes)
 
 
 def _require_pair(org: Organization, phase: Phase) -> None:
-    """Raise for the one pair outside the lifecycle model, DRO-DG."""
+    """Raise for any pair outside the lifecycle model, such as DRO-DG."""
     if (org, phase) not in _PAIR_ORDER:
         raise InvalidPhaseForOrganization(
-            f"{org.value}-{phase.value} is not a valid organization-phase pair:"
+            f"{_spell(org, phase)} is not a valid organization-phase pair:"
             " data generation happens only at the data-generating organization"
         )
 
@@ -285,7 +297,7 @@ def validate_locus(
     _require_pair(org, phase)  # not a valid locus: only the error is left to decide
     actor = registry.resolve(actor_name, allow_aliases=allow_aliases)
     raise ActorPhaseMismatch(
-        f"actor {actor.canonical_name!r} is not allowed at {org.value}-{phase.value}"
+        f"actor {actor.canonical_name!r} is not allowed at {_spell(org, phase)}"
     )
 
 

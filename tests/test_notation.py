@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import copy
+import pickle
+from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 
 import pytest
@@ -18,13 +21,21 @@ from dqlocus.notation import (
     Measurement,
     ParseMode,
     Severity,
+    canonicalize,
     format_percent,
     parse_assertion,
     parse_assertion_file,
     serialize_assertion,
     validate_assertion,
 )
-from dqlocus.taxonomy import LifecycleLocus, Organization, Phase, builtin_registry
+from dqlocus.taxonomy import (
+    LifecycleLocus,
+    Organization,
+    Phase,
+    builtin_registry,
+    enumerate_loci,
+    validate_locus,
+)
 
 PAPER_STRINGS = [
     "DGO-DG-Clinician (Completeness: 94%)",
@@ -245,11 +256,85 @@ def test_serializing_a_percent_or_qualifier_of_the_wrong_type_is_a_schema_violat
 @pytest.mark.parametrize("label, finding", [
     ("bad label", "InvalidLabel: label 'bad label' is not an identifier"),
     (7, "InvalidLabel: label 7 is not an identifier"),
+    # unhashable: once a stray TypeError from the label table's lookup
+    (["x"], "InvalidLabel: label ['x'] is not an identifier"),
+    ({"Completeness": 1}, "InvalidLabel: label {'Completeness': 1} is not an identifier"),
 ])
 def test_validate_flags_a_label_that_is_not_an_identifier(label, finding):
     a = DQAssertion(LifecycleLocus(Organization.DGO, Phase.DG, "Clinician"), label, Measurement(Fraction(1, 2)))
+    assert a.parameter is None
     findings = validate_assertion(a)
     assert [(f.severity, f"{f.code}: {f.message}") for f in findings] == [(Severity.ERROR, finding)]
+
+
+_NOT_GENERATING = (" is not a valid organization-phase pair:"
+                   " data generation happens only at the data-generating organization")
+
+
+@pytest.mark.parametrize("locus, finding", [
+    (("XYZ", "DG", "Clinician"), "InvalidPhaseForOrganization: XYZ-DG" + _NOT_GENERATING),
+    (("DRO", "DG", "Clinician"), "InvalidPhaseForOrganization: DRO-DG" + _NOT_GENERATING),
+    ((Organization.DRO, "DX", "Clinician"), "InvalidPhaseForOrganization: DRO-DX" + _NOT_GENERATING),
+    (("DGO", "DT", "Patient"), "ActorPhaseMismatch: actor 'Patient' is not allowed at DGO-DT"),
+])
+def test_a_locus_of_plain_string_codes_that_is_not_valid_is_an_error_finding(locus, finding):
+    """Plain-string codes are checked as members are, and once raised a
+    stray AttributeError from the error message."""
+    a = DQAssertion(LifecycleLocus(*locus), "Completeness", Measurement(Fraction(1, 2)))
+    findings = validate_assertion(a)
+    assert [(f.severity, f"{f.code}: {f.message}") for f in findings] == [(Severity.ERROR, finding)]
+    assert serialize_assertion(a) == f"{'-'.join(locus)} (Completeness: 50%)"
+
+
+def test_a_valid_locus_of_plain_string_codes_serializes_and_parses_back():
+    locus = LifecycleLocus("DGO", "DG", "Clinician")
+    assert locus == validate_locus(Organization.DGO, Phase.DG, "Clinician")
+    a = DQAssertion(locus, "Completeness", Measurement(Fraction(1, 2), 0, "of rows"))
+    assert validate_assertion(a) == []
+    assert serialize_assertion(a) == "DGO-DG-Clinician (Completeness: 50% of rows)"
+    assert parse_assertion(serialize_assertion(a), mode=ParseMode.STRICT) == a
+
+
+def test_assertions_and_measurements_hold_no_instance_dict():
+    a = parse_assertion("DRO-DT-DataEngineer (Mapping: 92% success)")
+    for obj in (a, a.measurement):
+        assert not hasattr(obj, "__dict__")
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, fields(obj)[0].name, None)
+
+
+@pytest.mark.parametrize("copy_of", [
+    replace, copy.copy, copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj)),
+], ids=["replace", "copy", "deepcopy", "pickle"])
+def test_copies_of_an_assertion_are_equal(copy_of):
+    a = parse_assertion("DRO-DT-DataEngineer (Mapping: 92.5% success)")
+    again = copy_of(a)
+    assert again == a and again.raw_text == a.raw_text and again.parameter is a.parameter
+    assert copy_of(a.measurement) == a.measurement
+    assert str(copy_of(a.locus)) == str(a.locus) == "DRO-DT-DataEngineer"
+    assert copy_of(a.locus) == a.locus
+
+
+def test_a_locus_reads_org_phase_actor():
+    for locus in enumerate_loci():
+        text = f"{locus.organization.value}-{locus.phase.value}-{locus.actor}"
+        fresh = LifecycleLocus(locus.organization, locus.phase, locus.actor)
+        assert fresh is not locus and fresh == locus
+        assert str(locus) == str(fresh) == f"{fresh}" == text
+        assert str(replace(locus, actor="Nobody")) == text[: -len(locus.actor)] + "Nobody"
+
+
+def test_canonicalize_takes_the_registrys_own_locus():
+    registry = builtin_registry()
+    alias = DQAssertion(LifecycleLocus(Organization.DRO, Phase.DT, "Engineer"), "Mapping",
+                        Measurement(Fraction(92, 100), 0, "success"), raw_text="DRO-DT-Engineer (Mapping: 92% success)")
+    got = canonicalize(alias, registry)
+    assert got.locus is validate_locus(Organization.DRO, Phase.DT, "DataEngineer", registry)
+    assert replace(got, locus=alias.locus) == alias and got.raw_text == alias.raw_text
+    assert canonicalize(got, registry) is got
+    # an alias at a pair its actor is not allowed at has no shared locus
+    stray = canonicalize(replace(alias, locus=LifecycleLocus(Organization.DGO, Phase.DG, "Engineer")))
+    assert stray.locus == LifecycleLocus(Organization.DGO, Phase.DG, "DataEngineer")
 
 
 @pytest.mark.parametrize("locus, label, measurement, parameter", [

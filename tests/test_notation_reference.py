@@ -33,6 +33,7 @@ from dqlocus.notation import (
     Severity,
     format_percent,
     parse_assertion,
+    parse_assertion_file,
     serialize_assertion,
     validate_assertion,
 )
@@ -312,6 +313,18 @@ def test_an_assertions_parameter_follows_from_its_label(line, registry, mode):
         assert DQAssertion(a.locus, a.label, a.measurement) == a
 
 
+@settings(max_examples=200, deadline=None)
+@given(file=st.lists(lines(), max_size=8), registry=st.sampled_from(REGISTRIES), mode=st.sampled_from(list(ParseMode)))
+def test_a_parsed_label_that_names_a_parameter_is_the_tables_own_key(file, registry, mode):
+    """Every line holds the one key string of its label, not a copy."""
+    assertions, _ = parse_assertion_file("\n".join(file), registry, mode)
+    for _, a in assertions:
+        if a.parameter is not None:
+            assert a.label is next(key for key in LABEL_PARAMETERS if key == a.label)
+        else:
+            assert mode is ParseMode.LENIENT and a.label not in LABEL_PARAMETERS
+
+
 @pytest.mark.parametrize(
     "line, mode, message, offset",
     [
@@ -424,15 +437,36 @@ def test_parse_serialize_is_the_identity_on_canonical_text(locus, label, value):
 
 
 #: Loci, labels and qualifiers of hand-built assertions, valid or not.
+#: The last three hold codes that are plain strings.
 HAND_LOCI = LOCI + [LifecycleLocus(Organization.DRO, Phase.DG, "Clinician"),
                     LifecycleLocus(Organization.DGO, Phase.DG, "Nobody"),
-                    LifecycleLocus(Organization.DGO, Phase.DG, "clinician")]
-HAND_LABELS = RESOLVABLE + ["Legibility", "bad label", "completeness", "9", "", "Lab)el", "Lab-el"]
+                    LifecycleLocus(Organization.DGO, Phase.DG, "clinician"),
+                    LifecycleLocus("XYZ", "DG", "Clinician"),
+                    LifecycleLocus("DRO", "DG", "Clinician"),
+                    LifecycleLocus(Organization.DRO, "DX", "Clinician")]
+#: A label that is not a string, hashable or not, resolves to no parameter.
+HAND_LABELS = RESOLVABLE + ["Legibility", "bad label", "completeness", "9", "", "Lab)el", "Lab-el",
+                            7, None, ["Completeness"]]
 HAND_QUALIFIERS = ["success", "a) b", ")", "94% of rows", "94%", "5%x", "1.5% ok", "100.5%", "94.% ok",
                    "٩٤%", "x%", "", " ", "a\nb"]
 #: A percent or a qualifier of a type no line holds.
 WRONG_PERCENTS = st.integers(0, 1) | st.floats(0, 1)
 WRONG_QUALIFIERS = st.sampled_from([0, 5, False])
+
+
+@st.composite
+def fresh_loci(draw):
+    """A locus of ``HAND_LOCI`` or a new one equal to it, whose codes are
+    members or plain strings: only a registry's own locus skips the
+    locus check."""
+    locus = draw(st.sampled_from(HAND_LOCI))
+    how = draw(st.sampled_from(["same", "members", "strings"]))
+    if how == "same":
+        return locus
+    org, phase = locus.organization, locus.phase
+    if how == "strings":
+        org, phase = getattr(org, "value", org), getattr(phase, "value", phase)
+    return LifecycleLocus(org, phase, locus.actor)
 
 
 @st.composite
@@ -448,7 +482,7 @@ def hand_built_assertions(draw):
     )
     shown = precision if numeric is not None else draw(st.sampled_from([0, precision]))
     measurement = Measurement(numeric, shown, text)
-    return DQAssertion(draw(st.sampled_from(HAND_LOCI)), draw(st.sampled_from(HAND_LABELS)), measurement)
+    return DQAssertion(draw(fresh_loci()), draw(st.sampled_from(HAND_LABELS)), measurement)
 
 
 @settings(max_examples=500, deadline=None)
