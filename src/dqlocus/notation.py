@@ -52,8 +52,6 @@ from .taxonomy import (
     ActorRegistry,
     DQParameter,
     LifecycleLocus,
-    Organization,
-    Phase,
     builtin_registry,
     validate_locus,
 )
@@ -91,9 +89,6 @@ _EXPECTED = (
     ("label", "expected label identifier"),
     ("colon", "expected ': ' between label and value"),
 )
-# the short form, with no organization, defaults to the generating one
-_ORGANIZATIONS = {None: Organization.DGO, **{o.value: o for o in Organization}}
-_PHASES = {p.value: p for p in Phase}
 #: Each label that names a parameter, mapped to its own key string in
 #: ``LABEL_PARAMETERS``, so that every parsed line holds that one string.
 _LABEL_KEYS = {label: label for label in LABEL_PARAMETERS}
@@ -152,8 +147,6 @@ class DQAssertion:
 def _precision_fault(precision: int) -> str | None:
     """Why a percent cannot be rendered at ``precision``, or None. More
     than ``_MAX_DECIMALS`` decimals would not parse back."""
-    if type(precision) is int and 0 <= precision <= _MAX_DECIMALS:  # the common case, at once
-        return None
     if isinstance(precision, bool) or not isinstance(precision, int) or not 0 <= precision <= _MAX_DECIMALS:
         return f"precision must be an integer from 0 to {_MAX_DECIMALS}, got {precision!r}"
     return None
@@ -224,10 +217,8 @@ def parse_assertion(
         raise NotationSyntaxError("unexpected text after ')'", m.end())
 
     # the matched codes hash and compare equal to the members that key the
-    # table; the full check runs only to raise the error of an invalid locus
-    locus = (registry or builtin_registry())._loci.get((org or "DGO", phase, actor))
-    if locus is None or not (lenient or locus.actor == actor):
-        locus = validate_locus(_ORGANIZATIONS[org], _PHASES[phase], actor, registry, allow_aliases=lenient)
+    # registry's table; the short form defaults to the generating organization
+    locus = validate_locus(org or "DGO", phase, actor, registry, allow_aliases=lenient)
     key = _LABEL_KEYS.get(label)
     if key is None and not lenient:
         raise UnresolvedLabel(f"label {label!r} does not resolve to a core parameter")
@@ -239,15 +230,12 @@ def _type_faults(m: Measurement) -> list[Finding]:
     """ERROR findings for a percent or qualifier of a type no line holds:
     a percent that is not a Fraction, or a qualifier that is not a
     non-empty string."""
-    numeric, text = m.numeric_fraction, m.qualifier_text
-    if (numeric is None or type(numeric) is Fraction) and (text is None or (type(text) is str and text)):
-        return []  # the common case, at once
     faults = []
-    if numeric is not None and not isinstance(numeric, Fraction):
-        message = f"numeric fraction must be a Fraction or None, got {numeric!r}"
+    if m.numeric_fraction is not None and not isinstance(m.numeric_fraction, Fraction):
+        message = f"numeric fraction must be a Fraction or None, got {m.numeric_fraction!r}"
         faults.append(Finding(Severity.ERROR, "InvalidFraction", message))
-    if text is not None and not (isinstance(text, str) and text):
-        message = f"qualifier text must be a non-empty string or None, got {text!r}"
+    if m.qualifier_text is not None and not (isinstance(m.qualifier_text, str) and m.qualifier_text):
+        message = f"qualifier text must be a non-empty string or None, got {m.qualifier_text!r}"
         faults.append(Finding(Severity.ERROR, "InvalidQualifier", message))
     return faults
 
@@ -285,12 +273,10 @@ def validate_assertion(
     findings: list[Finding] = []
     locus = assertion.locus
 
-    # the registry's own locus is valid; any other, equal or not, is checked
-    if registry._loci.get((locus.organization, locus.phase, locus.actor)) is not locus:
-        try:
-            validate_locus(locus.organization, locus.phase, locus.actor, registry, allow_aliases=False)
-        except DqError as e:
-            findings.append(Finding(Severity.ERROR, type(e).__name__, str(e)))
+    try:
+        validate_locus(locus.organization, locus.phase, locus.actor, registry, allow_aliases=False)
+    except DqError as e:
+        findings.append(Finding(Severity.ERROR, type(e).__name__, str(e)))
 
     m = assertion.measurement
     numeric, text = m.numeric_fraction, m.qualifier_text

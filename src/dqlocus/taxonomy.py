@@ -10,7 +10,7 @@ five (organization, phase) pairs are valid.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any
 
@@ -172,11 +172,6 @@ class LifecycleLocus:
     organization: Organization
     phase: Phase
     actor: str
-    #: ``ORG-PHASE-Actor``, spelled once per locus object.
-    _text: str = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_text", _spell(self.organization, self.phase, self.actor))
 
     @property
     def org_phase(self) -> tuple[Organization, Phase]:
@@ -188,23 +183,27 @@ class LifecycleLocus:
         return (_PAIR_ORDER.get((self.organization, self.phase), len(_PAIR_ORDER)), self.actor)
 
     def __str__(self) -> str:
-        return self._text
+        return _spell(self.organization, self.phase, self.actor)
 
 
 def _spell(*codes: Any) -> str:
-    """Codes joined by ``-``. A member is spelled by its value and any
-    other code by ``str()``, so a code given as a plain string reads as
-    itself; ``f"{member}"`` would differ between Python versions."""
-    return "-".join(str(c.value) if isinstance(c, Enum) else str(c) for c in codes)
+    """Codes joined by ``-``. A string code reads as its own text, which
+    for a member is its value on every Python version (``f"{member}"`` is
+    not); any other code reads as ``str()`` of it."""
+    try:
+        return "-".join(codes)
+    except TypeError:  # a code that is not a string
+        return "-".join(c if isinstance(c, str) else str(c) for c in codes)
 
 
 def _require_pair(org: Organization, phase: Phase) -> None:
-    """Raise for any pair outside the lifecycle model, such as DRO-DG."""
+    """Raise for any pair outside the lifecycle model: DRO-DG, or a pair
+    of codes that name no organization or phase."""
     if (org, phase) not in _PAIR_ORDER:
-        raise InvalidPhaseForOrganization(
-            f"{_spell(org, phase)} is not a valid organization-phase pair:"
-            " data generation happens only at the data-generating organization"
-        )
+        why = ""
+        if (org, phase) == (Organization.DRO, Phase.DG):
+            why = ": data generation happens only at the data-generating organization"
+        raise InvalidPhaseForOrganization(f"{_spell(org, phase)} is not a valid organization-phase pair{why}")
 
 
 class ActorRegistry:
@@ -286,9 +285,9 @@ def validate_locus(
 ) -> LifecycleLocus:
     """The registry's locus for the triple, its actor name resolved.
 
-    Raises InvalidPhaseForOrganization for the impossible DRO-DG pair,
-    UnknownActor for unresolvable names, and ActorPhaseMismatch when the
-    actor is not allowed at the pair.
+    Raises InvalidPhaseForOrganization for the impossible DRO-DG pair and
+    for codes that name no pair, UnknownActor for unresolvable names, and
+    ActorPhaseMismatch when the actor is not allowed at the pair.
     """
     registry = registry or _BUILTIN_REGISTRY
     locus = registry._loci.get((org, phase, actor_name))

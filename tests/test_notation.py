@@ -267,14 +267,11 @@ def test_validate_flags_a_label_that_is_not_an_identifier(label, finding):
     assert [(f.severity, f"{f.code}: {f.message}") for f in findings] == [(Severity.ERROR, finding)]
 
 
-_NOT_GENERATING = (" is not a valid organization-phase pair:"
-                   " data generation happens only at the data-generating organization")
-
-
 @pytest.mark.parametrize("locus, finding", [
-    (("XYZ", "DG", "Clinician"), "InvalidPhaseForOrganization: XYZ-DG" + _NOT_GENERATING),
-    (("DRO", "DG", "Clinician"), "InvalidPhaseForOrganization: DRO-DG" + _NOT_GENERATING),
-    ((Organization.DRO, "DX", "Clinician"), "InvalidPhaseForOrganization: DRO-DX" + _NOT_GENERATING),
+    (("XYZ", "DG", "Clinician"), "InvalidPhaseForOrganization: XYZ-DG is not a valid organization-phase pair"),
+    (("DRO", "DG", "Clinician"), "InvalidPhaseForOrganization: DRO-DG is not a valid organization-phase pair:"
+                                 " data generation happens only at the data-generating organization"),
+    ((Organization.DRO, "DX", "Clinician"), "InvalidPhaseForOrganization: DRO-DX is not a valid organization-phase pair"),
     (("DGO", "DT", "Patient"), "ActorPhaseMismatch: actor 'Patient' is not allowed at DGO-DT"),
 ])
 def test_a_locus_of_plain_string_codes_that_is_not_valid_is_an_error_finding(locus, finding):
@@ -322,6 +319,8 @@ def test_a_locus_reads_org_phase_actor():
         assert fresh is not locus and fresh == locus
         assert str(locus) == str(fresh) == f"{fresh}" == text
         assert str(replace(locus, actor="Nobody")) == text[: -len(locus.actor)] + "Nobody"
+        # a code that is not a string reads as str() of it, the members still by value
+        assert str(replace(locus, actor=7)) == text[: -len(locus.actor)] + "7"
 
 
 def test_canonicalize_takes_the_registrys_own_locus():
