@@ -121,12 +121,6 @@ class StratumOutcome:
 
 
 @dataclass(frozen=True)
-class Violation:
-    row: int
-    reason: str
-
-
-@dataclass(frozen=True)
 class CheckOutcome:
     """Result of one check: exact counts, violations, optional strata.
 
@@ -145,7 +139,7 @@ class CheckOutcome:
     stage: Stage | None = None
     subset: str | None = None
     strata: dict[str, StratumOutcome] | None = None
-    violations: tuple[Violation, ...] = ()
+    violations: tuple[tuple[int, str], ...] = ()  # (row, reason), rows ascending
     details: dict[str, Any] = field(default_factory=dict)
     error: str | None = None
 
@@ -692,7 +686,7 @@ def run_check(definition: CheckDefinition, snapshots: Snapshots) -> CheckOutcome
     return CheckOutcome(
         check_id=definition.id, kind=kind, numerator=numerator, denominator=denominator,
         target_fields=tuple(fields), stage=stage, subset=_subset_label(definition.subset), strata=strata,
-        violations=tuple(Violation(i, failing[i]) for i in sorted(failing)), details=details,
+        violations=tuple(sorted(failing.items())), details=details,
     )
 
 
@@ -817,7 +811,7 @@ def outcome_to_dict(outcome: CheckOutcome) -> dict[str, Any]:
         "target_fields": list(outcome.target_fields),
         "stage": outcome.stage.value if outcome.stage else None,
         "subset": outcome.subset,
-        "violations": [[v.row, v.reason] for v in outcome.violations],
+        "violations": outcome.violations,
         "details": outcome.details,
         "error": outcome.error,
     }
@@ -849,11 +843,11 @@ def _read_strata(value: Any, where: str) -> dict[str, StratumOutcome]:
     }
 
 
-def _read_violation(value: Any, where: str) -> Violation:
+def _read_violation(value: Any, where: str) -> tuple[int, str]:
     """A ``[row, reason]`` pair, which ``run_check`` writes as an int and a
     string; ``_violations_json`` relies on that."""
     if isinstance(value, list) and len(value) == 2:
-        return Violation(read_int(value[0], f"{where}[0]"), read_str(value[1], f"{where}[1]"))
+        return read_int(value[0], f"{where}[0]"), read_str(value[1], f"{where}[1]")
     raise SchemaViolation(f"{where} must be a [row, reason] pair")
 
 
@@ -920,7 +914,7 @@ _ROW_REASON = ",\n" + " " * 10
 _NEXT_VIOLATION = "\n" + " " * 8 + "],\n" + " " * 8 + "[\n" + " " * 10
 
 
-def _violations_json(violations: list[list[Any]]) -> str:
+def _violations_json(violations: tuple[tuple[int, str], ...]) -> str:
     """The ``[row, reason]`` pairs of one outcome as ``json.dumps(indent=2)``
     writes them in an outcomes document, from one call of the C encoder
     (which ``json`` uses only without ``indent``). Each row and each

@@ -317,7 +317,10 @@ def canonicalize(assertion: DQAssertion, registry: ActorRegistry | None = None) 
     actor = registry.resolve(locus.actor)
     if actor.canonical_name == locus.actor:
         return assertion
-    shared = registry._loci.get((locus.organization, locus.phase, locus.actor))
+    try:
+        shared = registry._loci.get((locus.organization, locus.phase, locus.actor))
+    except TypeError:  # an unhashable code is in no locus
+        shared = None
     return replace(
         assertion,
         locus=shared or LifecycleLocus(locus.organization, locus.phase, actor.canonical_name),

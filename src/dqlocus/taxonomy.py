@@ -199,7 +199,7 @@ def _spell(*codes: Any) -> str:
 def _require_pair(org: Organization, phase: Phase) -> None:
     """Raise for any pair outside the lifecycle model: DRO-DG, or a pair
     of codes that name no organization or phase."""
-    if (org, phase) not in _PAIR_ORDER:
+    if not (isinstance(org, str) and isinstance(phase, str) and (org, phase) in _PAIR_ORDER):
         why = ""
         if (org, phase) == (Organization.DRO, Phase.DG):
             why = ": data generation happens only at the data-generating organization"
@@ -251,8 +251,9 @@ class ActorRegistry:
         return isinstance(other, ActorRegistry) and self._names == other._names
 
     def resolve(self, name: str, *, allow_aliases: bool = True) -> Actor:
-        """Resolve a name or (optionally) alias to its actor."""
-        actor = self._names.get(name)
+        """Resolve a name or (optionally) alias to its actor; a name that
+        is not a string resolves to none."""
+        actor = self._names.get(name) if isinstance(name, str) else None
         if actor is None or not (allow_aliases or name == actor.canonical_name):
             raise UnknownActor(f"unknown actor: {name!r}")
         return actor
@@ -286,11 +287,15 @@ def validate_locus(
     """The registry's locus for the triple, its actor name resolved.
 
     Raises InvalidPhaseForOrganization for the impossible DRO-DG pair and
-    for codes that name no pair, UnknownActor for unresolvable names, and
-    ActorPhaseMismatch when the actor is not allowed at the pair.
+    for codes that name no pair, UnknownActor for unresolvable names (a
+    name that is not a string among them), and ActorPhaseMismatch when
+    the actor is not allowed at the pair.
     """
     registry = registry or _BUILTIN_REGISTRY
-    locus = registry._loci.get((org, phase, actor_name))
+    try:
+        locus = registry._loci.get((org, phase, actor_name))
+    except TypeError:  # an unhashable code or name is in no locus
+        locus = None
     if locus is not None and (allow_aliases or locus.actor == actor_name):
         return locus
     _require_pair(org, phase)  # not a valid locus: only the error is left to decide

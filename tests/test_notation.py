@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import copy
 import pickle
+import re
 from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 
 import pytest
 
 from dqlocus.errors import (
+    DqError,
     InvalidPhaseForOrganization,
     NotationSyntaxError,
     PercentOutOfRange,
@@ -283,6 +285,34 @@ def test_a_locus_of_plain_string_codes_that_is_not_valid_is_an_error_finding(loc
     assert serialize_assertion(a) == f"{'-'.join(locus)} (Completeness: 50%)"
 
 
+@pytest.mark.parametrize("locus, finding", [
+    ((Organization.DGO, Phase.DG, ["x"]), "UnknownActor: unknown actor: ['x']"),
+    ((["DGO"], Phase.DG, "Clinician"),
+     "InvalidPhaseForOrganization: ['DGO']-DG is not a valid organization-phase pair"),
+    ((Organization.DGO, ["DG"], ["x"]),
+     "InvalidPhaseForOrganization: DGO-['DG'] is not a valid organization-phase pair"),
+])
+def test_a_locus_with_an_unhashable_code_or_actor_is_an_error_finding(locus, finding):
+    """An unhashable code or actor is in no locus of the registry: it is
+    checked as any other, and once raised a stray TypeError from the
+    registry's table."""
+    a = DQAssertion(LifecycleLocus(*locus), "Completeness", Measurement(Fraction(1, 2)))
+    findings = validate_assertion(a)
+    assert [(f.severity, f"{f.code}: {f.message}") for f in findings] == [(Severity.ERROR, finding)]
+    with pytest.raises(DqError) as raised:
+        validate_locus(*locus)
+    assert f"{type(raised.value).__name__}: {raised.value}" == finding
+
+
+def test_an_actor_that_is_not_a_string_resolves_to_none():
+    for actor in (["x"], ["Clinician"], 7, None):
+        with pytest.raises(UnknownActor, match=re.escape(f"unknown actor: {actor!r}")):
+            builtin_registry().resolve(actor)
+    a = DQAssertion(LifecycleLocus(Organization.DGO, Phase.DG, ["x"]), "Completeness", Measurement(Fraction(1, 2)))
+    with pytest.raises(UnknownActor, match=re.escape("unknown actor: ['x']")):
+        canonicalize(a)
+
+
 def test_a_valid_locus_of_plain_string_codes_serializes_and_parses_back():
     locus = LifecycleLocus("DGO", "DG", "Clinician")
     assert locus == validate_locus(Organization.DGO, Phase.DG, "Clinician")
@@ -334,6 +364,9 @@ def test_canonicalize_takes_the_registrys_own_locus():
     # an alias at a pair its actor is not allowed at has no shared locus
     stray = canonicalize(replace(alias, locus=LifecycleLocus(Organization.DGO, Phase.DG, "Engineer")))
     assert stray.locus == LifecycleLocus(Organization.DGO, Phase.DG, "DataEngineer")
+    # nor has a locus with a code that cannot be hashed
+    odd = canonicalize(replace(alias, locus=LifecycleLocus(["DRO"], Phase.DT, "Engineer")))
+    assert odd.locus == LifecycleLocus(["DRO"], Phase.DT, "DataEngineer")
 
 
 @pytest.mark.parametrize("locus, label, measurement, parameter", [

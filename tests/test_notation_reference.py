@@ -443,7 +443,9 @@ HAND_LOCI = LOCI + [LifecycleLocus(Organization.DRO, Phase.DG, "Clinician"),
                     LifecycleLocus(Organization.DGO, Phase.DG, "clinician"),
                     LifecycleLocus("XYZ", "DG", "Clinician"),
                     LifecycleLocus("DRO", "DG", "Clinician"),
-                    LifecycleLocus(Organization.DRO, "DX", "Clinician")]
+                    LifecycleLocus(Organization.DRO, "DX", "Clinician"),
+                    LifecycleLocus(Organization.DGO, Phase.DG, ["x"]),
+                    LifecycleLocus(["DGO"], Phase.DG, "Clinician")]
 #: A label that is not a string, hashable or not, resolves to no parameter.
 HAND_LABELS = RESOLVABLE + ["Legibility", "bad label", "completeness", "9", "", "Lab)el", "Lab-el",
                             7, None, ["Completeness"]]

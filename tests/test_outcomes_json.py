@@ -23,7 +23,6 @@ from dqlocus.assess import (
     CheckStatus,
     DegeneracyFlag,
     StratumOutcome,
-    Violation,
     outcome_to_dict,
     outcomes_from_json,
     outcomes_to_json,
@@ -93,7 +92,7 @@ def outcome(draw, nan: bool):
         numerator=numerator,
         denominator=denominator,
         strata=strata,
-        violations=draw(st.lists(st.builds(Violation, st.integers(0, 10**9), TEXT), max_size=6).map(tuple)),
+        violations=draw(st.lists(st.tuples(st.integers(0, 10**9), TEXT), max_size=6).map(tuple)),
         details=draw(st.dictionaries(TEXT, json_values(nan), max_size=4)),
     )
 
@@ -126,7 +125,7 @@ def test_empty_and_full_documents():
     assert outcomes_to_json([]) == '{\n  "outcomes": [],\n  "schema_version": "1"\n}\n'
     outcome = CheckOutcome(
         check_id="c", kind=CheckKind.COMPLETENESS, numerator=1, denominator=3,
-        violations=(Violation(0, 'a "quoted"\nreason'), Violation(2, "]\n[")),
+        violations=((0, 'a "quoted"\nreason'), (2, "]\n[")),
     )
     assert outcomes_to_json([outcome, outcome]) == reference_json([outcome, outcome])
 
@@ -143,7 +142,7 @@ def test_empty_and_full_documents():
 def test_a_violation_that_is_not_an_int_and_a_string_is_rejected(violations):
     doc = json.loads(outcomes_to_json([CheckOutcome(
         check_id="c", kind=CheckKind.COMPLETENESS, numerator=0, denominator=1,
-        violations=(Violation(0, "missing"),),
+        violations=((0, "missing"),),
     )]))
     doc["outcomes"][0]["violations"] = violations
     with pytest.raises(SchemaViolation, match="violations"):

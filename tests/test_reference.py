@@ -249,8 +249,18 @@ def evaluated(snapshot, definition):
     strata = None
     if outcome.strata is not None:
         strata = {sid: [s.numerator, s.denominator] for sid, s in outcome.strata.items()}
-    violations = [(v.row, v.reason) for v in outcome.violations]
-    return outcome, (outcome.numerator, outcome.denominator, violations, strata)
+    return outcome, (outcome.numerator, outcome.denominator, list(outcome.violations), strata)
+
+
+def assert_violation_pairs(outcome):
+    """What a reader of a row kind's outcome may rely on: each violation is
+    an exact tuple of an int row and a str reason, the rows ascend strictly
+    from 0 up, and each row judged and failed has one violation."""
+    for v in outcome.violations:
+        assert type(v) is tuple and len(v) == 2 and type(v[0]) is int and type(v[1]) is str, v
+    rows = [-1] + [row for row, _ in outcome.violations]
+    assert all(a < b for a, b in zip(rows, rows[1:])), rows
+    assert len(outcome.violations) == outcome.denominator - outcome.numerator
 
 
 # --- properties -------------------------------------------------------------
@@ -262,6 +272,7 @@ def test_evaluator_equals_reference(rows, suite):
     for definition in suite:
         outcome, got = evaluated(snapshot, definition)
         assert got == reference(snapshot, definition), definition
+        assert_violation_pairs(outcome)
         expected_status = CheckStatus.OK if outcome.denominator else CheckStatus.NOT_ASSESSABLE
         assert outcome.status is expected_status
         if outcome.strata is not None:
@@ -286,7 +297,7 @@ def test_signed_zeros_and_nans_are_judged_cell_by_cell():
     for definition in suite:
         assert evaluated(snapshot, definition)[1] == reference(snapshot, definition), definition.id
     value, _ = evaluated(snapshot, suite[0])
-    assert [(v.row, v.reason) for v in value.violations] == [
+    assert list(value.violations) == [
         (1, "value not allowed: -0.0"), (4, "value not allowed: -0.0"), (6, "value not allowed: 2.5"),
     ]
 
@@ -319,7 +330,7 @@ def test_shuffling_rows_leaves_counts_unchanged(data, rows, suite):
         after, _ = evaluated(snapshot_of(shuffled), definition)
         assert (after.numerator, after.denominator) == (before.numerator, before.denominator)
         assert after.strata == before.strata
-        assert sorted(v.reason for v in after.violations) == sorted(v.reason for v in before.violations)
+        assert sorted(reason for _, reason in after.violations) == sorted(reason for _, reason in before.violations)
 
 
 # --- DegeneracyByActor -----------------------------------------------------
@@ -366,7 +377,7 @@ def degeneracy_outcome(snapshot, name, config):
     definition = CheckDefinition(id="d", kind=CheckKind.DEGENERACY_BY_ACTOR, target_fields=(name,), config=config)
     outcome = run_check(definition, Snapshots(source=snapshot))
     strata = {sid: (s.numerator, s.denominator, tuple(f.value for f in s.flags)) for sid, s in outcome.strata.items()}
-    return outcome, (strata, [(v.row, v.reason) for v in outcome.violations], outcome.details)
+    return outcome, (strata, list(outcome.violations), outcome.details)
 
 
 @settings(max_examples=200, deadline=None)
@@ -488,8 +499,9 @@ def test_mapping_success_equals_reference(pair):
     for fields in MAPPINGS:
         definition = CheckDefinition(id="m", kind=CheckKind.MAPPING_SUCCESS, target_fields=fields)
         outcome = run_check(definition, snapshots)
-        got = (outcome.numerator, outcome.denominator, [(v.row, v.reason) for v in outcome.violations])
+        got = (outcome.numerator, outcome.denominator, list(outcome.violations))
         assert got == mapping_reference(source, transformed, fields), fields
+        assert_violation_pairs(outcome)
         assert outcome.details == {"key_column": "record_id"}
 
 
