@@ -799,7 +799,8 @@ def load_suite(text: str | bytes) -> list[CheckDefinition]:
     return defs
 
 
-def outcome_to_dict(outcome: CheckOutcome) -> dict[str, Any]:
+def _outcome_fields(outcome: CheckOutcome) -> dict[str, Any]:
+    """Every key ``outcome_to_dict`` writes but ``"violations"``."""
     doc: dict[str, Any] = {
         "check_id": outcome.check_id,
         "kind": outcome.kind.value,
@@ -811,7 +812,6 @@ def outcome_to_dict(outcome: CheckOutcome) -> dict[str, Any]:
         "target_fields": list(outcome.target_fields),
         "stage": outcome.stage.value if outcome.stage else None,
         "subset": outcome.subset,
-        "violations": outcome.violations,
         "details": outcome.details,
         "error": outcome.error,
     }
@@ -827,6 +827,12 @@ def outcome_to_dict(outcome: CheckOutcome) -> dict[str, Any]:
     else:
         doc["strata"] = None
     return doc
+
+
+def outcome_to_dict(outcome: CheckOutcome) -> dict[str, Any]:
+    """The outcome as a JSON document object, its violations as
+    ``[row, reason]`` lists."""
+    return {**_outcome_fields(outcome), "violations": [list(v) for v in outcome.violations]}
 
 
 _STRATUM_READERS: dict[str, Reader] = {
@@ -901,7 +907,7 @@ def outcome_from_dict(doc: Any, where: str) -> CheckOutcome:
             f"{where}.strata must sum to the numerator {outcome.numerator} and the denominator"
             f" {outcome.denominator}, got {sums[0]} and {sums[1]}"
         )
-    derived = outcome_to_dict(outcome)
+    derived = _outcome_fields(outcome)
     for key, value in written.items():
         if value != derived[key]:
             raise SchemaViolation(f"{where}.{key} must be {derived[key]!r}, got {value!r}")
@@ -931,12 +937,12 @@ def outcomes_to_json(outcomes: list[CheckOutcome]) -> str:
     """The outcomes document, byte for byte ``json.dumps(doc, indent=2,
     sort_keys=True) + "\\n"`` of ``{"schema_version": "1", "outcomes":
     [outcome_to_dict(o), ...]}``. Violation rows are ints and reasons are
-    strings; they are written by ``_violations_json``, and the rest of each
-    outcome by ``json.dumps``."""
+    strings; ``_violations_json`` writes an outcome's pairs as they are,
+    and ``json.dumps`` the rest of each outcome."""
     texts = []
     for outcome in outcomes:
-        doc = outcome_to_dict(outcome)
-        violations = _violations_json(doc.pop("violations"))
+        doc = _outcome_fields(outcome)
+        violations = _violations_json(outcome.violations)
         # "violations" sorts after every other key, so it closes the object,
         # and the object sits two levels (4 spaces) deep in the document
         rest = json.dumps(doc, indent=2, sort_keys=True)[:-2].replace("\n", "\n    ")

@@ -279,14 +279,11 @@ COERCERS: dict[SemanticType, Callable[[str], Any]] = {
 
 class _ColumnBuilder:
     """One column's typed values, missing rows and coercion failures,
-    appended a chunk of raw cells at a time with the coercer of its type.
-    ``valueless`` holds the sentinels and each raw text that has failed
-    coercion in this column, so that such a text is coerced only once."""
+    appended a chunk of raw cells at a time with the coercer of its type."""
 
     def __init__(self, semantic: SemanticType, sentinels: frozenset[str]) -> None:
         self.coerce = COERCERS.get(semantic)
         self.sentinels = sentinels
-        self.valueless = set(sentinels)
         self.values: list[Any] = []
         self.missing: list[int] = []
         self.failures: list[tuple[int, str]] = []
@@ -300,21 +297,17 @@ class _ColumnBuilder:
                 self.values[i] = None
             self.missing += missing
             return
-        valueless, append = self.valueless, self.values.append
+        append = self.values.append
         for i, raw in enumerate(cells, first_row):
-            if raw in valueless:  # before parsing: a sentinel may look typed
+            if raw in sentinels:  # before parsing: a sentinel may look typed
                 append(None)
-                if raw in sentinels:
-                    self.missing.append(i)
-                else:
-                    self.failures.append((i, raw))
+                self.missing.append(i)
                 continue
             try:
                 append(coerce(raw))
             except (ValueError, OverflowError):  # overflow: an offset at datetime's range edge
                 append(None)
                 self.failures.append((i, raw))
-                valueless.add(raw)
 
     def build(self, name: str) -> Column:
         return Column(

@@ -317,10 +317,7 @@ def canonicalize(assertion: DQAssertion, registry: ActorRegistry | None = None) 
     actor = registry.resolve(locus.actor)
     if actor.canonical_name == locus.actor:
         return assertion
-    try:
-        shared = registry._loci.get((locus.organization, locus.phase, locus.actor))
-    except TypeError:  # an unhashable code is in no locus
-        shared = None
+    shared = registry._locus(locus.organization, locus.phase, locus.actor)
     return replace(
         assertion,
         locus=shared or LifecycleLocus(locus.organization, locus.phase, actor.canonical_name),

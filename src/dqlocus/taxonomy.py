@@ -250,6 +250,14 @@ class ActorRegistry:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, ActorRegistry) and self._names == other._names
 
+    def _locus(self, org: Organization, phase: Phase, name: str) -> LifecycleLocus | None:
+        """The locus the triple names, or None; a triple with an unhashable
+        code or name names none."""
+        try:
+            return self._loci.get((org, phase, name))
+        except TypeError:
+            return None
+
     def resolve(self, name: str, *, allow_aliases: bool = True) -> Actor:
         """Resolve a name or (optionally) alias to its actor; a name that
         is not a string resolves to none."""
@@ -292,10 +300,7 @@ def validate_locus(
     the actor is not allowed at the pair.
     """
     registry = registry or _BUILTIN_REGISTRY
-    try:
-        locus = registry._loci.get((org, phase, actor_name))
-    except TypeError:  # an unhashable code or name is in no locus
-        locus = None
+    locus = registry._locus(org, phase, actor_name)
     if locus is not None and (allow_aliases or locus.actor == actor_name):
         return locus
     _require_pair(org, phase)  # not a valid locus: only the error is left to decide

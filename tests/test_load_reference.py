@@ -448,24 +448,3 @@ def test_a_ragged_row_and_a_long_cell_fail_alike_on_both_paths(big_at):
         read = result(load_dataset, on_reader_path(text), manifest())
     assert split == read == result(reference_load, text, manifest())
     assert split[1] is SchemaViolation
-
-
-# --- the failed-text table, pinned ---------------------------------------------
-
-@BOTH_PATHS
-def test_a_failed_text_is_tried_once_per_column_and_a_sentinel_stays_missing(path):
-    """The text "2024-01-01" is malformed in the Number column and typed in
-    the Date column, and "x" is malformed in the Date column; each recurs
-    within and across chunks of two rows. "0" is a sentinel that would
-    read as a Number: it stays missing, and never becomes a failure."""
-    rows = [("2024-01-01", "2024-01-01"), ("0", "2024-01-02"), ("2024-01-01", "x"), ("0", "x")] * 3
-    text = HEADER + "".join(f"r{i},n,{num},{day},2024-01-01T10:00:00\n" for i, (num, day) in enumerate(rows))
-    m = manifest({"0"})
-    with mock.patch.object(ingest, "_CHUNK_ROWS", 2):
-        loaded = result(load_dataset, path(text), m)
-        columns = load_dataset(path(text), m).columns
-    assert loaded == result(reference_load, text, m)
-    assert columns["num"].failures == tuple((i, "2024-01-01") for i in range(0, 12, 2))
-    assert columns["num"].missing == frozenset(range(1, 12, 2))
-    assert columns["day"].values[::4] == (date(2024, 1, 1),) * 3
-    assert columns["day"].failures == tuple((i, "x") for i in range(12) if i % 4 >= 2)

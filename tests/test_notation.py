@@ -293,9 +293,8 @@ def test_a_locus_of_plain_string_codes_that_is_not_valid_is_an_error_finding(loc
      "InvalidPhaseForOrganization: DGO-['DG'] is not a valid organization-phase pair"),
 ])
 def test_a_locus_with_an_unhashable_code_or_actor_is_an_error_finding(locus, finding):
-    """An unhashable code or actor is in no locus of the registry: it is
-    checked as any other, and once raised a stray TypeError from the
-    registry's table."""
+    """An unhashable code or actor is in no locus of the registry, so it
+    is checked as any other code or actor that names no locus."""
     a = DQAssertion(LifecycleLocus(*locus), "Completeness", Measurement(Fraction(1, 2)))
     findings = validate_assertion(a)
     assert [(f.severity, f"{f.code}: {f.message}") for f in findings] == [(Severity.ERROR, finding)]

@@ -23,6 +23,7 @@ from dqlocus.assess import (
     CheckStatus,
     DegeneracyFlag,
     StratumOutcome,
+    outcome_from_dict,
     outcome_to_dict,
     outcomes_from_json,
     outcomes_to_json,
@@ -119,6 +120,17 @@ def test_outcomes_survive_a_json_round_trip(xs):
     text = outcomes_to_json(xs)
     assert outcomes_from_json(text) == xs
     assert outcomes_from_json(text.encode()) == xs
+
+
+@settings(max_examples=100, deadline=None)
+@given(o=outcome(nan=False))
+def test_outcome_to_dict_is_what_json_reads_back_and_outcome_from_dict_reads_it(o):
+    """``outcome_to_dict`` writes violations as ``[row, reason]`` lists,
+    as a JSON reader returns them, not as the outcome's tuples."""
+    doc = outcome_to_dict(o)
+    assert doc == json.loads(json.dumps(doc))
+    assert doc["violations"] == [[row, reason] for row, reason in o.violations]
+    assert outcome_from_dict(doc, "outcome") == o
 
 
 def test_empty_and_full_documents():
