@@ -55,6 +55,7 @@ from .ingest import (
     DatasetManifest,
     DatasetSnapshot,
     FieldSpec,
+    Predicate,
     SemanticType,
     Stage,
     read_predicate,
@@ -67,9 +68,6 @@ UNATTRIBUTED_STRATUM = "<unattributed>"
 #: Reserved subset token: restrict a completeness check to rows where the
 #: field is required (per its policy condition).
 WHERE_REQUIRED = "where-required"
-
-#: Semantic types whose cells are kept as text, never coerced.
-_UNTYPED = (SemanticType.CODE, SemanticType.CATEGORY, SemanticType.TEXT)
 
 
 class CheckKind(str, Enum):
@@ -95,19 +93,11 @@ class DegeneracyFlag(str, Enum):
 
 
 @dataclass(frozen=True)
-class SubsetPredicate:
-    """Row filter: keep rows where ``field`` has one of ``values``."""
-
-    field: str
-    values: frozenset[str]
-
-
-@dataclass(frozen=True)
 class CheckDefinition:
     id: str
     kind: CheckKind
     target_fields: tuple[str, ...]
-    subset: SubsetPredicate | str | None = None  # predicate or WHERE_REQUIRED
+    subset: Predicate | str | None = None  # predicate or WHERE_REQUIRED
     stratify_by_actor: bool = False
     stage: Stage | None = None
     config: dict[str, Any] = field(default_factory=dict)
@@ -158,7 +148,7 @@ class CheckOutcome:
         return Fraction(self.numerator, self.denominator) if self.status is CheckStatus.OK else None
 
 
-def _subset_label(subset: SubsetPredicate | str | None) -> str | None:
+def _subset_label(subset: Predicate | str | None) -> str | None:
     if subset is None:
         return None
     if isinstance(subset, str):
@@ -171,11 +161,11 @@ def _field(snapshot: DatasetSnapshot, name: str) -> tuple[Column, FieldSpec]:
     return snapshot.column(name), snapshot.manifest.get_field(name)  # type: ignore[return-value]
 
 
-def _rows_where(snapshot: DatasetSnapshot, field_name: str, values: frozenset[str]) -> list[int]:
-    """Rows on which ``field_name`` has a typed value whose ``str()`` is one
-    of ``values``."""
-    col = snapshot.column(field_name)
-    absent = col.absent
+def _rows_where(snapshot: DatasetSnapshot, predicate: Predicate) -> list[int]:
+    """Rows on which the predicate's field has a typed value whose ``str()``
+    is one of its values."""
+    col = snapshot.column(predicate.field)
+    values, absent = predicate.values, col.absent
     return [i for i, text in enumerate(map(str, col.values)) if text in values and i not in absent]
 
 
@@ -183,18 +173,18 @@ def _required_rows(snapshot: DatasetSnapshot, field_name: str) -> Rows:
     """Rows on which the field is required, honoring its policy condition."""
     spec = _field(snapshot, field_name)[1]
     if spec.policy_condition is not None:
-        return _rows_where(snapshot, spec.policy_condition.field, spec.policy_condition.values)
+        return _rows_where(snapshot, spec.policy_condition)
     if spec.required:
         return range(snapshot.row_count)
     return []
 
 
-def _subset_rows(snapshot: DatasetSnapshot, field_name: str, subset: SubsetPredicate | str) -> Rows:
+def _subset_rows(snapshot: DatasetSnapshot, field_name: str, subset: Predicate | str) -> Rows:
     if subset == WHERE_REQUIRED:
         return _required_rows(snapshot, field_name)
     if isinstance(subset, str):
         raise MissingConfig(f"unknown subset token {subset!r}")
-    return _rows_where(snapshot, subset.field, subset.values)
+    return _rows_where(snapshot, subset)
 
 
 def _eligible(snapshot: DatasetSnapshot, scope: Scope, absent: AbstractSet[int]) -> Rows:
@@ -310,7 +300,7 @@ def _conformance_format(snapshot: DatasetSnapshot, fields: Fields, cfg: Config, 
     for a typed field without one, that coerced."""
     spec = _field(snapshot, fields[0])[1]
     if spec.format_pattern is None:
-        if spec.semantic_type in _UNTYPED:
+        if spec.semantic_type not in COERCERS:
             raise MissingConfig(
                 f"field {fields[0]!r} has no format_pattern and is not a typed column"
             )
@@ -329,7 +319,7 @@ def _plausibility_range(snapshot: DatasetSnapshot, fields: Fields, cfg: Config, 
     if "min" not in cfg or "max" not in cfg:
         raise MissingConfig("range check requires 'min' and 'max' in config")
     col, spec = _field(snapshot, fields[0])
-    if spec.semantic_type in _UNTYPED:
+    if spec.semantic_type not in COERCERS:
         raise NonNumericField(f"field {fields[0]!r} is not numeric or date-valued")
     lo, hi = _coerce_bound(cfg["min"], spec.semantic_type), _coerce_bound(cfg["max"], spec.semantic_type)
     if lo > hi:
@@ -614,18 +604,14 @@ class Snapshots:
     source: DatasetSnapshot | None = None
     transformed: DatasetSnapshot | None = None
 
-    def single(self) -> DatasetSnapshot:
-        if self.source is not None and self.transformed is None:
-            return self.source
-        if self.transformed is not None and self.source is None:
-            return self.transformed
-        if self.source is None:
-            raise CheckConfigError("no snapshot is loaded")
-        raise CheckConfigError("check must name a stage when two snapshots are loaded")
-
     def at_stage(self, stage: Stage | None) -> DatasetSnapshot:
+        """The snapshot at ``stage``; with no stage, the one snapshot loaded."""
         if stage is None:
-            return self.single()
+            if self.source is not None and self.transformed is not None:
+                raise CheckConfigError("check must name a stage when two snapshots are loaded")
+            if self.source is None and self.transformed is None:
+                raise CheckConfigError("no snapshot is loaded")
+            return self.transformed if self.source is None else self.source
         chosen = self.source if stage is Stage.SOURCE else self.transformed
         if chosen is None:
             raise CheckConfigError(f"no snapshot loaded at stage {stage.value}")
@@ -734,7 +720,7 @@ def standard_suite(manifest: DatasetManifest, *, max_lag: timedelta | None = Non
             add(f"completeness-required:{f.name}", CheckKind.COMPLETENESS, (f.name,), subset=WHERE_REQUIRED)
         if f.allowed_values is not None:
             add(f"conformance-value:{f.name}", CheckKind.CONFORMANCE_VALUE, (f.name,))
-        elif f.format_pattern is not None or f.semantic_type not in _UNTYPED:
+        elif f.format_pattern is not None or f.semantic_type in COERCERS:
             add(f"conformance-format:{f.name}", CheckKind.CONFORMANCE_FORMAT, (f.name,))
         if f.numeric_range is not None:
             bounds = {"min": f.numeric_range[0], "max": f.numeric_range[1]}
@@ -762,12 +748,12 @@ def mapping_suite(source: DatasetManifest, transformed: DatasetManifest) -> list
 
 # --- suite/outcome (de)serialization ---------------------------------------
 
-def _read_subset(value: Any, where: str) -> SubsetPredicate | str:
+def _read_subset(value: Any, where: str) -> Predicate | str:
     if value == WHERE_REQUIRED:
         return value
     if isinstance(value, str):
         raise SchemaViolation(f"{where} must be {WHERE_REQUIRED!r} or {{field, values}}")
-    return read_predicate(SubsetPredicate)(value, where)
+    return read_predicate(value, where)
 
 
 _DEFINITION_READERS: dict[str, Reader] = {

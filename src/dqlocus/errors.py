@@ -1,13 +1,13 @@
 """Exception hierarchy shared by all dqlocus modules.
 
 Every error the toolkit raises deliberately derives from ``DqError`` so
-callers (and the CLI) can distinguish tool-level failures from ordinary
-Python bugs. ``load_json`` decodes every JSON document the toolkit takes
-and ``read_object`` reads each object in it through a table that maps
-each key to its reader, so that a document which cannot be decoded or
-does not fit its schema is a ``SchemaViolation`` too. A reader takes a
-value and its path in the document, such as ``manifest.fields[2].name``,
-and returns the value to use or raises ``SchemaViolation`` saying
+callers can distinguish tool-level failures from ordinary Python bugs.
+``load_json`` decodes every JSON document the toolkit takes and
+``read_object`` reads each object in it through a table that maps each
+key to its reader, so that a document which cannot be decoded or does
+not fit its schema is a ``SchemaViolation`` too. A reader takes a value
+and its path in the document, such as ``manifest.fields[2].name``, and
+returns the value to use or raises ``SchemaViolation`` saying
 ``<path> must be ...``.
 """
 

@@ -65,8 +65,9 @@ class Stage(str, Enum):
 
 
 @dataclass(frozen=True)
-class PolicyCondition:
-    """Field is required only on rows where ``field`` takes one of ``values``."""
+class Predicate:
+    """Rows where ``field`` takes one of ``values``: where a field is
+    required (its policy condition), or the rows a check keeps (its subset)."""
 
     field: str
     values: frozenset[str]
@@ -87,7 +88,7 @@ class FieldSpec:
     numeric_range: tuple[float, float] | None = None
     format_pattern: str | None = None
     required: bool = False
-    policy_condition: PolicyCondition | None = None
+    policy_condition: Predicate | None = None
 
 
 @dataclass(frozen=True)
@@ -160,7 +161,7 @@ _COLUMN_REFS = (
 
 
 def _read_number(value: Any, where: str) -> float:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and value == value:  # NaN is unequal to itself
         try:
             return float(value)
         except OverflowError:  # an integer beyond float's range
@@ -190,10 +191,8 @@ PREDICATE_READERS: dict[str, Reader] = {
 }
 
 
-def read_predicate(cls: type) -> Reader:
-    """Reader of a ``{field, values}`` object as a ``cls``: a PolicyCondition
-    or a check's subset."""
-    return lambda value, where: cls(**read_object(value, PREDICATE_READERS, where, ("field", "values")))
+def read_predicate(value: Any, where: str) -> Predicate:
+    return Predicate(**read_object(value, PREDICATE_READERS, where, ("field", "values")))
 
 
 _FIELD_READERS: dict[str, Reader] = {
@@ -205,7 +204,7 @@ _FIELD_READERS: dict[str, Reader] = {
     "numeric_range": nullable(_read_range),
     "format_pattern": nullable(_read_pattern),
     "required": read_bool,
-    "policy_condition": nullable(read_predicate(PolicyCondition)),
+    "policy_condition": nullable(read_predicate),
 }
 
 

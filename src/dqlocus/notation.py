@@ -35,7 +35,7 @@ Assertion files hold one assertion per line, UTF-8, LF line endings;
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 
@@ -136,7 +136,6 @@ class DQAssertion:
     locus: LifecycleLocus
     label: str
     measurement: Measurement
-    raw_text: str | None = field(default=None, compare=False)
 
     @property
     def parameter(self) -> DQParameter | None:
@@ -223,7 +222,7 @@ def parse_assertion(
     if key is None and not lenient:
         raise UnresolvedLabel(f"label {label!r} does not resolve to a core parameter")
 
-    return DQAssertion(locus, key or label, Measurement(numeric, precision, qualifier), raw_text=text)
+    return DQAssertion(locus, key or label, Measurement(numeric, precision, qualifier))
 
 
 def _type_faults(m: Measurement) -> list[Finding]:

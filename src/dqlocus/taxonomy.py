@@ -137,11 +137,7 @@ def _actor(name: str, aliases: tuple[str, ...], pairs: tuple[tuple[Organization,
     return Actor(name, frozenset(aliases), frozenset(pairs))
 
 
-_DGO_DG = (Organization.DGO, Phase.DG)
-_DGO_DT = (Organization.DGO, Phase.DT)
-_DGO_DR = (Organization.DGO, Phase.DR)
-_DRO_DT = (Organization.DRO, Phase.DT)
-_DRO_DR = (Organization.DRO, Phase.DR)
+_DGO_DG, _DGO_DT, _DGO_DR, _DRO_DT, _DRO_DR = ORG_PHASE_PAIRS
 
 # Builtin actor table. Generation-phase actors: patients, clinicians,
 # wearables, the EHR system itself, and the organization whose policies
@@ -172,10 +168,6 @@ class LifecycleLocus:
     organization: Organization
     phase: Phase
     actor: str
-
-    @property
-    def org_phase(self) -> tuple[Organization, Phase]:
-        return (self.organization, self.phase)
 
     @property
     def sort_key(self) -> tuple[int, str]:
@@ -247,9 +239,6 @@ class ActorRegistry:
         actors = (a for name, a in self._names.items() if name == a.canonical_name)
         return iter(sorted(actors, key=lambda a: a.canonical_name))
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, ActorRegistry) and self._names == other._names
-
     def _locus(self, org: Organization, phase: Phase, name: str) -> LifecycleLocus | None:
         """The locus the triple names, or None; a triple with an unhashable
         code or name names none."""
@@ -317,7 +306,7 @@ def enumerate_loci(registry: ActorRegistry | None = None) -> list[LifecycleLocus
     return sorted(loci, key=lambda locus: locus.sort_key)
 
 
-def _read_org_phase(value: Any, where: str) -> tuple[Organization, Phase]:
+def _read_pair(value: Any, where: str) -> tuple[Organization, Phase]:
     org, _, phase = read_str(value, where).partition("-")
     try:
         return Organization(org), Phase(phase)
@@ -330,7 +319,7 @@ def _read_org_phase(value: Any, where: str) -> tuple[Organization, Phase]:
 _ACTOR_READERS: dict[str, Reader] = {
     "name": read_str,
     "aliases": list_of(read_str, frozenset),
-    "allowed_phases": list_of(_read_org_phase, frozenset),
+    "allowed_phases": list_of(_read_pair, frozenset),
 }
 
 

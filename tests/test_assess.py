@@ -17,7 +17,6 @@ from dqlocus.assess import (
     CheckStatus,
     DegeneracyFlag,
     Snapshots,
-    SubsetPredicate,
     UNATTRIBUTED_STRATUM,
     WHERE_REQUIRED,
     load_suite,
@@ -39,7 +38,7 @@ from dqlocus.errors import (
     StageMismatch,
     UnknownField,
 )
-from dqlocus.ingest import Stage, load_dataset, load_manifest
+from dqlocus.ingest import Predicate, Stage, load_dataset, load_manifest
 from dqlocus.taxonomy import LABEL_PARAMETERS
 
 
@@ -390,8 +389,8 @@ def test_subset_predicate_splits_counts():
             "code": ["A", "", "B", ""],
         }
     )
-    on_y = check(snapshot, CheckKind.COMPLETENESS, "code", subset=SubsetPredicate("billable", frozenset({"Y"})))
-    on_n = check(snapshot, CheckKind.COMPLETENESS, "code", subset=SubsetPredicate("billable", frozenset({"N"})))
+    on_y = check(snapshot, CheckKind.COMPLETENESS, "code", subset=Predicate("billable", frozenset({"Y"})))
+    on_n = check(snapshot, CheckKind.COMPLETENESS, "code", subset=Predicate("billable", frozenset({"N"})))
     full = check(snapshot, CheckKind.COMPLETENESS, "code")
     assert on_y.numerator + on_n.numerator == full.numerator
     assert on_y.denominator + on_n.denominator == full.denominator
@@ -431,14 +430,14 @@ def test_every_row_kind_honours_subset_and_strata(kind, fields, config):
     snapshot = mixed_snapshot()
     full = check(snapshot, kind, *fields, **config)
     parts = [
-        check(snapshot, kind, *fields, subset=SubsetPredicate("billable", frozenset({v})),
+        check(snapshot, kind, *fields, subset=Predicate("billable", frozenset({v})),
               stratify=True, **config)
         for v in ("Y", "N")
     ]
     assert [p.subset for p in parts] == ["billable in [Y]", "billable in [N]"]
     assert 0 < parts[0].denominator < full.denominator
     # the row with no billable value falls in neither subset
-    rest = check(snapshot, kind, *fields, subset=SubsetPredicate("billable", frozenset({""})), **config)
+    rest = check(snapshot, kind, *fields, subset=Predicate("billable", frozenset({""})), **config)
     assert rest.denominator == 0
     unflagged = [v for v in full.violations if v[0] != 7]
     assert sorted(v for p in parts for v in p.violations) == unflagged
@@ -449,7 +448,7 @@ def test_every_row_kind_honours_subset_and_strata(kind, fields, config):
 
 @pytest.mark.parametrize("kind", [CheckKind.MAPPING_SUCCESS, CheckKind.DEGENERACY_BY_ACTOR])
 @pytest.mark.parametrize("scope", [
-    {"subset": SubsetPredicate("code", frozenset({"A"}))},
+    {"subset": Predicate("code", frozenset({"A"}))},
     {"subset": WHERE_REQUIRED},
     {"stratify": True},
 ])
@@ -624,6 +623,16 @@ def test_run_suite_with_no_snapshot_loaded_says_so(stage, error):
     outcome, = run_suite([definition], Snapshots())
     assert outcome.status is CheckStatus.ERRORED
     assert outcome.error == error
+
+
+@pytest.mark.parametrize("stage", [Stage.SOURCE, Stage.TRANSFORMED])
+def test_a_check_with_no_stage_runs_against_the_one_snapshot_loaded(stage):
+    snapshot = keyed(stage.value)
+    loaded = Snapshots(source=snapshot) if stage is Stage.SOURCE else Snapshots(transformed=snapshot)
+    definition = CheckDefinition(id="c", kind=CheckKind.COMPLETENESS, target_fields=("code",))
+    outcome, = run_suite([definition], loaded)
+    assert (outcome.status, outcome.stage) == (CheckStatus.OK, stage)
+    assert (outcome.numerator, outcome.denominator) == (2, 2)
 
 
 def test_run_suite_empty_and_deterministic():

@@ -25,14 +25,13 @@ from dqlocus.assess import (
     CheckOutcome,
     Snapshots,
     StratumOutcome,
-    SubsetPredicate,
     load_suite,
     outcomes_from_json,
     outcomes_to_json,
     run_suite,
 )
 from dqlocus.errors import DqError, SchemaViolation
-from dqlocus.ingest import DatasetManifest, FieldSpec, PolicyCondition, load_dataset, load_manifest
+from dqlocus.ingest import DatasetManifest, FieldSpec, Predicate, load_dataset, load_manifest
 from dqlocus.taxonomy import ActorRegistry, load_registry_config
 
 
@@ -231,6 +230,7 @@ def test_the_outcomes_document_needs_its_schema_version():
     (("fields", 3, "policy_condition", "values"), [], "manifest.fields[3].policy_condition.values must be non-empty"),
     (("fields", 0, "required"), None, "manifest.fields[0].required must be a boolean"),
     (("stage",), "Raw", "manifest.stage must be one of ['SourceExtract', 'TransformedExtract'], got 'Raw'"),
+    (("fields", 4, "numeric_range"), [float("nan"), 120], "manifest.fields[4].numeric_range[0] must be a number"),
 ])
 def test_a_bad_manifest_value_is_named_by_its_path(path, value, message):
     doc = copy.deepcopy(MANIFEST)
@@ -271,8 +271,7 @@ def test_an_integer_too_long_to_convert_is_a_schema_violation(what):
 @pytest.mark.parametrize("cls, readers, extra", [
     (DatasetManifest, ingest._MANIFEST_READERS, set()),
     (FieldSpec, ingest._FIELD_READERS, set()),
-    (PolicyCondition, ingest.PREDICATE_READERS, set()),
-    (SubsetPredicate, ingest.PREDICATE_READERS, set()),
+    (Predicate, ingest.PREDICATE_READERS, set()),
     (CheckDefinition, assess._DEFINITION_READERS, set()),
     (StratumOutcome, assess._STRATUM_READERS, set()),
     (CheckOutcome, assess._OUTCOME_READERS, {"parameter", "status", "rate"}),

@@ -335,7 +335,7 @@ def test_assertions_and_measurements_hold_no_instance_dict():
 def test_copies_of_an_assertion_are_equal(copy_of):
     a = parse_assertion("DRO-DT-DataEngineer (Mapping: 92.5% success)")
     again = copy_of(a)
-    assert again == a and again.raw_text == a.raw_text and again.parameter is a.parameter
+    assert again == a and again.parameter is a.parameter
     assert copy_of(a.measurement) == a.measurement
     assert str(copy_of(a.locus)) == str(a.locus) == "DRO-DT-DataEngineer"
     assert copy_of(a.locus) == a.locus
@@ -355,10 +355,10 @@ def test_a_locus_reads_org_phase_actor():
 def test_canonicalize_takes_the_registrys_own_locus():
     registry = builtin_registry()
     alias = DQAssertion(LifecycleLocus(Organization.DRO, Phase.DT, "Engineer"), "Mapping",
-                        Measurement(Fraction(92, 100), 0, "success"), raw_text="DRO-DT-Engineer (Mapping: 92% success)")
+                        Measurement(Fraction(92, 100), 0, "success"))
     got = canonicalize(alias, registry)
     assert got.locus is validate_locus(Organization.DRO, Phase.DT, "DataEngineer", registry)
-    assert replace(got, locus=alias.locus) == alias and got.raw_text == alias.raw_text
+    assert replace(got, locus=alias.locus) == alias
     assert canonicalize(got, registry) is got
     # an alias at a pair its actor is not allowed at has no shared locus
     stray = canonicalize(replace(alias, locus=LifecycleLocus(Organization.DGO, Phase.DG, "Engineer")))
@@ -397,8 +397,3 @@ def test_parse_assertion_file_skips_comments_and_collects_issues():
         (4, "InvalidPhaseForOrganization"),
         (5, "NotationSyntaxError"),
     ]
-
-
-def test_raw_text_retained_for_audit():
-    a = parse_assertion(PAPER_STRINGS[3], mode=ParseMode.LENIENT)
-    assert a.raw_text == PAPER_STRINGS[3]

@@ -194,17 +194,17 @@ def reference_parse(
     if label not in REFERENCE_PARAMETERS and not lenient:
         raise UnresolvedLabel(f"label {label!r} does not resolve to a core parameter")
 
-    return DQAssertion(locus=locus, label=label, measurement=measurement, raw_text=text)
+    return DQAssertion(locus=locus, label=label, measurement=measurement)
 
 
 def result(parse, line, registry, mode):
-    """A comparable form of a parse: the assertion with its raw text, or
-    the exception with its message and offset."""
+    """A comparable form of a parse: the assertion, or the exception with
+    its message and offset."""
     try:
         a = parse(line, registry, mode)
     except Exception as e:  # noqa: BLE001 - both parsers must fail alike
         return ("raised", type(e), str(e), getattr(e, "offset", None))
-    return ("parsed", a, a.raw_text)
+    return ("parsed", a)
 
 
 # --- inputs -------------------------------------------------------------------

@@ -28,12 +28,11 @@ from dqlocus.assess import (
     CheckKind,
     CheckStatus,
     Snapshots,
-    SubsetPredicate,
     parse_duration,
     run_check,
     run_suite,
 )
-from dqlocus.ingest import Stage, load_dataset, load_manifest
+from dqlocus.ingest import Predicate, Stage, load_dataset, load_manifest
 
 FIELDS = [
     {"name": "actor_id", "semantic_type": "Code", "entry_mode": "AutoGenerated",
@@ -102,11 +101,11 @@ ROWS = st.lists(st.fixed_dictionaries(CELLS), max_size=30)
 SUBSETS = st.sampled_from([
     None,
     WHERE_REQUIRED,
-    SubsetPredicate("billable", frozenset({"Y"})),
-    SubsetPredicate("code", frozenset({"A", "B"})),
-    SubsetPredicate("score", frozenset({"0.0", "nan"})),
-    SubsetPredicate("score", frozenset({"-0.0", "1.0"})),
-    SubsetPredicate("age", frozenset({"None", "12.5"})),
+    Predicate("billable", frozenset({"Y"})),
+    Predicate("code", frozenset({"A", "B"})),
+    Predicate("score", frozenset({"0.0", "nan"})),
+    Predicate("score", frozenset({"-0.0", "1.0"})),
+    Predicate("age", frozenset({"None", "12.5"})),
 ])
 
 
@@ -292,7 +291,7 @@ def test_signed_zeros_and_nans_are_judged_cell_by_cell():
         CheckDefinition(id="range", kind=CheckKind.PLAUSIBILITY_RANGE, target_fields=("score",),
                         config={"min": 1, "max": 3}),
         CheckDefinition(id="subset", kind=CheckKind.COMPLETENESS, target_fields=("label",),
-                        subset=SubsetPredicate("score", frozenset({"0.0", "nan"}))),
+                        subset=Predicate("score", frozenset({"0.0", "nan"}))),
     ]
     for definition in suite:
         assert evaluated(snapshot, definition)[1] == reference(snapshot, definition), definition.id
@@ -311,7 +310,7 @@ def test_subset_values_match_the_text_of_typed_cells_only():
 
     def denominator(values):
         definition = CheckDefinition(id="subset", kind=CheckKind.COMPLETENESS, target_fields=("label",),
-                                     subset=SubsetPredicate("age", frozenset(values)))
+                                     subset=Predicate("age", frozenset(values)))
         outcome, got = evaluated(snapshot, definition)
         assert got == reference(snapshot, definition)
         return outcome.denominator

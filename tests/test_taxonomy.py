@@ -162,7 +162,7 @@ def test_enumerate_loci_contains_ehr_at_generation():
 
 
 def test_enumerate_loci_dro_dr_actors():
-    names = {l.actor for l in enumerate_loci() if l.org_phase == (Organization.DRO, Phase.DR)}
+    names = {l.actor for l in enumerate_loci() if (l.organization, l.phase) == (Organization.DRO, Phase.DR)}
     assert {"Clinician", "Researcher", "Stakeholder", "AIModel"} <= names
 
 
