@@ -148,14 +148,6 @@ class CheckOutcome:
         return Fraction(self.numerator, self.denominator) if self.status is CheckStatus.OK else None
 
 
-def _subset_label(subset: Predicate | str | None) -> str | None:
-    if subset is None:
-        return None
-    if isinstance(subset, str):
-        return subset
-    return f"{subset.field} in [{', '.join(sorted(subset.values))}]"
-
-
 def _field(snapshot: DatasetSnapshot, name: str) -> tuple[Column, FieldSpec]:
     """A snapshot column and its manifest spec (every column has one)."""
     return snapshot.column(name), snapshot.manifest.get_field(name)  # type: ignore[return-value]
@@ -264,7 +256,7 @@ def _completeness(snapshot: DatasetSnapshot, fields: Fields, cfg: Config, scope:
     if scope is None and spec.policy_condition is not None:
         required = _required_rows(snapshot, name)
         details["policy_explained"] = bool(col.absent) and col.absent.isdisjoint(required)
-        details["policy_text"] = spec.policy_condition.describe(name)
+        details["policy_text"] = f"states {name} required only where {spec.policy_condition}"
     return _eligible(snapshot, scope, frozenset()), _in_scope(failing, scope), details
 
 
@@ -669,9 +661,10 @@ def run_check(definition: CheckDefinition, snapshots: Snapshots) -> CheckOutcome
             strata = _stratify(snapshots.actor_ids(target), rows, failing) or None
         else:
             strata = None
+    subset = None if definition.subset is None else str(definition.subset)
     return CheckOutcome(
         check_id=definition.id, kind=kind, numerator=numerator, denominator=denominator,
-        target_fields=tuple(fields), stage=stage, subset=_subset_label(definition.subset), strata=strata,
+        target_fields=tuple(fields), stage=stage, subset=subset, strata=strata,
         violations=tuple(sorted(failing.items())), details=details,
     )
 

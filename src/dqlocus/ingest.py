@@ -72,10 +72,10 @@ class Predicate:
     field: str
     values: frozenset[str]
 
-    def describe(self, required_field: str) -> str:
+    def __str__(self) -> str:
+        """``field = v`` for one value, ``field in [a, b]`` for more."""
         vals = sorted(self.values)
-        where = f"{self.field} = {vals[0]}" if len(vals) == 1 else f"{self.field} in [{', '.join(vals)}]"
-        return f"states {required_field} required only where {where}"
+        return f"{self.field} = {vals[0]}" if len(vals) == 1 else f"{self.field} in [{', '.join(vals)}]"
 
 
 @dataclass(frozen=True)

@@ -112,30 +112,21 @@ class Finding:
 
 
 @dataclass(frozen=True, slots=True)
-class Measurement:
-    """The measured part of an assertion: exact percent and/or free text.
-
-    ``numeric_fraction`` stores the percent as a rational in [0, 1];
-    ``display_precision`` controls how many decimals rendering shows.
-    """
-
-    numeric_fraction: Fraction | None = None
-    display_precision: int = 0
-    qualifier_text: str | None = None
-
-
-@dataclass(frozen=True, slots=True)
 class DQAssertion:
-    """One provenance-tagged quality statement.
+    """One provenance-tagged quality statement: the five parts of a line.
 
     ``label`` is kept exactly as written; ``parameter`` follows from it
     through ``LABEL_PARAMETERS``, and is None for an unresolved label or
-    one that is not a string.
+    one that is not a string. ``numeric_fraction`` stores the percent as
+    a rational in [0, 1], ``display_precision`` is how many decimals it
+    renders with, and ``qualifier_text`` is the free text after it.
     """
 
     locus: LifecycleLocus
     label: str
-    measurement: Measurement
+    numeric_fraction: Fraction | None = None
+    display_precision: int = 0
+    qualifier_text: str | None = None
 
     @property
     def parameter(self) -> DQParameter | None:
@@ -222,19 +213,19 @@ def parse_assertion(
     if key is None and not lenient:
         raise UnresolvedLabel(f"label {label!r} does not resolve to a core parameter")
 
-    return DQAssertion(locus, key or label, Measurement(numeric, precision, qualifier))
+    return DQAssertion(locus, key or label, numeric, precision, qualifier)
 
 
-def _type_faults(m: Measurement) -> list[Finding]:
+def _type_faults(a: DQAssertion) -> list[Finding]:
     """ERROR findings for a percent or qualifier of a type no line holds:
     a percent that is not a Fraction, or a qualifier that is not a
     non-empty string."""
     faults = []
-    if m.numeric_fraction is not None and not isinstance(m.numeric_fraction, Fraction):
-        message = f"numeric fraction must be a Fraction or None, got {m.numeric_fraction!r}"
+    if a.numeric_fraction is not None and not isinstance(a.numeric_fraction, Fraction):
+        message = f"numeric fraction must be a Fraction or None, got {a.numeric_fraction!r}"
         faults.append(Finding(Severity.ERROR, "InvalidFraction", message))
-    if m.qualifier_text is not None and not (isinstance(m.qualifier_text, str) and m.qualifier_text):
-        message = f"qualifier text must be a non-empty string or None, got {m.qualifier_text!r}"
+    if a.qualifier_text is not None and not (isinstance(a.qualifier_text, str) and a.qualifier_text):
+        message = f"qualifier text must be a non-empty string or None, got {a.qualifier_text!r}"
         faults.append(Finding(Severity.ERROR, "InvalidQualifier", message))
     return faults
 
@@ -243,16 +234,15 @@ def serialize_assertion(assertion: DQAssertion) -> str:
     """Render the canonical ``ORG-PHASE-Actor (Label: value)`` form. A
     percent or qualifier of the wrong type raises SchemaViolation, with
     the message of ``validate_assertion``'s finding."""
-    m = assertion.measurement
-    if faults := _type_faults(m):
+    if faults := _type_faults(assertion):
         raise SchemaViolation(faults[0].message)
-    numeric, text = m.numeric_fraction, m.qualifier_text
+    numeric, text = assertion.numeric_fraction, assertion.qualifier_text
     if numeric is None:
         value = "" if text is None else text
     elif text is None:
-        value = format_percent(numeric, m.display_precision)
+        value = format_percent(numeric, assertion.display_precision)
     else:
-        value = f"{format_percent(numeric, m.display_precision)} {text}"
+        value = f"{format_percent(numeric, assertion.display_precision)} {text}"
     return f"{assertion.locus} ({assertion.label}: {value})"
 
 
@@ -264,9 +254,9 @@ def validate_assertion(
 
     Returns findings rather than raising; an empty list means the
     assertion is fully valid. An ERROR finding also marks an assertion
-    whose serialized line would not parse back to it; a percent that is
-    not exact at its precision reads back rounded, which is no error. An
-    unresolved label is a warning only.
+    whose serialized line would not parse back to it, alone or as a line
+    of a file; a percent that is not exact at its precision reads back
+    rounded, which is no error. An unresolved label is a warning only.
     """
     registry = registry or builtin_registry()
     findings: list[Finding] = []
@@ -277,23 +267,25 @@ def validate_assertion(
     except DqError as e:
         findings.append(Finding(Severity.ERROR, type(e).__name__, str(e)))
 
-    m = assertion.measurement
-    numeric, text = m.numeric_fraction, m.qualifier_text
-    findings.extend(_type_faults(m))
+    numeric, precision, text = assertion.numeric_fraction, assertion.display_precision, assertion.qualifier_text
+    findings.extend(_type_faults(assertion))
     if numeric is None and text is None:
         findings.append(Finding(Severity.ERROR, "EmptyMeasurement", "measurement has neither percent nor text"))
     elif isinstance(numeric, Fraction) and not 0 <= numeric.numerator <= numeric.denominator:
         findings.append(Finding(Severity.ERROR, "PercentOutOfRange", f"numeric fraction {numeric} outside [0, 1]"))
-    if fault := _precision_fault(m.display_precision):
+    if fault := _precision_fault(precision):
         findings.append(Finding(Severity.ERROR, "InvalidPrecision", fault))
-    elif numeric is None and m.display_precision:  # a line without a percent reads as precision 0
-        message = f"precision must be 0 without a percent, got {m.display_precision}"
+    elif numeric is None and precision:  # a line without a percent reads as precision 0
+        message = f"precision must be 0 without a percent, got {precision}"
         findings.append(Finding(Severity.ERROR, "InvalidPrecision", message))
     # the qualifier must read back as itself from the serialized line
     if isinstance(text, str) and text:
         if ")" in text:
             message = f"qualifier text {text!r} holds ')', which ends the value"
             findings.append(Finding(Severity.ERROR, "ParenInQualifier", message))
+        if "\n" in text:
+            message = f"qualifier text {text!r} holds a newline, which ends the line in a file"
+            findings.append(Finding(Severity.ERROR, "NewlineInQualifier", message))
         if numeric is None and "%" in text and _PERCENT_RE.match(text):
             message = f"qualifier text {text!r} starts with a percent, so it reads as one"
             findings.append(Finding(Severity.ERROR, "QualifierReadsAsPercent", message))

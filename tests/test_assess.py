@@ -119,6 +119,7 @@ def test_completeness_where_required_ignores_non_required_gaps():
     full = check(snapshot, CheckKind.COMPLETENESS, "code")
     assert full.rate == Fraction(9, 12)
     assert full.details["policy_explained"] is True
+    assert full.details["policy_text"] == "states code required only where billable = Y"
     required_only = check(snapshot, CheckKind.COMPLETENESS, "code", subset=WHERE_REQUIRED)
     assert required_only.rate == Fraction(1)
 
@@ -434,8 +435,11 @@ def test_every_row_kind_honours_subset_and_strata(kind, fields, config):
               stratify=True, **config)
         for v in ("Y", "N")
     ]
-    assert [p.subset for p in parts] == ["billable in [Y]", "billable in [N]"]
+    assert [p.subset for p in parts] == ["billable = Y", "billable = N"]
     assert 0 < parts[0].denominator < full.denominator
+    both = check(snapshot, kind, *fields, subset=Predicate("billable", frozenset({"Y", "N"})), **config)
+    assert both.subset == "billable in [N, Y]"
+    assert both.denominator == sum(p.denominator for p in parts)
     # the row with no billable value falls in neither subset
     rest = check(snapshot, kind, *fields, subset=Predicate("billable", frozenset({""})), **config)
     assert rest.denominator == 0

@@ -20,7 +20,6 @@ from dqlocus.errors import (
 from dqlocus.notation import (
     DQAssertion,
     Finding,
-    Measurement,
     ParseMode,
     Severity,
     canonicalize,
@@ -51,21 +50,21 @@ def test_parse_clinician_completeness():
     a = parse_assertion(PAPER_STRINGS[0], mode=ParseMode.STRICT)
     assert str(a.locus) == "DGO-DG-Clinician"
     assert a.parameter is not None and a.parameter.name == "Completeness"
-    assert a.measurement.numeric_fraction == Fraction(94, 100)
-    assert a.measurement.qualifier_text is None
+    assert a.numeric_fraction == Fraction(94, 100)
+    assert a.qualifier_text is None
 
 
 def test_parse_researcher_completeness():
     a = parse_assertion(PAPER_STRINGS[1], mode=ParseMode.STRICT)
     assert str(a.locus) == "DRO-DR-Researcher"
-    assert a.measurement.numeric_fraction == Fraction(87, 100)
+    assert a.numeric_fraction == Fraction(87, 100)
 
 
 def test_parse_policy_assertion_keeps_text_verbatim():
     a = parse_assertion(PAPER_STRINGS[2], mode=ParseMode.LENIENT)
     assert a.label == "Policy"
-    assert a.measurement.numeric_fraction is None
-    assert a.measurement.qualifier_text == (
+    assert a.numeric_fraction is None
+    assert a.qualifier_text == (
         "states Diagnosis only required only for billable encounter"
     )
     assert a.parameter is not None and a.parameter.name == "Governance"
@@ -74,8 +73,8 @@ def test_parse_policy_assertion_keeps_text_verbatim():
 def test_parse_mapping_assertion_resolves_alias():
     a = parse_assertion(PAPER_STRINGS[3], mode=ParseMode.LENIENT)
     assert str(a.locus) == "DRO-DT-DataEngineer"
-    assert a.measurement.numeric_fraction == Fraction(92, 100)
-    assert a.measurement.qualifier_text == "success"
+    assert a.numeric_fraction == Fraction(92, 100)
+    assert a.qualifier_text == "success"
     assert a.parameter is not None and a.parameter.name == "Interoperability"
 
 
@@ -124,8 +123,8 @@ def test_parse_empty_value_rejected():
 
 def test_parse_decimal_percent_precision():
     a = parse_assertion("DGO-DG-Clinician (Completeness: 93.5%)", mode=ParseMode.STRICT)
-    assert a.measurement.numeric_fraction == Fraction(935, 1000)
-    assert a.measurement.display_precision == 1
+    assert a.numeric_fraction == Fraction(935, 1000)
+    assert a.display_precision == 1
 
 
 def test_serialize_canonicalizes_engineer():
@@ -142,7 +141,7 @@ def test_serialize_zero_percent():
     a = DQAssertion(
         locus=LifecycleLocus(Organization.DGO, Phase.DG, "Clinician"),
         label="Completeness",
-        measurement=Measurement(numeric_fraction=Fraction(0)),
+        numeric_fraction=Fraction(0),
     )
     assert serialize_assertion(a) == "DGO-DG-Clinician (Completeness: 0%)"
 
@@ -165,7 +164,8 @@ def test_a_precision_that_cannot_render_is_an_error(precision):
     a = DQAssertion(
         locus=LifecycleLocus(Organization.DGO, Phase.DG, "Clinician"),
         label="Completeness",
-        measurement=Measurement(Fraction(1, 3), precision),
+        numeric_fraction=Fraction(1, 3),
+        display_precision=precision,
     )
     assert validate_assertion(a) == [Finding(Severity.ERROR, "InvalidPrecision", message)]
 
@@ -175,7 +175,8 @@ def test_a_precision_of_0_to_100_renders_and_parses_back(precision):
     a = DQAssertion(
         locus=LifecycleLocus(Organization.DGO, Phase.DG, "Clinician"),
         label="Completeness",
-        measurement=Measurement(Fraction(1, 4), precision),
+        numeric_fraction=Fraction(1, 4),
+        display_precision=precision,
     )
     assert validate_assertion(a) == []
     assert parse_assertion(serialize_assertion(a)) == a
@@ -192,7 +193,7 @@ def test_validate_flags_percent_out_of_range():
     a = DQAssertion(
         locus=LifecycleLocus(Organization.DGO, Phase.DG, "Clinician"),
         label="Completeness",
-        measurement=Measurement(numeric_fraction=Fraction(12, 10)),
+        numeric_fraction=Fraction(12, 10),
     )
     findings = validate_assertion(a)
     assert any(f.code == "PercentOutOfRange" and f.severity is Severity.ERROR for f in findings)
@@ -213,42 +214,40 @@ def test_validate_flags_invalid_locus():
     a = DQAssertion(
         locus=LifecycleLocus(Organization.DRO, Phase.DG, "Clinician"),
         label="Completeness",
-        measurement=Measurement(numeric_fraction=Fraction(9, 10)),
+        numeric_fraction=Fraction(9, 10),
     )
     findings = validate_assertion(a)
     assert any(f.code == "InvalidPhaseForOrganization" for f in findings)
 
 
-@pytest.mark.parametrize("measurement, finding", [
-    (Measurement(), "EmptyMeasurement: measurement has neither percent nor text"),
-    (Measurement(0.5), "InvalidFraction: numeric fraction must be a Fraction or None, got 0.5"),
-    (Measurement(None, 0, 5), "InvalidQualifier: qualifier text must be a non-empty string or None, got 5"),
-    (Measurement(Fraction(1, 2), 0, ""),
+@pytest.mark.parametrize("value, finding", [
+    ((), "EmptyMeasurement: measurement has neither percent nor text"),
+    ((0.5,), "InvalidFraction: numeric fraction must be a Fraction or None, got 0.5"),
+    ((None, 0, 5), "InvalidQualifier: qualifier text must be a non-empty string or None, got 5"),
+    ((Fraction(1, 2), 0, ""),
      "InvalidQualifier: qualifier text must be a non-empty string or None, got ''"),
-    (Measurement(None, 2, "text"), "InvalidPrecision: precision must be 0 without a percent, got 2"),
-    (Measurement(None, 0, "a) b"), "ParenInQualifier: qualifier text 'a) b' holds ')', which ends the value"),
-    (Measurement(None, 0, "94% of rows"),
+    ((None, 2, "text"), "InvalidPrecision: precision must be 0 without a percent, got 2"),
+    ((None, 0, "a) b"), "ParenInQualifier: qualifier text 'a) b' holds ')', which ends the value"),
+    ((Fraction(1, 2), 0, "a\nb"),
+     "NewlineInQualifier: qualifier text 'a\\nb' holds a newline, which ends the line in a file"),
+    ((None, 0, "94% of rows"),
      "QualifierReadsAsPercent: qualifier text '94% of rows' starts with a percent, so it reads as one"),
 ])
-def test_validate_flags_a_bad_measurement_or_parameter(measurement, finding):
-    a = DQAssertion(
-        locus=LifecycleLocus(Organization.DGO, Phase.DG, "Clinician"),
-        label="Completeness",
-        measurement=measurement,
-    )
+def test_validate_flags_a_bad_measurement_or_parameter(value, finding):
+    a = DQAssertion(LifecycleLocus(Organization.DGO, Phase.DG, "Clinician"), "Completeness", *value)
     findings = validate_assertion(a)
     assert [f"{f.code}: {f.message}" for f in findings] == [finding]
     assert findings[0].severity is Severity.ERROR
 
 
-@pytest.mark.parametrize("measurement, message", [
-    (Measurement(0.5), "numeric fraction must be a Fraction or None, got 0.5"),
-    (Measurement(None, 0, 5), "qualifier text must be a non-empty string or None, got 5"),
-    (Measurement(1), "numeric fraction must be a Fraction or None, got 1"),
-    (Measurement(Fraction(1, 2), 0, 0), "qualifier text must be a non-empty string or None, got 0"),
+@pytest.mark.parametrize("value, message", [
+    ((0.5,), "numeric fraction must be a Fraction or None, got 0.5"),
+    ((None, 0, 5), "qualifier text must be a non-empty string or None, got 5"),
+    ((1,), "numeric fraction must be a Fraction or None, got 1"),
+    ((Fraction(1, 2), 0, 0), "qualifier text must be a non-empty string or None, got 0"),
 ])
-def test_serializing_a_percent_or_qualifier_of_the_wrong_type_is_a_schema_violation(measurement, message):
-    a = DQAssertion(LifecycleLocus(Organization.DGO, Phase.DG, "Clinician"), "Completeness", measurement)
+def test_serializing_a_percent_or_qualifier_of_the_wrong_type_is_a_schema_violation(value, message):
+    a = DQAssertion(LifecycleLocus(Organization.DGO, Phase.DG, "Clinician"), "Completeness", *value)
     with pytest.raises(SchemaViolation) as raised:
         serialize_assertion(a)
     assert type(raised.value) is SchemaViolation and str(raised.value) == message
@@ -263,7 +262,7 @@ def test_serializing_a_percent_or_qualifier_of_the_wrong_type_is_a_schema_violat
     ({"Completeness": 1}, "InvalidLabel: label {'Completeness': 1} is not an identifier"),
 ])
 def test_validate_flags_a_label_that_is_not_an_identifier(label, finding):
-    a = DQAssertion(LifecycleLocus(Organization.DGO, Phase.DG, "Clinician"), label, Measurement(Fraction(1, 2)))
+    a = DQAssertion(LifecycleLocus(Organization.DGO, Phase.DG, "Clinician"), label, Fraction(1, 2))
     assert a.parameter is None
     findings = validate_assertion(a)
     assert [(f.severity, f"{f.code}: {f.message}") for f in findings] == [(Severity.ERROR, finding)]
@@ -279,7 +278,7 @@ def test_validate_flags_a_label_that_is_not_an_identifier(label, finding):
 def test_a_locus_of_plain_string_codes_that_is_not_valid_is_an_error_finding(locus, finding):
     """Plain-string codes are checked as members are, and once raised a
     stray AttributeError from the error message."""
-    a = DQAssertion(LifecycleLocus(*locus), "Completeness", Measurement(Fraction(1, 2)))
+    a = DQAssertion(LifecycleLocus(*locus), "Completeness", Fraction(1, 2))
     findings = validate_assertion(a)
     assert [(f.severity, f"{f.code}: {f.message}") for f in findings] == [(Severity.ERROR, finding)]
     assert serialize_assertion(a) == f"{'-'.join(locus)} (Completeness: 50%)"
@@ -295,7 +294,7 @@ def test_a_locus_of_plain_string_codes_that_is_not_valid_is_an_error_finding(loc
 def test_a_locus_with_an_unhashable_code_or_actor_is_an_error_finding(locus, finding):
     """An unhashable code or actor is in no locus of the registry, so it
     is checked as any other code or actor that names no locus."""
-    a = DQAssertion(LifecycleLocus(*locus), "Completeness", Measurement(Fraction(1, 2)))
+    a = DQAssertion(LifecycleLocus(*locus), "Completeness", Fraction(1, 2))
     findings = validate_assertion(a)
     assert [(f.severity, f"{f.code}: {f.message}") for f in findings] == [(Severity.ERROR, finding)]
     with pytest.raises(DqError) as raised:
@@ -307,7 +306,7 @@ def test_an_actor_that_is_not_a_string_resolves_to_none():
     for actor in (["x"], ["Clinician"], 7, None):
         with pytest.raises(UnknownActor, match=re.escape(f"unknown actor: {actor!r}")):
             builtin_registry().resolve(actor)
-    a = DQAssertion(LifecycleLocus(Organization.DGO, Phase.DG, ["x"]), "Completeness", Measurement(Fraction(1, 2)))
+    a = DQAssertion(LifecycleLocus(Organization.DGO, Phase.DG, ["x"]), "Completeness", Fraction(1, 2))
     with pytest.raises(UnknownActor, match=re.escape("unknown actor: ['x']")):
         canonicalize(a)
 
@@ -315,18 +314,21 @@ def test_an_actor_that_is_not_a_string_resolves_to_none():
 def test_a_valid_locus_of_plain_string_codes_serializes_and_parses_back():
     locus = LifecycleLocus("DGO", "DG", "Clinician")
     assert locus == validate_locus(Organization.DGO, Phase.DG, "Clinician")
-    a = DQAssertion(locus, "Completeness", Measurement(Fraction(1, 2), 0, "of rows"))
+    a = DQAssertion(locus, "Completeness", Fraction(1, 2), 0, "of rows")
     assert validate_assertion(a) == []
     assert serialize_assertion(a) == "DGO-DG-Clinician (Completeness: 50% of rows)"
     assert parse_assertion(serialize_assertion(a), mode=ParseMode.STRICT) == a
 
 
-def test_assertions_and_measurements_hold_no_instance_dict():
+def test_assertions_hold_no_instance_dict():
     a = parse_assertion("DRO-DT-DataEngineer (Mapping: 92% success)")
-    for obj in (a, a.measurement):
-        assert not hasattr(obj, "__dict__")
+    assert not hasattr(a, "__dict__")
+    assert [f.name for f in fields(a)] == [
+        "locus", "label", "numeric_fraction", "display_precision", "qualifier_text"
+    ]
+    for field in fields(a):
         with pytest.raises(FrozenInstanceError):
-            setattr(obj, fields(obj)[0].name, None)
+            setattr(a, field.name, None)
 
 
 @pytest.mark.parametrize("copy_of", [
@@ -336,7 +338,6 @@ def test_copies_of_an_assertion_are_equal(copy_of):
     a = parse_assertion("DRO-DT-DataEngineer (Mapping: 92.5% success)")
     again = copy_of(a)
     assert again == a and again.parameter is a.parameter
-    assert copy_of(a.measurement) == a.measurement
     assert str(copy_of(a.locus)) == str(a.locus) == "DRO-DT-DataEngineer"
     assert copy_of(a.locus) == a.locus
 
@@ -355,7 +356,7 @@ def test_a_locus_reads_org_phase_actor():
 def test_canonicalize_takes_the_registrys_own_locus():
     registry = builtin_registry()
     alias = DQAssertion(LifecycleLocus(Organization.DRO, Phase.DT, "Engineer"), "Mapping",
-                        Measurement(Fraction(92, 100), 0, "success"))
+                        Fraction(92, 100), 0, "success")
     got = canonicalize(alias, registry)
     assert got.locus is validate_locus(Organization.DRO, Phase.DT, "DataEngineer", registry)
     assert replace(got, locus=alias.locus) == alias
@@ -368,14 +369,14 @@ def test_canonicalize_takes_the_registrys_own_locus():
     assert odd.locus == LifecycleLocus(["DRO"], Phase.DT, "DataEngineer")
 
 
-@pytest.mark.parametrize("locus, label, measurement, parameter", [
+@pytest.mark.parametrize("locus, label, value, parameter", [
     ((Organization.DRO, Phase.DT, "DataEngineer"), "Mapping",
-     Measurement(Fraction(92, 100), 0, "success"), "Interoperability"),
+     (Fraction(92, 100), 0, "success"), "Interoperability"),
     ((Organization.DGO, Phase.DG, "Organization"), "Policy",
-     Measurement(None, 0, "states diagnosis required only for billable"), "Governance"),
+     (None, 0, "states diagnosis required only for billable"), "Governance"),
 ])
-def test_a_hand_built_assertion_takes_its_parameter_from_its_label(locus, label, measurement, parameter):
-    a = DQAssertion(LifecycleLocus(*locus), label, measurement)
+def test_a_hand_built_assertion_takes_its_parameter_from_its_label(locus, label, value, parameter):
+    a = DQAssertion(LifecycleLocus(*locus), label, *value)
     assert a.parameter is not None and a.parameter.name == parameter
     assert validate_assertion(a) == []
     assert parse_assertion(serialize_assertion(a)) == a
