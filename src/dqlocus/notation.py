@@ -28,8 +28,8 @@ always succeeds: on a valid line it runs through the closing ``)``, and
 on an invalid one the first unmatched group names what was expected and
 where. The locus comes from the registry's table of valid loci.
 
-Assertion files hold one assertion per line, UTF-8, LF line endings;
-``#`` starts a comment line.
+Assertion files hold one assertion per line, UTF-8, LF line endings,
+after at most one leading byte-order mark; ``#`` starts a comment line.
 """
 
 from __future__ import annotations
@@ -167,7 +167,22 @@ def parse_assertion(
     Lenient mode additionally accepts the ``PHASE-Actor`` short form,
     aliases, and unresolved labels.
     """
-    lenient = mode is ParseMode.LENIENT
+    return _parse_line(text, registry, mode is ParseMode.LENIENT, {}, {})
+
+
+def _parse_line(
+    text: str,
+    registry: ActorRegistry | None,
+    lenient: bool,
+    fractions: dict[str, Fraction],
+    texts: dict[str, str],
+) -> DQAssertion:
+    """Parse one line, sharing its repeated parts through the caller's
+    tables: ``fractions`` maps a percent literal that parsed to its
+    Fraction, and ``texts`` maps a qualifier or an unresolved label to the
+    first equal string. A literal that failed is not stored, so it fails
+    again on every line that holds it. The tables stay apart, as a
+    qualifier may be the text of an earlier percent literal."""
     start, end = 0, len(text)
     if lenient:
         body = text.strip()
@@ -183,19 +198,23 @@ def parse_assertion(
     numeric: Fraction | None = None
     precision = 0
     if percent is not None:
-        # leading zeros carry no value, and a literal held to 3 significant
-        # whole digits and _MAX_DECIMALS decimals stays far inside Python's
-        # limit on the digits of an int read from text
-        whole, decimals = whole.lstrip("0"), decimals or ""
-        if len(whole) > 3:
-            raise PercentOutOfRange(f"percent value {percent} exceeds 100%")
-        if len(decimals) > _MAX_DECIMALS:
-            raise NotationSyntaxError(f"percent has more than {_MAX_DECIMALS} decimals", m.start("percent"))
-        precision = len(decimals)
-        units, scale = int((whole + decimals) or "0"), 100 * 10**precision
-        if units > scale:
-            raise PercentOutOfRange(f"percent value {percent} exceeds 100%")
-        numeric = Fraction(units, scale)
+        numeric = fractions.get(percent)
+        if numeric is not None:
+            precision = len(decimals) if decimals else 0
+        else:
+            # leading zeros carry no value, and a literal held to 3
+            # significant whole digits and _MAX_DECIMALS decimals stays far
+            # inside Python's limit on the digits of an int read from text
+            whole, decimals = whole.lstrip("0"), decimals or ""
+            if len(whole) > 3:
+                raise PercentOutOfRange(f"percent value {percent} exceeds 100%")
+            if len(decimals) > _MAX_DECIMALS:
+                raise NotationSyntaxError(f"percent has more than {_MAX_DECIMALS} decimals", m.start("percent"))
+            precision = len(decimals)
+            units, scale = int((whole + decimals) or "0"), 100 * 10**precision
+            if units > scale:
+                raise PercentOutOfRange(f"percent value {percent} exceeds 100%")
+            numeric = fractions[percent] = Fraction(units, scale)
         if space is None and qualifier:
             raise NotationSyntaxError("expected space or ')' after percent", m.start("qualifier"))
     qualifier = qualifier or None
@@ -210,10 +229,14 @@ def parse_assertion(
     # registry's table; the short form defaults to the generating organization
     locus = validate_locus(org or "DGO", phase, actor, registry, allow_aliases=lenient)
     key = _LABEL_KEYS.get(label)
-    if key is None and not lenient:
-        raise UnresolvedLabel(f"label {label!r} does not resolve to a core parameter")
+    if key is None:
+        if not lenient:
+            raise UnresolvedLabel(f"label {label!r} does not resolve to a core parameter")
+        key = texts.setdefault(label, label)
+    if qualifier is not None:
+        qualifier = texts.setdefault(qualifier, qualifier)
 
-    return DQAssertion(locus, key or label, numeric, precision, qualifier)
+    return DQAssertion(locus, key, numeric, precision, qualifier)
 
 
 def _type_faults(a: DQAssertion) -> list[Finding]:
@@ -315,7 +338,7 @@ def canonicalize(assertion: DQAssertion, registry: ActorRegistry | None = None) 
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LineIssue:
     """A parse failure tied to a line of an assertion file."""
 
@@ -333,19 +356,23 @@ def parse_assertion_file(
     """Parse an assertion file: one assertion per line, ``#`` comments.
 
     Returns (numbered assertions, numbered issues); parsing continues
-    past bad lines.
+    past bad lines. One leading byte-order mark is not text. Within the
+    call, equal percent literals share one Fraction, and equal
+    qualifiers or unresolved labels share one string.
     """
+    lenient = mode is ParseMode.LENIENT
+    fractions: dict[str, Fraction] = {}
+    texts: dict[str, str] = {}
     assertions: list[tuple[int, DQAssertion]] = []
     issues: list[LineIssue] = []
-    for n, line in enumerate(text.split("\n"), start=1):
+    for n, line in enumerate(text.removeprefix("\ufeff").split("\n"), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         try:
-            assertions.append((n, parse_assertion(line, registry, mode)))
+            assertions.append((n, _parse_line(line, registry, lenient, fractions, texts)))
         except NotationSyntaxError as e:
             issues.append(LineIssue(n, "NotationSyntaxError", str(e), e.offset))
         except DqError as e:
             issues.append(LineIssue(n, type(e).__name__, str(e)))
     return assertions, issues
-

@@ -20,6 +20,7 @@ from dqlocus.errors import (
 from dqlocus.notation import (
     DQAssertion,
     Finding,
+    LineIssue,
     ParseMode,
     Severity,
     canonicalize,
@@ -331,6 +332,15 @@ def test_assertions_hold_no_instance_dict():
             setattr(a, field.name, None)
 
 
+def test_line_issues_hold_no_instance_dict():
+    _, [issue] = parse_assertion_file("DGO-DG-Clinician (Completeness: 94%x)")
+    assert not hasattr(issue, "__dict__")
+    assert [f.name for f in fields(issue)] == ["line_number", "error", "message", "offset"]
+    for field in fields(issue):
+        with pytest.raises(FrozenInstanceError):
+            setattr(issue, field.name, None)
+
+
 @pytest.mark.parametrize("copy_of", [
     replace, copy.copy, copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj)),
 ], ids=["replace", "copy", "deepcopy", "pickle"])
@@ -340,6 +350,11 @@ def test_copies_of_an_assertion_are_equal(copy_of):
     assert again == a and again.parameter is a.parameter
     assert str(copy_of(a.locus)) == str(a.locus) == "DRO-DT-DataEngineer"
     assert copy_of(a.locus) == a.locus
+    _, issues = parse_assertion_file("DGO-DG-Clinician (Completeness: 94%x)\nDGO-DG-Clinician (Completeness: 101%)")
+    assert [copy_of(issue) for issue in issues] == issues == [
+        LineIssue(1, "NotationSyntaxError", "expected space or ')' after percent (offset 35)", 35),
+        LineIssue(2, "PercentOutOfRange", "percent value 101% exceeds 100%"),
+    ]
 
 
 def test_a_locus_reads_org_phase_actor():
@@ -398,3 +413,36 @@ def test_parse_assertion_file_skips_comments_and_collects_issues():
         (4, "InvalidPhaseForOrganization"),
         (5, "NotationSyntaxError"),
     ]
+
+
+@pytest.mark.parametrize("mode", list(ParseMode))
+def test_a_leading_byte_order_mark_is_not_text(mode):
+    lines = [PAPER_STRINGS[0], "# a comment", "DRO-DR-Researcher (Completeness: 87%)"]
+    plain = parse_assertion_file("\n".join(lines), mode=mode)
+    assert [n for n, _ in plain[0]] == [1, 3] and plain[1] == []
+    assert parse_assertion_file("\ufeff" + "\n".join(lines), mode=mode) == plain
+    # with the comment first, one mark is still not text, and nothing is reported
+    assert parse_assertion_file("\ufeff" + "\n".join(lines[1:]), mode=mode) == ([(2, plain[0][1][1])], [])
+    # only one mark: a second, or one on a later line, is text
+    _, issues = parse_assertion_file("\ufeff\ufeff" + "\n".join(lines), mode=mode)
+    assert [(i.line_number, i.error, i.offset) for i in issues] == [(1, "NotationSyntaxError", 0)]
+    _, issues = parse_assertion_file("\n\ufeff" + PAPER_STRINGS[0], mode=mode)
+    assert [(i.line_number, i.error) for i in issues] == [(2, "NotationSyntaxError")]
+
+
+def test_equal_parts_of_a_files_lines_are_one_object_each_within_a_call():
+    text = "\n".join([
+        "DGO-DG-Clinician (Completeness: 94.5% of encounters)",
+        "DT-Engineer (Legibility: 94.5% of encounters)",
+        "DRO-DR-Researcher (Legibility: of encounters)",
+    ])
+    (_, a), (_, b), (_, c) = parse_assertion_file(text)[0]
+    assert a.numeric_fraction == Fraction(945, 1000) and a.qualifier_text == "of encounters"
+    assert b.numeric_fraction is a.numeric_fraction
+    assert b.qualifier_text is a.qualifier_text and c.qualifier_text is a.qualifier_text
+    assert b.label == "Legibility" and c.label is b.label
+    # a second call shares nothing with the first
+    (_, a2), (_, b2), (_, c2) = parse_assertion_file(text)[0]
+    assert (a2, b2, c2) == (a, b, c)
+    assert a2.numeric_fraction is not a.numeric_fraction
+    assert a2.qualifier_text is not a.qualifier_text and b2.label is not b.label

@@ -28,6 +28,7 @@ from dqlocus.errors import (
 )
 from dqlocus.notation import (
     DQAssertion,
+    LineIssue,
     ParseMode,
     Severity,
     format_percent,
@@ -216,7 +217,8 @@ REGISTRIES = [builtin_registry(), CARER]
 
 NAMES = sorted({a.canonical_name for a in CARER} | {"Engineer", "AI", "EHR", "Org", "Aide"})
 LABELS = sorted(REFERENCE_PARAMETERS) + ["Done", "Uptime", "Legibility"]
-QUALIFIERS = ["success", "of encounters", "(a", "a (b", "x)", " ", "  two  spaces", "٩٤%", "12.%"]
+#: "94%" is also a percent literal, which an earlier line of a file may hold.
+QUALIFIERS = ["success", "of encounters", "(a", "a (b", "x)", " ", "  two  spaces", "٩٤%", "12.%", "94%"]
 
 
 #: Literals longer than Python reads as an int by default (4,300 digits),
@@ -323,6 +325,44 @@ def test_a_parsed_label_that_names_a_parameter_is_the_tables_own_key(file, regis
             assert a.label is next(key for key in LABEL_PARAMETERS if key == a.label)
         else:
             assert mode is ParseMode.LENIENT and a.label not in LABEL_PARAMETERS
+
+
+def reference_file_result(text, registry, mode):
+    """What the reference gives for each piece of ``text`` split on
+    newlines that is neither blank nor a comment, each on its own, with
+    its line number."""
+    assertions, issues = [], []
+    for n, piece in enumerate(text.split("\n"), start=1):
+        stripped = piece.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        got = result(reference_parse, piece, registry, mode)
+        if got[0] == "parsed":
+            assertions.append((n, got[1]))
+        else:
+            issues.append(LineIssue(n, got[1].__name__, got[2], got[3]))
+    return assertions, issues
+
+
+CLINICIAN = "DGO-DG-Clinician (Completeness: {})"
+
+
+@settings(max_examples=150, deadline=None)
+@given(file=st.lists(lines(), min_size=15, max_size=25), registry=st.sampled_from(REGISTRIES),
+       mode=st.sampled_from(list(ParseMode)))
+# a qualifier that is the text of an earlier line's percent literal
+@example(file=[CLINICIAN.format("37%"), CLINICIAN.format("50% 37%"), "DT-Engineer (Done: 37%)"],
+         registry=REGISTRIES[0], mode=ParseMode.LENIENT)
+# a literal that parsed, then the same literal with no space after it
+@example(file=[CLINICIAN.format("94%"), CLINICIAN.format("94%x")], registry=REGISTRIES[0], mode=ParseMode.STRICT)
+# a literal that failed fails again
+@example(file=[CLINICIAN.format("101%")] * 2 + [CLINICIAN.format("94." + "0" * 101 + "%")] * 2,
+         registry=REGISTRIES[0], mode=ParseMode.STRICT)
+def test_each_line_of_a_file_parses_as_the_reference_parses_it_alone(file, registry, mode):
+    """The parts a file's lines share within one call change no line's
+    result."""
+    text = "\n".join(file)
+    assert parse_assertion_file(text, registry, mode) == reference_file_result(text, registry, mode)
 
 
 @pytest.mark.parametrize(
