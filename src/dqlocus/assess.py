@@ -380,12 +380,8 @@ def _timeliness(snapshot: DatasetSnapshot, fields: Fields, cfg: Config, scope: S
 
     details: dict[str, Any] = {"max_lag_seconds": max_lag.total_seconds()}
     if lags:
-        ordered = sorted(lags)
-        mid = len(ordered) // 2
-        if len(ordered) % 2:
-            median = ordered[mid]
-        else:
-            median = (ordered[mid - 1] + ordered[mid]) / 2
+        ordered, n = sorted(lags), len(lags)
+        median = (ordered[(n - 1) // 2] + ordered[n // 2]) / 2
         details["lag_seconds"] = {
             "min": ordered[0].total_seconds(),
             "median": median.total_seconds(),
@@ -421,11 +417,6 @@ def _join_keys(source: DatasetSnapshot | None, transformed: DatasetSnapshot | No
     key; raises when the two snapshots cannot be joined."""
     if source is None or transformed is None:
         raise StageMismatch("mapping check needs both source and transformed snapshots")
-    if source.manifest.stage is not Stage.SOURCE or transformed.manifest.stage is not Stage.TRANSFORMED:
-        raise StageMismatch(
-            f"expected SourceExtract + TransformedExtract, got {source.manifest.stage.value}"
-            f" + {transformed.manifest.stage.value}"
-        )
     if source.manifest.dataset_id != transformed.manifest.dataset_id:
         raise StageMismatch(
             f"snapshots describe different datasets: {source.manifest.dataset_id!r}"
@@ -486,20 +477,19 @@ def _degeneracy_by_actor(
             strata[sid] = StratumOutcome(0, 0)
             continue
         recorded = [col.values[i] for i in rows if i not in absent]
-        flags: list[DegeneracyFlag] = []
+        flag: DegeneracyFlag | None = None
         if not recorded:
-            flags.append(DegeneracyFlag.NEVER_RECORDS)
+            flag = DegeneracyFlag.NEVER_RECORDS
         else:
             counts = Counter(str(value) for value in recorded)
             top_value, top_count = max(counts.items(), key=lambda kv: (kv[1], kv[0]))
             share = Fraction(top_count, len(recorded))
             if share >= max_dominant_share:
-                flags.append(DegeneracyFlag.ALWAYS_SAME)
+                flag = DegeneracyFlag.ALWAYS_SAME
                 per_actor_detail[sid] = {"dominant_value": top_value, "share": str(share)}
-        if flags:
-            reason = f"{sid}: {'+'.join(f.value for f in flags)}"
-            failing.update(dict.fromkeys(rows, reason))
-        strata[sid] = StratumOutcome(1 if flags else 0, 1, tuple(flags))
+        if flag is not None:
+            failing.update(dict.fromkeys(rows, f"{sid}: {flag.value}"))
+        strata[sid] = StratumOutcome(0, 1) if flag is None else StratumOutcome(1, 1, (flag,))
     details = {
         "min_records": min_records,
         "max_dominant_share": str(max_dominant_share),
@@ -586,7 +576,8 @@ CHECK_KINDS: dict[CheckKind, KindSpec] = {
 
 @dataclass(frozen=True)
 class Snapshots:
-    """The snapshots a suite runs against, keyed by lifecycle stage.
+    """The snapshots a suite runs against, keyed by lifecycle stage. Each
+    slot holds only a snapshot at its own stage, else StageMismatch.
 
     What checks derive from the snapshots rather than from one definition,
     the key join and the per-row actor ids, is built on first use and kept
@@ -595,6 +586,12 @@ class Snapshots:
 
     source: DatasetSnapshot | None = None
     transformed: DatasetSnapshot | None = None
+
+    def __post_init__(self) -> None:
+        for slot, stage in (("source", Stage.SOURCE), ("transformed", Stage.TRANSFORMED)):
+            snapshot = getattr(self, slot)
+            if snapshot is not None and snapshot.manifest.stage is not stage:
+                raise StageMismatch(f"{slot} snapshot is at stage {snapshot.manifest.stage.value}, not {stage.value}")
 
     def at_stage(self, stage: Stage | None) -> DatasetSnapshot:
         """The snapshot at ``stage``; with no stage, the one snapshot loaded."""

@@ -130,7 +130,8 @@ class NoTimestampColumns(CheckConfigError):
 
 
 class StageMismatch(CheckConfigError):
-    """Paired-snapshot check got snapshots at the wrong lifecycle stages."""
+    """A snapshot in another lifecycle stage's slot, or a paired check
+    without one source and one transformed snapshot of the same dataset."""
 
 
 class KeyColumnMissing(CheckConfigError):

@@ -165,9 +165,10 @@ def parse_assertion(
     Strict mode requires the full ``ORG-PHASE-Actor`` form, a canonical
     registered actor name, and a label resolvable to a core parameter.
     Lenient mode additionally accepts the ``PHASE-Actor`` short form,
-    aliases, and unresolved labels.
+    aliases, and unresolved labels. ``mode`` is a ParseMode or its value;
+    any other value raises ValueError.
     """
-    return _parse_line(text, registry, mode is ParseMode.LENIENT, {}, {})
+    return _parse_line(text, registry, ParseMode(mode) is ParseMode.LENIENT, {}, {})
 
 
 def _parse_line(
@@ -324,18 +325,12 @@ def validate_assertion(
 
 
 def canonicalize(assertion: DQAssertion, registry: ActorRegistry | None = None) -> DQAssertion:
-    """Resolve the locus actor to its canonical name. A locus the registry
-    holds becomes the registry's own locus object."""
-    registry = registry or builtin_registry()
+    """The assertion with the registry's own locus for its locus, the actor
+    named by its canonical name. A locus the registry rejects raises the
+    error of ``validate_locus``."""
     locus = assertion.locus
-    actor = registry.resolve(locus.actor)
-    if actor.canonical_name == locus.actor:
-        return assertion
-    shared = registry._locus(locus.organization, locus.phase, locus.actor)
-    return replace(
-        assertion,
-        locus=shared or LifecycleLocus(locus.organization, locus.phase, actor.canonical_name),
-    )
+    shared = validate_locus(locus.organization, locus.phase, locus.actor, registry)
+    return assertion if shared is locus else replace(assertion, locus=shared)
 
 
 @dataclass(frozen=True, slots=True)
@@ -360,7 +355,7 @@ def parse_assertion_file(
     call, equal percent literals share one Fraction, and equal
     qualifiers or unresolved labels share one string.
     """
-    lenient = mode is ParseMode.LENIENT
+    lenient = ParseMode(mode) is ParseMode.LENIENT
     fractions: dict[str, Fraction] = {}
     texts: dict[str, str] = {}
     assertions: list[tuple[int, DQAssertion]] = []

@@ -169,11 +169,6 @@ class LifecycleLocus:
     phase: Phase
     actor: str
 
-    @property
-    def sort_key(self) -> tuple[int, str]:
-        """Lifecycle order of the (org, phase) pair, then actor name."""
-        return (_PAIR_ORDER.get((self.organization, self.phase), len(_PAIR_ORDER)), self.actor)
-
     def __str__(self) -> str:
         return _spell(self.organization, self.phase, self.actor)
 
@@ -303,7 +298,7 @@ def enumerate_loci(registry: ActorRegistry | None = None) -> list[LifecycleLocus
     """Every valid locus, in lifecycle order then actor name."""
     registry = registry or _BUILTIN_REGISTRY
     loci = (locus for (_, _, name), locus in registry._loci.items() if name == locus.actor)
-    return sorted(loci, key=lambda locus: locus.sort_key)
+    return sorted(loci, key=lambda locus: (_PAIR_ORDER[locus.organization, locus.phase], locus.actor))
 
 
 def _read_pair(value: Any, where: str) -> tuple[Organization, Phase]:

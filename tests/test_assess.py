@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import re
+import statistics
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 from pathlib import Path
@@ -302,6 +303,16 @@ def test_timeliness_negative_lag_is_violation():
     assert outcome.numerator == 0
 
 
+@pytest.mark.parametrize("seconds", [[5], [2, 1], [3, 9, 1], [4, 1, 8, 3], [7, 7, 1, 2, 30]])
+def test_timeliness_median_lag_is_the_middle_lag_or_the_mean_of_the_two(seconds):
+    snapshot = make_snapshot(
+        {"recorded_at": ["2024-01-01T00:00:00"] * len(seconds),
+         "available_at": [f"2024-01-01T00:00:{s:02d}" for s in seconds]},
+    )
+    outcome = check(snapshot, CheckKind.TIMELINESS, *TIMESTAMPS, max_lag="1d")
+    assert outcome.details["lag_seconds"]["median"] == statistics.median(seconds)
+
+
 def test_timeliness_requires_max_lag():
     with pytest.raises(MissingConfig):
         check(timeliness_snapshot(), CheckKind.TIMELINESS, *TIMESTAMPS)
@@ -346,6 +357,18 @@ def test_mapping_stage_mismatch():
     source, _ = paired_snapshots(["A"], ["A"])
     with pytest.raises(StageMismatch):
         check(source, CheckKind.MAPPING_SUCCESS, "code", transformed=source)
+
+
+@pytest.mark.parametrize("slot, stage, error", [
+    ("source", "TransformedExtract", "source snapshot is at stage TransformedExtract, not SourceExtract"),
+    ("transformed", "SourceExtract", "transformed snapshot is at stage SourceExtract, not TransformedExtract"),
+])
+def test_snapshots_holds_a_snapshot_only_in_its_own_stages_slot(slot, stage, error):
+    with pytest.raises(StageMismatch, match=f"^{re.escape(error)}$"):
+        Snapshots(**{slot: keyed(stage)})
+    # the other slot, holding a snapshot at its own stage, changes nothing
+    with pytest.raises(StageMismatch, match=f"^{re.escape(error)}$"):
+        Snapshots(**{slot: keyed(stage), ("transformed" if slot == "source" else "source"): keyed(stage)})
 
 
 def test_mapping_key_mismatch():

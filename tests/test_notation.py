@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from dqlocus.errors import (
+    ActorPhaseMismatch,
     DqError,
     InvalidPhaseForOrganization,
     NotationSyntaxError,
@@ -376,12 +377,22 @@ def test_canonicalize_takes_the_registrys_own_locus():
     assert got.locus is validate_locus(Organization.DRO, Phase.DT, "DataEngineer", registry)
     assert replace(got, locus=alias.locus) == alias
     assert canonicalize(got, registry) is got
-    # an alias at a pair its actor is not allowed at has no shared locus
-    stray = canonicalize(replace(alias, locus=LifecycleLocus(Organization.DGO, Phase.DG, "Engineer")))
-    assert stray.locus == LifecycleLocus(Organization.DGO, Phase.DG, "DataEngineer")
-    # nor has a locus with a code that cannot be hashed
-    odd = canonicalize(replace(alias, locus=LifecycleLocus(["DRO"], Phase.DT, "Engineer")))
-    assert odd.locus == LifecycleLocus(["DRO"], Phase.DT, "DataEngineer")
+    # a locus the registry rejects raises its error: an alias at a pair its
+    # actor is not allowed at, or a code that cannot be hashed
+    with pytest.raises(ActorPhaseMismatch, match=re.escape("actor 'DataEngineer' is not allowed at DGO-DG")):
+        canonicalize(replace(alias, locus=LifecycleLocus(Organization.DGO, Phase.DG, "Engineer")))
+    with pytest.raises(InvalidPhaseForOrganization, match=re.escape("['DRO']-DT is not a valid")):
+        canonicalize(replace(alias, locus=LifecycleLocus(["DRO"], Phase.DT, "Engineer")))
+
+
+@pytest.mark.parametrize("actor", ["DataEngineer", "Engineer"])
+def test_a_valid_locus_of_plain_strings_canonicalizes_to_the_registrys_own_locus(actor):
+    registry = builtin_registry()
+    a = DQAssertion(LifecycleLocus("DRO", "DT", actor), "Mapping", Fraction(92, 100), 0, "success")
+    got = canonicalize(a, registry)
+    assert got.locus is validate_locus(Organization.DRO, Phase.DT, "DataEngineer", registry)
+    assert replace(got, locus=a.locus) == a
+    assert serialize_assertion(got) == "DRO-DT-DataEngineer (Mapping: 92% success)"
 
 
 @pytest.mark.parametrize("locus, label, value, parameter", [
@@ -428,6 +439,32 @@ def test_a_leading_byte_order_mark_is_not_text(mode):
     assert [(i.line_number, i.error, i.offset) for i in issues] == [(1, "NotationSyntaxError", 0)]
     _, issues = parse_assertion_file("\n\ufeff" + PAPER_STRINGS[0], mode=mode)
     assert [(i.line_number, i.error) for i in issues] == [(2, "NotationSyntaxError")]
+
+
+SHORT_FORM = "DT-Engineer (Completeness: 94%)"
+
+
+@pytest.mark.parametrize("mode", [ParseMode.LENIENT, "Lenient"])
+def test_lenient_mode_given_as_the_member_or_its_value_parses_leniently(mode):
+    a = parse_assertion(SHORT_FORM, mode=mode)
+    assert str(a.locus) == "DGO-DT-DataEngineer"
+    assert parse_assertion_file(SHORT_FORM, mode=mode) == ([(1, a)], [])
+
+
+@pytest.mark.parametrize("mode", [ParseMode.STRICT, "Strict"])
+def test_strict_mode_given_as_the_member_or_its_value_parses_strictly(mode):
+    with pytest.raises(NotationSyntaxError, match="expected organization code DGO or DRO"):
+        parse_assertion(SHORT_FORM, mode=mode)
+    assert parse_assertion_file(SHORT_FORM, mode=mode) == ([], [
+        LineIssue(1, "NotationSyntaxError", "expected organization code DGO or DRO (offset 0)", 0),
+    ])
+
+
+@pytest.mark.parametrize("mode", ["lenient", "STRICT", ""])
+def test_a_mode_that_names_no_parse_mode_raises(mode):
+    for parse in (parse_assertion, parse_assertion_file):
+        with pytest.raises(ValueError, match=re.escape(f"{mode!r} is not a valid ParseMode")):
+            parse(SHORT_FORM, mode=mode)
 
 
 def test_equal_parts_of_a_files_lines_are_one_object_each_within_a_call():

@@ -174,6 +174,29 @@ def test_enumerate_loci_projection_stable_under_custom_actors():
     assert len({(l.organization, l.phase) for l in loci}) == 5
 
 
+#: Every builtin locus in the order ``enumerate_loci`` gives: the pairs in
+#: ``ORG_PHASE_PAIRS`` order, then the actors by name.
+BUILTIN_LOCI = [
+    "DGO-DG-Clinician", "DGO-DG-EHRSystem", "DGO-DG-Organization", "DGO-DG-Patient", "DGO-DG-Wearable",
+    "DGO-DT-DataEngineer", "DGO-DT-EHRSystem",
+    "DGO-DR-AIModel", "DGO-DR-Clinician", "DGO-DR-Organization", "DGO-DR-Researcher", "DGO-DR-Stakeholder",
+    "DRO-DT-DataEngineer", "DRO-DT-EHRSystem",
+    "DRO-DR-AIModel", "DRO-DR-Clinician", "DRO-DR-Organization", "DRO-DR-Researcher", "DRO-DR-Stakeholder",
+]
+
+
+def test_enumerate_loci_orders_by_pair_then_actor_name():
+    assert [str(l) for l in enumerate_loci(builtin_registry())] == BUILTIN_LOCI
+    # a custom actor, registered last, takes its place by name at each pair
+    registry = builtin_registry().with_actor(
+        "Carer", {"Aide"}, {(Organization.DRO, Phase.DR), (Organization.DGO, Phase.DG)}
+    )
+    expected = list(BUILTIN_LOCI)
+    expected.insert(expected.index("DRO-DR-Clinician"), "DRO-DR-Carer")
+    expected.insert(expected.index("DGO-DG-Clinician"), "DGO-DG-Carer")
+    assert [str(l) for l in enumerate_loci(registry)] == expected
+
+
 def test_alias_resolution_idempotent_on_canonical_names():
     registry = builtin_registry()
     for actor in registry:
