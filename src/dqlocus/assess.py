@@ -215,13 +215,12 @@ def _stratify(actors: list[str], rows: Rows, failing: Failing) -> dict[str, Stra
 # judges (the denominator), a mapping from each failing row among them to its
 # violation reason, and the outcome details; ``run_check`` does the rest.
 # Each kind does only the work its failures need: completeness reads the
-# column's missing and failed rows, a typed format check without a pattern
-# reads only the failed rows, and a value or pattern test runs once per
-# present cell. A paired kind's function takes the ``Snapshots`` in place of
-# one snapshot. A strata kind's function takes (snapshot, target fields,
-# config, actor ids), where actor ids gives a snapshot's per-row actor ids,
-# and returns the strata, the failing rows with their reasons, and the
-# details.
+# column's missing and failed rows, a typed format check reads only the
+# failed rows, and a value or pattern test runs once per present cell. A
+# paired kind's function takes the ``Snapshots`` in place of one snapshot.
+# A strata kind's function takes (snapshot, target fields, config, actor
+# ids), where actor ids gives a snapshot's per-row actor ids, and returns
+# the strata, the failing rows with their reasons, and the details.
 
 Fields = tuple[str, ...]
 Config = dict[str, Any]
@@ -288,21 +287,16 @@ def _conformance_value(snapshot: DatasetSnapshot, fields: Fields, cfg: Config, s
 
 
 def _conformance_format(snapshot: DatasetSnapshot, fields: Fields, cfg: Config, scope: Scope) -> RowCheck:
-    """Fraction of non-missing cells matching the field's format pattern, or,
-    for a typed field without one, that coerced."""
+    """Fraction of non-missing cells that coerced, for a typed field, or that
+    match the field's format pattern, for an untyped one."""
     spec = _field(snapshot, fields[0])[1]
-    if spec.format_pattern is None:
-        if spec.semantic_type not in COERCERS:
-            raise MissingConfig(
-                f"field {fields[0]!r} has no format_pattern and is not a typed column"
-            )
+    if spec.semantic_type in COERCERS:
         return _present_cells(snapshot, fields[0], scope, None)
+    if spec.format_pattern is None:
+        raise MissingConfig(f"field {fields[0]!r} has no format_pattern and is not a typed column")
     pattern = re.compile(spec.format_pattern)
     return _present_cells(
-        snapshot, fields[0], scope,
-        lambda value: None
-        if isinstance(value, str) and pattern.fullmatch(value)
-        else f"pattern mismatch: {value}",
+        snapshot, fields[0], scope, lambda value: None if pattern.fullmatch(value) else f"pattern mismatch: {value}"
     )
 
 
@@ -861,9 +855,10 @@ _ERRORED = {"numerator": 0, "denominator": 0, "strata": None, "violations": [], 
 def outcome_from_dict(doc: Any, where: str) -> CheckOutcome:
     """The outcome ``outcome_to_dict`` wrote as ``doc``, at path ``where``:
     every key is required, so that no count reads as a default. Counts
-    that break ``CheckOutcome``'s invariants, an errored outcome that
-    carries a measurement, and a derived key that is not what the outcome
-    derives raise SchemaViolation."""
+    that break ``CheckOutcome``'s invariants, violation rows that are
+    negative, repeated or out of order, an errored outcome that carries a
+    measurement, and a derived key that is not what the outcome derives
+    raise SchemaViolation."""
     attributes = read_object(doc, _OUTCOME_READERS, where, tuple(_OUTCOME_READERS))
     written = {key: attributes.pop(key) for key in _DERIVED}
     outcome = CheckOutcome(**attributes)
@@ -883,6 +878,10 @@ def outcome_from_dict(doc: Any, where: str) -> CheckOutcome:
             f"{where}.strata must sum to the numerator {outcome.numerator} and the denominator"
             f" {outcome.denominator}, got {sums[0]} and {sums[1]}"
         )
+    rows = [-1, *(row for row, _ in outcome.violations)]
+    for i, (before, row) in enumerate(zip(rows, rows[1:])):
+        if row <= before:
+            raise SchemaViolation(f"{where}.violations[{i}][0] must be above {before}: rows ascend from 0, got {row}")
     derived = _outcome_fields(outcome)
     for key, value in written.items():
         if value != derived[key]:

@@ -90,6 +90,18 @@ class FieldSpec:
     required: bool = False
     policy_condition: Predicate | None = None
 
+    def __post_init__(self) -> None:
+        # a typed field's format is its coercion, so only an untyped one has a pattern
+        where = f"field {self.name!r}"
+        if self.entry_mode == EntryMode.EHR_ENFORCED and self.allowed_values is None and self.format_pattern is None:
+            raise SchemaViolation(f"{where} must have allowed_values or format_pattern, as it is EhrEnforced")
+        if self.format_pattern is not None and self.semantic_type in COERCERS:
+            raise SchemaViolation(f"{where} may have a format_pattern only if it is Code, Category or Text")
+
+
+#: Manifest keys whose value names one of the manifest's fields.
+_COLUMN_REFS = ("actor_id_column", "record_timestamp_column", "availability_timestamp_column", "key_column")
+
 
 @dataclass(frozen=True)
 class DatasetManifest:
@@ -102,13 +114,26 @@ class DatasetManifest:
     key_column: str | None = None
     missing_sentinels: frozenset[str] = DEFAULT_MISSING_SENTINELS
 
+    def __post_init__(self) -> None:
+        seen: set[str] = set()
+        for f in self.fields:
+            if f.name in seen:
+                raise DuplicateFieldName(f"field {f.name!r} defined more than once")
+            seen.add(f.name)
+        for label in _COLUMN_REFS:
+            ref = getattr(self, label)
+            if ref is not None and ref not in seen:
+                raise DanglingColumnReference(f"manifest: {label} references unknown field {ref!r}")
+        for f in self.fields:
+            if f.policy_condition is not None and (ref := f.policy_condition.field) not in seen:
+                raise DanglingColumnReference(f"field {f.name!r}: policy_condition references unknown field {ref!r}")
+
     def get_field(self, name: str) -> FieldSpec | None:
         return self._fields_by_name.get(name)
 
     @cached_property
     def _fields_by_name(self) -> dict[str, FieldSpec]:
-        # reversed, so that the first of two specs with one name wins
-        return {f.name: f for f in reversed(self.fields)}
+        return {f.name: f for f in self.fields}
 
 
 @dataclass(frozen=True)
@@ -119,7 +144,6 @@ class Column:
     failed coercion; the three states partition the rows exactly.
     """
 
-    name: str
     values: tuple[Any, ...]
     missing: frozenset[int]
     failures: tuple[tuple[int, str], ...] = ()  # (row index, raw text)
@@ -149,15 +173,7 @@ class DatasetSnapshot:
 #
 # Each object of a manifest is read through one table whose keys are its
 # dataclass's attributes; null reads as absent for every optional key but
-# ``required``.
-
-#: Manifest keys whose value names one of the manifest's fields.
-_COLUMN_REFS = (
-    "actor_id_column",
-    "record_timestamp_column",
-    "availability_timestamp_column",
-    "key_column",
-)
+# ``required``. The classes check the manifest's own rules when built.
 
 
 def _read_number(value: Any, where: str) -> float:
@@ -209,12 +225,9 @@ _FIELD_READERS: dict[str, Reader] = {
 
 
 def _read_field(value: Any, where: str) -> FieldSpec:
-    spec = FieldSpec(
+    return FieldSpec(
         **read_object(value, _FIELD_READERS, where, ("name", "semantic_type", "entry_mode", "generating_actor"))
     )
-    if spec.entry_mode is EntryMode.EHR_ENFORCED and spec.allowed_values is None and spec.format_pattern is None:
-        raise SchemaViolation(f"{where} must have allowed_values or format_pattern, as it is EhrEnforced")
-    return spec
 
 
 _MANIFEST_READERS: dict[str, Reader] = {
@@ -229,25 +242,7 @@ _MANIFEST_READERS: dict[str, Reader] = {
 def load_manifest(text: str | bytes) -> DatasetManifest:
     """Parse and validate a manifest document (strict: unknown keys rejected)."""
     doc = load_json(text, "manifest")
-    manifest = DatasetManifest(**read_object(doc, _MANIFEST_READERS, "manifest", ("dataset_id", "stage", "fields")))
-
-    seen: set[str] = set()
-    for f in manifest.fields:
-        if f.name in seen:
-            raise DuplicateFieldName(f"field {f.name!r} defined more than once")
-        seen.add(f.name)
-
-    for label in _COLUMN_REFS:
-        ref = getattr(manifest, label)
-        if ref is not None and ref not in seen:
-            raise DanglingColumnReference(f"manifest: {label} references unknown field {ref!r}")
-    for f in manifest.fields:
-        if f.policy_condition is not None and f.policy_condition.field not in seen:
-            raise DanglingColumnReference(
-                f"field {f.name!r}: policy_condition references unknown field"
-                f" {f.policy_condition.field!r}"
-            )
-    return manifest
+    return DatasetManifest(**read_object(doc, _MANIFEST_READERS, "manifest", ("dataset_id", "stage", "fields")))
 
 
 # --- dataset loading --------------------------------------------------------
@@ -308,9 +303,8 @@ class _ColumnBuilder:
                 append(None)
                 self.failures.append((i, raw))
 
-    def build(self, name: str) -> Column:
+    def build(self) -> Column:
         return Column(
-            name=name,
             values=tuple(self.values),
             missing=frozenset(self.missing),
             failures=tuple(self.failures),
@@ -445,5 +439,5 @@ def _read_snapshot(
 
     # each builder is dropped once its column is built, so no more than one
     # column is held both as a list and as a tuple
-    columns = {name: builders.pop(name).build(name) for name in list(builders)}
+    columns = {name: builders.pop(name).build() for name in list(builders)}
     return DatasetSnapshot(manifest=manifest, row_count=row_count, columns=columns)

@@ -10,6 +10,7 @@ purpose (a new outcomes format, say) updates the digest and explains why.
 from __future__ import annotations
 
 import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -35,6 +36,12 @@ GOLDEN = {
 
 def test_every_workload_has_a_golden_digest():
     assert set(GOLDEN) == set(passes.PASSES)
+
+
+@pytest.mark.parametrize("workload", sorted(GOLDEN))
+def test_the_golden_digest_is_the_baseline_digest(workload):
+    baseline = json.loads((BENCH / "baseline.json").read_text())
+    assert GOLDEN[workload] == baseline["workloads"][workload]["result_sha256"]
 
 
 @pytest.mark.parametrize("workload", sorted(GOLDEN))

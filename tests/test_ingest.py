@@ -15,6 +15,11 @@ from dqlocus.errors import (
 )
 from dqlocus.ingest import (
     DEFAULT_MISSING_SENTINELS,
+    DatasetManifest,
+    EntryMode,
+    FieldSpec,
+    Predicate,
+    SemanticType,
     load_dataset,
     load_manifest,
     Stage,
@@ -87,18 +92,65 @@ def test_get_field_leaves_manifest_equality_and_hash_alone():
     assert repr(looked_up) == repr(fresh)
 
 
+def build_field(doc):
+    """The ``FieldSpec`` of a field object, built without a reader."""
+    return FieldSpec(**{
+        **doc,
+        "semantic_type": SemanticType(doc["semantic_type"]),
+        "entry_mode": EntryMode(doc["entry_mode"]),
+        "allowed_values": frozenset(doc["allowed_values"]) if "allowed_values" in doc else None,
+        "numeric_range": tuple(doc["numeric_range"]) if "numeric_range" in doc else None,
+        "policy_condition": (
+            Predicate(doc["policy_condition"]["field"], frozenset(doc["policy_condition"]["values"]))
+            if "policy_condition" in doc else None
+        ),
+    })
+
+
+def build_manifest(doc):
+    """The ``DatasetManifest`` of a manifest document, built without a reader."""
+    return DatasetManifest(**{**doc, "stage": Stage(doc["stage"]), "fields": tuple(map(build_field, doc["fields"]))})
+
+
+def raises_alike(doc, error):
+    """The message of the ``error`` that ``load_manifest`` of ``doc`` raises,
+    once building its fields and manifest directly has raised the same."""
+    with pytest.raises(error) as loaded:
+        load_manifest(json.dumps(doc))
+    with pytest.raises(error) as built:
+        build_manifest(doc)
+    assert str(built.value) == str(loaded.value)
+    return str(loaded.value)
+
+
+def test_build_manifest_builds_what_load_manifest_loads():
+    assert build_manifest(manifest_doc()) == load_manifest(json.dumps(manifest_doc()))
+
+
 def test_load_manifest_policy_condition_on_missing_field():
     doc = manifest_doc()
     doc["fields"][2]["policy_condition"] = {"field": "nonexistent", "values": ["Y"]}
-    with pytest.raises(DanglingColumnReference):
-        load_manifest(json.dumps(doc))
+    assert raises_alike(doc, DanglingColumnReference) == (
+        "field 'diagnosis_code': policy_condition references unknown field 'nonexistent'"
+    )
 
 
 def test_load_manifest_duplicate_field_name():
     doc = manifest_doc()
     doc["fields"].append(dict(doc["fields"][0]))
-    with pytest.raises(DuplicateFieldName):
-        load_manifest(json.dumps(doc))
+    assert raises_alike(doc, DuplicateFieldName) == "field 'record_id' defined more than once"
+
+
+def test_a_field_named_twice_with_two_types_is_rejected_however_the_manifest_is_built():
+    """Were it built, the column would load as the later spec's Text and the
+    range check would read the earlier spec's Number: the check would fail
+    with a stray TypeError comparing a float with a str."""
+    age = dict(name="age", entry_mode=EntryMode.FREE_ENTRY, generating_actor="Clinician")
+    with pytest.raises(DuplicateFieldName, match="field 'age' defined more than once"):
+        DatasetManifest("d", Stage.SOURCE, (
+            FieldSpec(**age, semantic_type=SemanticType.NUMBER),
+            FieldSpec(**age, semantic_type=SemanticType.TEXT),
+        ))
 
 
 def test_load_manifest_rejects_unknown_keys():
@@ -110,13 +162,32 @@ def test_load_manifest_enforced_field_needs_constraint():
     doc = manifest_doc()
     del doc["fields"][2]["allowed_values"]
     del doc["fields"][2]["policy_condition"]
-    with pytest.raises(SchemaViolation):
-        load_manifest(json.dumps(doc))
+    assert raises_alike(doc, SchemaViolation) == (
+        "field 'diagnosis_code' must have allowed_values or format_pattern, as it is EhrEnforced"
+    )
 
 
 def test_load_manifest_dangling_key_column():
-    with pytest.raises(DanglingColumnReference):
-        load_manifest(json.dumps(manifest_doc(key_column="missing")))
+    doc = manifest_doc(key_column="missing")
+    assert raises_alike(doc, DanglingColumnReference) == "manifest: key_column references unknown field 'missing'"
+
+
+@pytest.mark.parametrize("semantic_type", ["Number", "Date", "Timestamp"])
+def test_a_typed_field_with_a_format_pattern_is_rejected_however_it_is_built(semantic_type):
+    """A typed field's format is its coercion: a pattern would be tested
+    against the typed value, so that ``.*`` failed every cell."""
+    doc = manifest_doc()
+    doc["fields"][3].update(semantic_type=semantic_type, format_pattern=".*")
+    assert raises_alike(doc, SchemaViolation) == (
+        "field 'visit_date' may have a format_pattern only if it is Code, Category or Text"
+    )
+
+
+@pytest.mark.parametrize("semantic_type", ["Code", "Category", "Text"])
+def test_an_untyped_field_may_have_a_format_pattern(semantic_type):
+    doc = manifest_doc()
+    doc["fields"][3].update(semantic_type=semantic_type, format_pattern=".*")
+    assert load_manifest(json.dumps(doc)).get_field("visit_date").format_pattern == ".*"
 
 
 CSV_TEN_ROWS = "\n".join(

@@ -109,7 +109,7 @@ def reference_rows(reader, manifest):
             values.append(value)
             if not ok:
                 failures.append((i, raw))
-        columns[f.name] = Column(f.name, tuple(values), frozenset(missing), tuple(failures))
+        columns[f.name] = Column(tuple(values), frozenset(missing), tuple(failures))
     return DatasetSnapshot(manifest=manifest, row_count=len(rows), columns=columns)
 
 

@@ -65,11 +65,17 @@ STRATA = st.dictionaries(
     max_size=3,
 )
 
+#: ``[row, reason]`` pairs at distinct rows ascending from 0, as ``run_check``
+#: writes them and the reader checks.
+VIOLATIONS = st.lists(
+    st.tuples(st.integers(0, 10**9), TEXT), max_size=6, unique_by=lambda v: v[0]
+).map(sorted).map(tuple)
+
 
 @st.composite
 def outcome(draw, nan: bool):
-    """An outcome whose counts keep ``CheckOutcome``'s invariants, which the
-    reader checks: the strata come first, when there are any, and the
+    """An outcome whose counts and violation rows keep ``CheckOutcome``'s
+    invariants, which the reader checks: the strata come first, when there are any, and the
     totals are summed from them, as ``run_check`` sums them. An errored
     outcome carries no measurement, as ``run_suite`` writes it."""
     identity = dict(
@@ -93,7 +99,7 @@ def outcome(draw, nan: bool):
         numerator=numerator,
         denominator=denominator,
         strata=strata,
-        violations=draw(st.lists(st.tuples(st.integers(0, 10**9), TEXT), max_size=6).map(tuple)),
+        violations=draw(VIOLATIONS),
         details=draw(st.dictionaries(TEXT, json_values(nan), max_size=4)),
     )
 
@@ -224,4 +230,20 @@ def test_counts_that_break_the_outcome_invariants_are_rejected(edit, message):
     assert outcomes_from_json(json.dumps(doc)) == [STRATIFIED]
     doc["outcomes"][0].update(edit)
     with pytest.raises(SchemaViolation, match=re.escape(f"outcomes document.{message}")):
+        outcomes_from_json(json.dumps(doc))
+
+
+# --- the violation rows, pinned -----------------------------------------------
+
+@pytest.mark.parametrize("rows, message", [
+    ([-4], "violations[0][0] must be above -1: rows ascend from 0, got -4"),
+    ([2, 2], "violations[1][0] must be above 2: rows ascend from 0, got 2"),
+    ([7, 3], "violations[1][0] must be above 7: rows ascend from 0, got 3"),
+    ([0, 5, 5, 9], "violations[2][0] must be above 5: rows ascend from 0, got 5"),
+    ([-4, -4, 7, 9], "violations[0][0] must be above -1: rows ascend from 0, got -4"),
+], ids=["negative", "repeated", "out-of-order", "repeated-later", "negative-and-repeated"])
+def test_violation_rows_that_are_negative_repeated_or_out_of_order_are_rejected(rows, message):
+    doc = json.loads(outcomes_to_json([CheckOutcome("c", CheckKind.COMPLETENESS, 1, 3)]))
+    doc["outcomes"][0]["violations"] = [[row, "missing"] for row in rows]
+    with pytest.raises(SchemaViolation, match=re.escape(f"outcomes document.outcomes[0].{message}")):
         outcomes_from_json(json.dumps(doc))
