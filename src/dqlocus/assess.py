@@ -117,8 +117,10 @@ class CheckOutcome:
     It stores what the check measured, or the error that stopped it;
     ``status``, ``parameter`` and ``rate`` are derived from those. ``rate``
     is numerator/denominator, and None (not 0, not 1) unless Ok. Each
-    numerator, overall and per stratum, lies in ``0..denominator``, and
-    per-stratum counts sum exactly to the overall counts.
+    numerator, overall and per stratum, lies in ``0..denominator``,
+    per-stratum counts sum exactly to the overall counts, violation rows
+    are distinct and ascend from 0, and an errored outcome holds no
+    measurement; building one that breaks a rule raises SchemaViolation.
     """
 
     check_id: str
@@ -133,6 +135,29 @@ class CheckOutcome:
     details: dict[str, Any] = field(default_factory=dict)
     error: str | None = None
 
+    def __post_init__(self) -> None:
+        if self.error is not None:
+            for key, empty in _ERRORED.items():
+                if (value := getattr(self, key)) != empty:
+                    raise SchemaViolation(f"{key} must be {empty!r} in an errored outcome, got {value!r}")
+        strata = self.strata or {}
+        for counts, at in [(self, ""), *((s, f"strata[{sid!r}].") for sid, s in strata.items())]:
+            if not 0 <= counts.numerator <= counts.denominator:
+                raise SchemaViolation(
+                    f"{at}numerator must be from 0 to the denominator {counts.denominator}, got {counts.numerator}"
+                )
+        sums = (sum(s.numerator for s in strata.values()), sum(s.denominator for s in strata.values()))
+        if self.strata is not None and sums != (self.numerator, self.denominator):
+            raise SchemaViolation(
+                f"strata must sum to the numerator {self.numerator} and the denominator {self.denominator},"
+                f" got {sums[0]} and {sums[1]}"
+            )
+        before = -1
+        for i, (row, _) in enumerate(self.violations):
+            if row <= before:
+                raise SchemaViolation(f"violations[{i}][0] must be above {before}: rows ascend from 0, got {row}")
+            before = row
+
     @property
     def status(self) -> CheckStatus:
         if self.error is not None:
@@ -146,6 +171,10 @@ class CheckOutcome:
     @property
     def rate(self) -> Fraction | None:
         return Fraction(self.numerator, self.denominator) if self.status is CheckStatus.OK else None
+
+
+#: What ``run_suite`` holds in an errored outcome: nothing was measured.
+_ERRORED = {"numerator": 0, "denominator": 0, "strata": None, "violations": (), "details": {}}
 
 
 def _field(snapshot: DatasetSnapshot, name: str) -> tuple[Column, FieldSpec]:
@@ -771,7 +800,7 @@ def load_suite(text: str | bytes) -> list[CheckDefinition]:
 
 def _outcome_fields(outcome: CheckOutcome) -> dict[str, Any]:
     """Every key ``outcome_to_dict`` writes but ``"violations"``."""
-    doc: dict[str, Any] = {
+    return {
         "check_id": outcome.check_id,
         "kind": outcome.kind.value,
         "parameter": outcome.parameter.name if outcome.parameter else None,
@@ -784,19 +813,11 @@ def _outcome_fields(outcome: CheckOutcome) -> dict[str, Any]:
         "subset": outcome.subset,
         "details": outcome.details,
         "error": outcome.error,
-    }
-    if outcome.strata is not None:
-        doc["strata"] = {
-            sid: {
-                "numerator": s.numerator,
-                "denominator": s.denominator,
-                "flags": [f.value for f in s.flags],
-            }
+        "strata": None if outcome.strata is None else {
+            sid: {"numerator": s.numerator, "denominator": s.denominator, "flags": [f.value for f in s.flags]}
             for sid, s in outcome.strata.items()
-        }
-    else:
-        doc["strata"] = None
-    return doc
+        },
+    }
 
 
 def outcome_to_dict(outcome: CheckOutcome) -> dict[str, Any]:
@@ -848,40 +869,16 @@ _OUTCOME_READERS: dict[str, Reader] = {
 }
 
 
-#: What ``run_suite`` writes in an errored outcome: nothing was measured.
-_ERRORED = {"numerator": 0, "denominator": 0, "strata": None, "violations": [], "details": {}}
-
-
 def outcome_from_dict(doc: Any, where: str) -> CheckOutcome:
     """The outcome ``outcome_to_dict`` wrote as ``doc``, at path ``where``:
-    every key is required, so that no count reads as a default. Counts
-    that break ``CheckOutcome``'s invariants, violation rows that are
-    negative, repeated or out of order, an errored outcome that carries a
-    measurement, and a derived key that is not what the outcome derives
-    raise SchemaViolation."""
+    every key is required, so that no count reads as a default. A broken
+    ``CheckOutcome`` rule or derived key raises SchemaViolation at its path."""
     attributes = read_object(doc, _OUTCOME_READERS, where, tuple(_OUTCOME_READERS))
     written = {key: attributes.pop(key) for key in _DERIVED}
-    outcome = CheckOutcome(**attributes)
-    if outcome.error is not None:
-        for key, empty in _ERRORED.items():
-            if doc[key] != empty:
-                raise SchemaViolation(f"{where}.{key} must be {empty!r} in an errored outcome, got {doc[key]!r}")
-    strata = outcome.strata or {}
-    for counts, at in [(outcome, where), *((s, f"{where}.strata[{sid!r}]") for sid, s in strata.items())]:
-        if not 0 <= counts.numerator <= counts.denominator:
-            raise SchemaViolation(
-                f"{at}.numerator must be from 0 to the denominator {counts.denominator}, got {counts.numerator}"
-            )
-    sums = (sum(s.numerator for s in strata.values()), sum(s.denominator for s in strata.values()))
-    if outcome.strata is not None and sums != (outcome.numerator, outcome.denominator):
-        raise SchemaViolation(
-            f"{where}.strata must sum to the numerator {outcome.numerator} and the denominator"
-            f" {outcome.denominator}, got {sums[0]} and {sums[1]}"
-        )
-    rows = [-1, *(row for row, _ in outcome.violations)]
-    for i, (before, row) in enumerate(zip(rows, rows[1:])):
-        if row <= before:
-            raise SchemaViolation(f"{where}.violations[{i}][0] must be above {before}: rows ascend from 0, got {row}")
+    try:
+        outcome = CheckOutcome(**attributes)
+    except SchemaViolation as e:
+        raise SchemaViolation(f"{where}.{e}") from None
     derived = _outcome_fields(outcome)
     for key, value in written.items():
         if value != derived[key]:

@@ -95,8 +95,14 @@ class FieldSpec:
         where = f"field {self.name!r}"
         if self.entry_mode == EntryMode.EHR_ENFORCED and self.allowed_values is None and self.format_pattern is None:
             raise SchemaViolation(f"{where} must have allowed_values or format_pattern, as it is EhrEnforced")
-        if self.format_pattern is not None and self.semantic_type in COERCERS:
+        if self.format_pattern is None:
+            return
+        if self.semantic_type in COERCERS:
             raise SchemaViolation(f"{where} may have a format_pattern only if it is Code, Category or Text")
+        try:
+            re.compile(self.format_pattern)
+        except (re.error, OverflowError, RecursionError) as e:  # a repeat count or nesting too large
+            raise SchemaViolation(f"{where} must have a regular expression as its format_pattern: {e}") from None
 
 
 #: Manifest keys whose value names one of the manifest's fields.
@@ -148,9 +154,6 @@ class Column:
     missing: frozenset[int]
     failures: tuple[tuple[int, str], ...] = ()  # (row index, raw text)
 
-    def typed_count(self) -> int:
-        return len(self.values) - len(self.missing) - len(self.failures)
-
     @cached_property
     def absent(self) -> frozenset[int]:
         """Rows without a typed value (missing or malformed), built on first use."""
@@ -192,14 +195,6 @@ def _read_range(value: Any, where: str) -> tuple[float, float]:
     return bounds
 
 
-def _read_pattern(value: Any, where: str) -> str:
-    try:
-        re.compile(read_str(value, where))
-    except (re.error, OverflowError, RecursionError) as e:  # a repeat count or nesting too large
-        raise SchemaViolation(f"{where} must be a regular expression: {e}") from None
-    return value
-
-
 #: The reader of each key of a ``{field, values}`` predicate.
 PREDICATE_READERS: dict[str, Reader] = {
     "field": non_empty(read_str),
@@ -218,7 +213,7 @@ _FIELD_READERS: dict[str, Reader] = {
     "generating_actor": non_empty(read_str),
     "allowed_values": nullable(list_of(read_str, frozenset)),
     "numeric_range": nullable(_read_range),
-    "format_pattern": nullable(_read_pattern),
+    "format_pattern": nullable(read_str),
     "required": read_bool,
     "policy_condition": nullable(read_predicate),
 }

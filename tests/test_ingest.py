@@ -190,6 +190,20 @@ def test_an_untyped_field_may_have_a_format_pattern(semantic_type):
     assert load_manifest(json.dumps(doc)).get_field("visit_date").format_pattern == ".*"
 
 
+def test_a_pattern_that_does_not_compile_is_rejected_however_the_field_is_built():
+    """Were it built, the format check of ``run_suite`` would raise a stray
+    ``re.error``, not give an Errored outcome."""
+    with pytest.raises(SchemaViolation, match=re.escape(
+        "field 't' must have a regular expression as its format_pattern: missing ), unterminated subpattern"
+    )):
+        FieldSpec("t", SemanticType.TEXT, EntryMode.FREE_ENTRY, "C", format_pattern="(")
+    doc = manifest_doc()
+    doc["fields"][3].update(semantic_type="Text", format_pattern="(")
+    assert raises_alike(doc, SchemaViolation).startswith(
+        "field 'visit_date' must have a regular expression as its format_pattern: missing )"
+    )
+
+
 CSV_TEN_ROWS = "\n".join(
     ["record_id,billable,diagnosis_code,visit_date,age"]
     + [f"r{i},Y,S83,2024-03-0{(i % 9) + 1},35" for i in range(9)]
@@ -203,7 +217,7 @@ def test_load_dataset_counts_one_missing():
     assert snapshot.row_count == 10
     col = snapshot.column("diagnosis_code")
     assert len(col.missing) == 1
-    assert col.typed_count() == 9
+    assert len(col.values) - len(col.missing) - len(col.failures) == 9
 
 
 def test_load_dataset_invalid_date_is_coercion_failure_not_error():

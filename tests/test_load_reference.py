@@ -274,7 +274,7 @@ def test_cell_states_partition_every_column(text, sentinels):
         assert len(failed) == len(col.failures)
         assert col.missing | failed | typed == rows
         assert not (col.missing & failed) and not (col.missing & typed) and not (failed & typed)
-        assert col.typed_count() == len(typed)
+        assert len(col.values) - len(col.missing) - len(col.failures) == len(typed)
 
 
 # --- chunk boundaries, pinned -----------------------------------------------

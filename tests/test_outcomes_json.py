@@ -14,7 +14,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from dqlocus.assess import (
@@ -55,18 +55,14 @@ def counts(high: int):
     return st.integers(0, high).flatmap(lambda d: st.tuples(st.integers(0, d), st.just(d)))
 
 
+FLAGS = st.lists(st.sampled_from(list(DegeneracyFlag)), max_size=2).map(tuple)
+
 STRATA = st.dictionaries(
-    TEXT,
-    st.builds(
-        lambda c, flags: StratumOutcome(*c, flags),
-        counts(10**6),
-        st.lists(st.sampled_from(list(DegeneracyFlag)), max_size=2).map(tuple),
-    ),
-    max_size=3,
+    TEXT, st.builds(lambda c, flags: StratumOutcome(*c, flags), counts(10**6), FLAGS), max_size=3
 )
 
 #: ``[row, reason]`` pairs at distinct rows ascending from 0, as ``run_check``
-#: writes them and the reader checks.
+#: writes them and ``CheckOutcome`` checks.
 VIOLATIONS = st.lists(
     st.tuples(st.integers(0, 10**9), TEXT), max_size=6, unique_by=lambda v: v[0]
 ).map(sorted).map(tuple)
@@ -75,7 +71,7 @@ VIOLATIONS = st.lists(
 @st.composite
 def outcome(draw, nan: bool):
     """An outcome whose counts and violation rows keep ``CheckOutcome``'s
-    invariants, which the reader checks: the strata come first, when there are any, and the
+    rules, which it checks when built: the strata come first, when there are any, and the
     totals are summed from them, as ``run_check`` sums them. An errored
     outcome carries no measurement, as ``run_suite`` writes it."""
     identity = dict(
@@ -177,7 +173,7 @@ def test_an_outcome_stores_no_status_parameter_or_rate():
     (1, 2, None, CheckStatus.OK, "Timeliness", Fraction(1, 2)),
     (0, 0, None, CheckStatus.NOT_ASSESSABLE, "Timeliness", None),
     (0, 0, "", CheckStatus.ERRORED, None, None),
-    (1, 2, "MissingConfig: no max_lag", CheckStatus.ERRORED, None, None),
+    (0, 0, "MissingConfig: no max_lag", CheckStatus.ERRORED, None, None),
 ])
 def test_status_parameter_and_rate_follow_from_the_counts_and_error(
     numerator, denominator, error, status, parameter, rate
@@ -247,3 +243,67 @@ def test_violation_rows_that_are_negative_repeated_or_out_of_order_are_rejected(
     doc["outcomes"][0]["violations"] = [[row, "missing"] for row in rows]
     with pytest.raises(SchemaViolation, match=re.escape(f"outcomes document.outcomes[0].{message}")):
         outcomes_from_json(json.dumps(doc))
+
+
+# --- the outcome's own rules ----------------------------------------------------
+
+def default_or(default, strategy):
+    """``default`` or any value of ``strategy``: without the defaults, few
+    outcomes drawn at random would be errored ones that build."""
+    return st.just(default) | strategy
+
+
+SIGNED = st.integers(-2, 5)
+
+
+@st.composite
+def outcome_attributes(draw):
+    """``CheckOutcome``'s attributes drawn with no regard to its rules:
+    signed counts, strata whatever their counts, violation rows unsorted
+    and repeated, and an optional error, beside JSON-native details."""
+    return dict(
+        check_id=draw(TEXT),
+        kind=draw(st.sampled_from(list(CheckKind))),
+        numerator=draw(default_or(0, SIGNED)),
+        denominator=draw(default_or(0, SIGNED)),
+        target_fields=draw(st.lists(TEXT, max_size=2).map(tuple)),
+        stage=draw(st.none() | st.sampled_from(list(Stage))),
+        subset=draw(st.none() | TEXT),
+        strata=draw(default_or(None, st.dictionaries(
+            TEXT, st.builds(StratumOutcome, SIGNED, SIGNED, FLAGS), max_size=3
+        ))),
+        violations=draw(default_or((), st.lists(st.tuples(SIGNED, TEXT), max_size=4).map(tuple))),
+        details=draw(default_or({}, st.dictionaries(TEXT, json_values(nan=False), max_size=3))),
+        error=draw(st.none() | TEXT),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(attributes=outcome_attributes())
+def test_every_outcome_that_builds_survives_a_json_round_trip(attributes):
+    try:
+        o = CheckOutcome(**attributes)
+    except SchemaViolation:
+        event("rejected")
+        return
+    event("errored" if o.error is not None else "built")
+    assert outcomes_from_json(outcomes_to_json([o])) == [o]
+
+
+@pytest.mark.parametrize("attributes, message", [
+    (dict(numerator=5, denominator=3), "numerator must be from 0 to the denominator 3, got 5"),
+    (dict(numerator=-1, denominator=3), "numerator must be from 0 to the denominator 3, got -1"),
+    (dict(numerator=3, denominator=4, strata={"a": StratumOutcome(3, 2), "b": StratumOutcome(0, 2)}),
+     "strata['a'].numerator must be from 0 to the denominator 2, got 3"),
+    (dict(numerator=3, denominator=4, strata={"a": StratumOutcome(0, 2), "b": StratumOutcome(2, 2)}),
+     "strata must sum to the numerator 3 and the denominator 4, got 2 and 4"),
+    (dict(numerator=1, denominator=3, violations=((2, "missing"), (1, "missing"))),
+     "violations[1][0] must be above 2: rows ascend from 0, got 1"),
+    (dict(numerator=1, denominator=2, error="MissingConfig: no max_lag"),
+     "numerator must be 0 in an errored outcome, got 1"),
+], ids=["numerator-over-denominator", "negative-numerator", "stratum-numerator-over-denominator",
+        "strata-do-not-sum", "rows-out-of-order", "errored-with-counts"])
+def test_an_outcome_that_breaks_a_rule_does_not_build(attributes, message):
+    with pytest.raises(SchemaViolation) as exc:
+        CheckOutcome("c", CheckKind.TIMELINESS, **attributes)
+    assert str(exc.value) == message
