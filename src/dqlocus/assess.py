@@ -22,6 +22,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import filterfalse
+from json.encoder import encode_basestring_ascii
 from typing import Any, Callable
 
 from .errors import (
@@ -117,10 +118,10 @@ class CheckOutcome:
     It stores what the check measured, or the error that stopped it;
     ``status``, ``parameter`` and ``rate`` are derived from those. ``rate``
     is numerator/denominator, and None (not 0, not 1) unless Ok. Each
-    numerator, overall and per stratum, lies in ``0..denominator``,
-    per-stratum counts sum exactly to the overall counts, violation rows
-    are distinct and ascend from 0, and an errored outcome holds no
-    measurement; building one that breaks a rule raises SchemaViolation.
+    count is an int, each numerator (overall and per stratum) lies in
+    ``0..denominator``, strata sum exactly to the overall counts, violation
+    rows are distinct ints ascending from 0 with str reasons, and an errored
+    outcome holds no measurement; breaking a rule raises SchemaViolation.
     """
 
     check_id: str
@@ -142,6 +143,9 @@ class CheckOutcome:
                     raise SchemaViolation(f"{key} must be {empty!r} in an errored outcome, got {value!r}")
         strata = self.strata or {}
         for counts, at in [(self, ""), *((s, f"strata[{sid!r}].") for sid, s in strata.items())]:
+            for key in ("numerator", "denominator"):
+                if type(value := getattr(counts, key)) is not int:  # not a bool
+                    raise SchemaViolation(f"{at}{key} must be an integer, got {value!r}")
             if not 0 <= counts.numerator <= counts.denominator:
                 raise SchemaViolation(
                     f"{at}numerator must be from 0 to the denominator {counts.denominator}, got {counts.numerator}"
@@ -153,7 +157,11 @@ class CheckOutcome:
                 f" got {sums[0]} and {sums[1]}"
             )
         before = -1
-        for i, (row, _) in enumerate(self.violations):
+        for i, (row, reason) in enumerate(self.violations):
+            if type(row) is not int:
+                raise SchemaViolation(f"violations[{i}][0] must be an integer, got {row!r}")
+            if type(reason) is not str:
+                raise SchemaViolation(f"violations[{i}][1] must be a string, got {reason!r}")
             if row <= before:
                 raise SchemaViolation(f"violations[{i}][0] must be above {before}: rows ascend from 0, got {row}")
             before = row
@@ -283,7 +291,7 @@ def _completeness(snapshot: DatasetSnapshot, fields: Fields, cfg: Config, scope:
     details: dict[str, Any] = {}
     if scope is None and spec.policy_condition is not None:
         required = _required_rows(snapshot, name)
-        details["policy_explained"] = bool(col.absent) and col.absent.isdisjoint(required)
+        details["policy_explained"] = bool(absent := col.absent) and absent.isdisjoint(required)
         details["policy_text"] = f"states {name} required only where {spec.policy_condition}"
     return _eligible(snapshot, scope, frozenset()), _in_scope(failing, scope), details
 
@@ -841,8 +849,8 @@ def _read_strata(value: Any, where: str) -> dict[str, StratumOutcome]:
 
 
 def _read_violation(value: Any, where: str) -> tuple[int, str]:
-    """A ``[row, reason]`` pair, which ``run_check`` writes as an int and a
-    string; ``_violations_json`` relies on that."""
+    """A ``[row, reason]`` pair: an int and a string, as ``CheckOutcome``
+    holds them and ``_violations_json`` writes them."""
     if isinstance(value, list) and len(value) == 2:
         return read_int(value[0], f"{where}[0]"), read_str(value[1], f"{where}[1]")
     raise SchemaViolation(f"{where} must be a [row, reason] pair")
@@ -892,35 +900,35 @@ _ROW_REASON = ",\n" + " " * 10
 _NEXT_VIOLATION = "\n" + " " * 8 + "],\n" + " " * 8 + "[\n" + " " * 10
 
 
-def _violations_json(violations: tuple[tuple[int, str], ...]) -> str:
-    """The ``[row, reason]`` pairs of one outcome as ``json.dumps(indent=2)``
-    writes them in an outcomes document, from one call of the C encoder
-    (which ``json`` uses only without ``indent``). Each row and each
-    reason comes out on its own line: an encoded reason holds no raw
-    newline or NUL, as the encoder escapes every control character."""
+def _violations_json(violations: tuple[tuple[int, str], ...]) -> tuple[str, ...]:
+    """The pieces of the ``[row, reason]`` pairs of one outcome as
+    ``json.dumps(indent=2)`` writes them in an outcomes document.
+    ``CheckOutcome`` holds int rows and str reasons, so a row prints as
+    JSON writes it, and each distinct reason is encoded once, by the
+    function ``json.dumps`` encodes a string with."""
     if not violations:
-        return "[]"
-    lines = json.dumps(violations, separators=("\n", ":"))[2:-2]
-    body = lines.replace("]\n[", "\0").replace("\n", _ROW_REASON).replace("\0", _NEXT_VIOLATION)
-    return f"[\n{' ' * 8}[\n{' ' * 10}{body}\n{' ' * 8}]\n{' ' * 6}]"
+        return ("[]",)
+    encoded = {reason: encode_basestring_ascii(reason) for reason in {reason for _, reason in violations}}
+    body = _NEXT_VIOLATION.join([f"{row}{_ROW_REASON}{encoded[reason]}" for row, reason in violations])
+    return f"[\n{' ' * 8}[\n{' ' * 10}", body, f"\n{' ' * 8}]\n{' ' * 6}]"
 
 
 def outcomes_to_json(outcomes: list[CheckOutcome]) -> str:
     """The outcomes document, byte for byte ``json.dumps(doc, indent=2,
     sort_keys=True) + "\\n"`` of ``{"schema_version": "1", "outcomes":
-    [outcome_to_dict(o), ...]}``. Violation rows are ints and reasons are
-    strings; ``_violations_json`` writes an outcome's pairs as they are,
-    and ``json.dumps`` the rest of each outcome."""
-    texts = []
+    [outcome_to_dict(o), ...]}``. ``json.dumps`` writes each outcome but its
+    violations, ``_violations_json`` writes those, and one join over all the
+    pieces makes the document, so that it is held once while it is written."""
+    pieces = ['{\n  "outcomes": [']
+    separator = "\n    "
     for outcome in outcomes:
-        doc = _outcome_fields(outcome)
-        violations = _violations_json(outcome.violations)
         # "violations" sorts after every other key, so it closes the object,
         # and the object sits two levels (4 spaces) deep in the document
-        rest = json.dumps(doc, indent=2, sort_keys=True)[:-2].replace("\n", "\n    ")
-        texts.append(f'{rest},\n      "violations": {violations}\n    }}')
-    outcomes_text = "[\n    " + ",\n    ".join(texts) + "\n  ]" if texts else "[]"
-    return f'{{\n  "outcomes": {outcomes_text},\n  "schema_version": "1"\n}}\n'
+        rest = json.dumps(_outcome_fields(outcome), indent=2, sort_keys=True)[:-2].replace("\n", "\n    ")
+        pieces += (separator, rest, ',\n      "violations": ', *_violations_json(outcome.violations), "\n    }")
+        separator = ",\n    "
+    pieces += ("\n  ]" if outcomes else "]", ',\n  "schema_version": "1"\n}\n')
+    return "".join(pieces)
 
 
 def _read_schema_version(value: Any, where: str) -> str:

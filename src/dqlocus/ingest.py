@@ -154,9 +154,9 @@ class Column:
     missing: frozenset[int]
     failures: tuple[tuple[int, str], ...] = ()  # (row index, raw text)
 
-    @cached_property
+    @property
     def absent(self) -> frozenset[int]:
-        """Rows without a typed value (missing or malformed), built on first use."""
+        """Rows without a typed value (missing or malformed), built anew on each read."""
         return self.missing.union(i for i, _ in self.failures)
 
 

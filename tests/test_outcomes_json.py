@@ -1,9 +1,11 @@
 """The outcomes document: its bytes and its round trip.
 
-``outcomes_to_json`` writes violations with the C encoder and the rest of
-each outcome with ``json.dumps``. Whatever the outcomes hold, the bytes
-must be those of one ``json.dumps(..., indent=2, sort_keys=True)`` call
-over the whole document.
+``outcomes_to_json`` writes each violation from its int row and its
+reason, encoded once per distinct reason by the function ``json.dumps``
+encodes a string with, and the rest of each outcome with ``json.dumps``;
+one join makes the document. Whatever the outcomes hold, the bytes must
+be those of one ``json.dumps(..., indent=2, sort_keys=True)`` call over
+the whole document.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -61,10 +64,14 @@ STRATA = st.dictionaries(
     TEXT, st.builds(lambda c, flags: StratumOutcome(*c, flags), counts(10**6), FLAGS), max_size=3
 )
 
+#: Reasons that repeat within an outcome, as ``missing`` and ``malformed``
+#: do in a pass, so that the writer encodes each distinct one once.
+REPEATED = st.sampled_from(["missing", "malformed", *AWKWARD[:5]])
+
 #: ``[row, reason]`` pairs at distinct rows ascending from 0, as ``run_check``
 #: writes them and ``CheckOutcome`` checks.
 VIOLATIONS = st.lists(
-    st.tuples(st.integers(0, 10**9), TEXT), max_size=6, unique_by=lambda v: v[0]
+    st.tuples(st.integers(0, 10**9), REPEATED | TEXT), max_size=8, unique_by=lambda v: v[0]
 ).map(sorted).map(tuple)
 
 
@@ -255,30 +262,38 @@ def default_or(default, strategy):
 
 SIGNED = st.integers(-2, 5)
 
+#: A count or a row as a hand-built outcome might hold it: an int half of
+#: the time, else a bool or a float, which JSON writes as no int.
+COUNT = SIGNED | st.sampled_from([False, True, 0.0, 2.0, float("nan"), float("inf")])
+
+#: A reason that is not a string a third of the time.
+REASON = TEXT | st.sampled_from([5, None, b"missing", 0.5])
+
 
 @st.composite
 def outcome_attributes(draw):
     """``CheckOutcome``'s attributes drawn with no regard to its rules:
-    signed counts, strata whatever their counts, violation rows unsorted
-    and repeated, and an optional error, beside JSON-native details."""
+    signed counts, bools and floats for counts, strata whatever their
+    counts, violation rows unsorted, repeated, bool or float, reasons that
+    are not strings, and an optional error, beside JSON-native details."""
     return dict(
         check_id=draw(TEXT),
         kind=draw(st.sampled_from(list(CheckKind))),
-        numerator=draw(default_or(0, SIGNED)),
-        denominator=draw(default_or(0, SIGNED)),
+        numerator=draw(default_or(0, COUNT)),
+        denominator=draw(default_or(0, COUNT)),
         target_fields=draw(st.lists(TEXT, max_size=2).map(tuple)),
         stage=draw(st.none() | st.sampled_from(list(Stage))),
         subset=draw(st.none() | TEXT),
         strata=draw(default_or(None, st.dictionaries(
-            TEXT, st.builds(StratumOutcome, SIGNED, SIGNED, FLAGS), max_size=3
+            TEXT, st.builds(StratumOutcome, COUNT, COUNT, FLAGS), max_size=3
         ))),
-        violations=draw(default_or((), st.lists(st.tuples(SIGNED, TEXT), max_size=4).map(tuple))),
+        violations=draw(default_or((), st.lists(st.tuples(COUNT, REASON), max_size=4).map(tuple))),
         details=draw(default_or({}, st.dictionaries(TEXT, json_values(nan=False), max_size=3))),
         error=draw(st.none() | TEXT),
     )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=500, deadline=None)
 @given(attributes=outcome_attributes())
 def test_every_outcome_that_builds_survives_a_json_round_trip(attributes):
     try:
@@ -301,9 +316,42 @@ def test_every_outcome_that_builds_survives_a_json_round_trip(attributes):
      "violations[1][0] must be above 2: rows ascend from 0, got 1"),
     (dict(numerator=1, denominator=2, error="MissingConfig: no max_lag"),
      "numerator must be 0 in an errored outcome, got 1"),
+    (dict(numerator=True, denominator=2), "numerator must be an integer, got True"),
+    (dict(numerator=1, denominator=2, strata={"a": StratumOutcome(1, 2.0)}),
+     "strata['a'].denominator must be an integer, got 2.0"),
+    (dict(numerator=0, denominator=2, violations=((True, "missing"),)),
+     "violations[0][0] must be an integer, got True"),
+    (dict(numerator=0, denominator=2, violations=((0, "missing"), (float("nan"), "missing"))),
+     "violations[1][0] must be an integer, got nan"),
+    (dict(numerator=1, denominator=2, violations=((0, 5),)), "violations[0][1] must be a string, got 5"),
 ], ids=["numerator-over-denominator", "negative-numerator", "stratum-numerator-over-denominator",
-        "strata-do-not-sum", "rows-out-of-order", "errored-with-counts"])
+        "strata-do-not-sum", "rows-out-of-order", "errored-with-counts", "bool-count", "float-stratum-count",
+        "bool-row", "nan-row", "int-reason"])
 def test_an_outcome_that_breaks_a_rule_does_not_build(attributes, message):
     with pytest.raises(SchemaViolation) as exc:
         CheckOutcome("c", CheckKind.TIMELINESS, **attributes)
     assert str(exc.value) == message
+
+
+# --- the writer's memory --------------------------------------------------------
+
+def test_the_writer_holds_the_document_about_once_while_it_writes_it():
+    """Beside its result, ``outcomes_to_json`` holds the text of each
+    outcome and the pieces of the one it is writing, so its traced peak
+    stays near twice the document for outcomes of thousands of violations
+    each. (One outcome that holds nearly all of the document peaks at
+    about 2.4 times, its pieces beside its text.)"""
+    reasons = ["missing", "malformed", 'a "quoted"\nreason', "é"]
+    xs = [
+        CheckOutcome(f"c{k}", CheckKind.COMPLETENESS, 0, 9000,
+                     violations=tuple((3 * i, reasons[(i + k) % 4]) for i in range(3000)))
+        for k in range(20)
+    ]
+    tracemalloc.start()
+    try:
+        text = outcomes_to_json(xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == reference_json(xs)
+    assert peak <= 2.25 * len(text), f"traced peak {peak / len(text):.2f}x the document's length"
