@@ -13,6 +13,7 @@ count against conformance, not completeness numerators.
 from __future__ import annotations
 
 import json
+import math
 import re
 from collections import Counter
 from collections.abc import Set as AbstractSet
@@ -119,9 +120,12 @@ class CheckOutcome:
     ``status``, ``parameter`` and ``rate`` are derived from those. ``rate``
     is numerator/denominator, and None (not 0, not 1) unless Ok. Each
     count is an int, each numerator (overall and per stratum) lies in
-    ``0..denominator``, strata sum exactly to the overall counts, violation
-    rows are distinct ints ascending from 0 with str reasons, and an errored
-    outcome holds no measurement; breaking a rule raises SchemaViolation.
+    ``0..denominator``, strata sum exactly to the overall counts,
+    ``target_fields`` is a tuple of strs, ``violations`` a tuple of
+    (row, reason) pairs whose rows are distinct ints ascending from 0 and
+    whose reasons are strs, ``details`` reads back equal from JSON, and an
+    errored outcome holds no measurement; breaking a rule raises
+    SchemaViolation naming the attribute.
     """
 
     check_id: str
@@ -137,6 +141,15 @@ class CheckOutcome:
     error: str | None = None
 
     def __post_init__(self) -> None:
+        for key in ("target_fields", "violations"):
+            if type(value := getattr(self, key)) is not tuple:
+                raise SchemaViolation(f"{key} must be a tuple, got {type(value).__name__}")
+        for i, name in enumerate(self.target_fields):
+            if type(name) is not str:
+                raise SchemaViolation(f"target_fields[{i}] must be a string, got {name!r}")
+        if type(self.details) is not dict:
+            raise SchemaViolation(f"details must be a dict, got {type(self.details).__name__}")
+        _check_json_native(self.details, "details")
         if self.error is not None:
             for key, empty in _ERRORED.items():
                 if (value := getattr(self, key)) != empty:
@@ -157,7 +170,10 @@ class CheckOutcome:
                 f" got {sums[0]} and {sums[1]}"
             )
         before = -1
-        for i, (row, reason) in enumerate(self.violations):
+        for i, violation in enumerate(self.violations):
+            if type(violation) is not tuple or len(violation) != 2:
+                raise SchemaViolation(f"violations[{i}] must be a (row, reason) pair, got {violation!r}")
+            row, reason = violation
             if type(row) is not int:
                 raise SchemaViolation(f"violations[{i}][0] must be an integer, got {row!r}")
             if type(reason) is not str:
@@ -179,6 +195,33 @@ class CheckOutcome:
     @property
     def rate(self) -> Fraction | None:
         return Fraction(self.numerator, self.denominator) if self.status is CheckStatus.OK else None
+
+
+#: The types of the JSON values that read back as themselves and equal.
+_JSON_SCALARS = (str, int, float, bool, type(None))
+
+
+def _check_json_native(value: Any, where: str) -> None:
+    """Raise SchemaViolation, naming the path such as ``details['t'][0]``,
+    unless ``value`` reads back equal from JSON: a dict with str keys, a
+    list, a str, an int, a finite float, a bool or None, all the way down.
+    The walk keeps its own stack, so that no nesting a JSON reader accepts
+    is too deep for it."""
+    pending = [(value, where)]
+    while pending:
+        value, where = pending.pop()
+        kind = type(value)
+        if kind is dict:
+            for key, item in value.items():
+                if type(key) is not str:
+                    raise SchemaViolation(f"{where} must have string keys, got {key!r}")
+                pending.append((item, f"{where}[{key!r}]"))
+        elif kind is list:
+            pending += ((item, f"{where}[{i}]") for i, item in enumerate(value))
+        elif kind not in _JSON_SCALARS or kind is float and not math.isfinite(value):
+            raise SchemaViolation(
+                f"{where} must be a string, a finite number, a boolean, None, a list or a dict, got {value!r}"
+            )
 
 
 #: What ``run_suite`` holds in an errored outcome: nothing was measured.

@@ -266,9 +266,29 @@ COERCERS: dict[SemanticType, Callable[[str], Any]] = {
 }
 
 
+def _nones(values: list[Any]) -> Iterator[int]:
+    """The indices of the Nones in ``values``, each found by ``list.index``,
+    which scans in C: no typed value equals None."""
+    i = 0
+    while True:
+        try:
+            i = values.index(None, i)
+        except ValueError:
+            return
+        yield i
+        i += 1
+
+
 class _ColumnBuilder:
     """One column's typed values, missing rows and coercion failures,
-    appended a chunk of raw cells at a time with the coercer of its type."""
+    appended a chunk of raw cells at a time with the coercer of its type.
+
+    While a column's texts repeat, ``table`` maps each text seen to its
+    value: each distinct text is judged once (a sentinel or a text that
+    fails coercion maps to None, and ``absent`` holds it), and every cell
+    that holds it shares the one value object. At the first chunk after
+    which the column has more distinct texts than half its cells, the
+    table is dropped and each cell is judged on its own from then on."""
 
     def __init__(self, semantic: SemanticType, sentinels: frozenset[str]) -> None:
         self.coerce = COERCERS.get(semantic)
@@ -276,8 +296,12 @@ class _ColumnBuilder:
         self.values: list[Any] = []
         self.missing: list[int] = []
         self.failures: list[tuple[int, str]] = []
+        self.table: dict[str, Any] | None = {}
+        self.absent: set[str] = set()
 
     def extend(self, cells: Sequence[str], first_row: int) -> None:
+        if self.table is not None and self._share(self.table, cells, first_row):
+            return
         sentinels, coerce = self.sentinels, self.coerce
         if coerce is None:
             missing = [i for i, raw in enumerate(cells, first_row) if raw in sentinels]
@@ -297,6 +321,37 @@ class _ColumnBuilder:
             except (ValueError, OverflowError):  # overflow: an offset at datetime's range edge
                 append(None)
                 self.failures.append((i, raw))
+
+    def _share(self, table: dict[str, Any], cells: Sequence[str], first_row: int) -> bool:
+        """Append ``cells`` through ``table``, or drop it and return False
+        if the column's texts no longer repeat."""
+        absent, sentinels, coerce = self.absent, self.sentinels, self.coerce
+        texts = set(cells)
+        new = texts.difference(table)
+        if 2 * (len(table) + len(new)) > len(self.values) + len(cells):
+            self.table = None
+            self.absent = set()
+            return False
+        for raw in new:
+            if raw in sentinels:  # before parsing: a sentinel may look typed
+                value = None
+            else:
+                try:
+                    value = raw if coerce is None else coerce(raw)
+                except (ValueError, OverflowError):
+                    value = None
+            table[raw] = value
+            if value is None:
+                absent.add(raw)
+        values = list(map(table.__getitem__, cells))
+        self.values += values
+        if not absent.isdisjoint(texts):
+            for i in _nones(values):
+                if (raw := cells[i]) in sentinels:
+                    self.missing.append(first_row + i)
+                else:
+                    self.failures.append((first_row + i, raw))
+        return True
 
     def build(self) -> Column:
         return Column(
@@ -369,7 +424,8 @@ def load_dataset(text: str | bytes, manifest: DatasetManifest) -> DatasetSnapsho
     become missing; cells that fail type coercion are retained as
     coercion failures. Rows are read a chunk at a time and appended to
     one builder per manifest column, which picks its type's coercer once,
-    so the raw rows of the whole extract are never held at once. One
+    so the raw rows of the whole extract are never held at once; while a
+    column's texts repeat, the cells of one text share one value. One
     leading UTF-8 byte-order mark is skipped. Bytes that are not UTF-8 and
     rows the csv reader rejects (a field over its size limit) raise
     SchemaViolation.

@@ -473,6 +473,29 @@ def test_every_row_kind_honours_subset_and_strata(kind, fields, config):
         assert sum(s.denominator for s in p.strata.values()) == p.denominator
 
 
+def test_every_kind_writes_details_that_read_back_equal_from_json():
+    """``CheckOutcome`` rejects details that JSON does not read back equal,
+    so each kind, with its details at their fullest (a policy text, lag
+    seconds, flagged actors), must write JSON-native ones."""
+    mixed = mixed_snapshot()
+    policy = make_snapshot(
+        {"billable": ["Y", "Y", "N", "N"], "code": ["A", "", "", "B"]},
+        fields_extra=[{"name": "code", "required": True, "policy_condition": {"field": "billable", "values": ["Y"]}}],
+    )
+    source, transformed = paired_snapshots(["A", "B", "Z"], ["A", "", "Z"])
+    outcomes = [check(mixed, kind, *fields, **config) for kind, fields, config in ROW_KIND_CASES] + [
+        check(policy, CheckKind.COMPLETENESS, "code"),
+        check(source, CheckKind.CONFORMANCE_VALUE, "code"),
+        check(mixed, CheckKind.DEGENERACY_BY_ACTOR, "recorded_at", min_records=1, max_dominant_share="1/2"),
+        check(source, CheckKind.MAPPING_SUCCESS, "code", transformed=transformed),
+    ]
+    assert {o.kind for o in outcomes} == set(CheckKind)
+    assert {"policy_text", "lag_seconds", "flagged_actors"} <= {key for o in outcomes for key in o.details}
+    assert any(o.details.get("flagged_actors") for o in outcomes)
+    for o in outcomes:
+        assert json.loads(json.dumps(o.details, allow_nan=False)) == o.details, o.kind
+
+
 @pytest.mark.parametrize("kind", [CheckKind.MAPPING_SUCCESS, CheckKind.DEGENERACY_BY_ACTOR])
 @pytest.mark.parametrize("scope", [
     {"subset": Predicate("code", frozenset({"A"}))},

@@ -3,8 +3,9 @@
 The reference reads every row into one list, checks the row widths, then
 coerces column by column and cell by cell, deciding each cell's type on
 the spot. ``load_dataset`` reads the text in slices and the rows in
-chunks and picks each column's coercer once; on every input both must give
-the same snapshot, or raise the same exception with the same message.
+chunks, picks each column's coercer once and judges a repeated text once
+per column; on every input both must give the same snapshot, or raise the
+same exception with the same message.
 """
 
 from __future__ import annotations
@@ -147,6 +148,20 @@ LOW_LIMIT = 32
 LONG_CELLS = st.sampled_from(["x" * LOW_LIMIT, "x" * (LOW_LIMIT + 1)])
 
 
+def drawn_rows(draw, cells, width, n_rows):
+    """``n_rows`` rows of ``width`` cells, drawn a column at a time: each
+    column draws from ``cells`` at large, from a pool of one to three of
+    them (so that its texts repeat and the loader shares their values), or
+    from such a pool up to a row and at large from there on (so that the
+    loader stops sharing partway)."""
+    columns = []
+    for _ in range(width):
+        pool = st.sampled_from(draw(st.lists(cells, min_size=1, max_size=3)))
+        switch = draw(st.sampled_from([0, n_rows, draw(st.integers(0, n_rows))]))
+        columns.append([draw(pool if i < switch else cells) for i in range(n_rows)])
+    return [list(row) for row in zip(*columns)]
+
+
 def with_long_cell(draw, row):
     """``row``, with one cell in ten rows replaced by a long cell."""
     if draw(st.integers(0, 9)) == 0:
@@ -167,8 +182,8 @@ def csv_texts(draw, max_rows=12, ragged=False, quotings=(csv.QUOTE_MINIMAL, csv.
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator=newline, quoting=quoting)
     writer.writerow(header)
-    for _ in range(draw(st.integers(0, max_rows))):
-        row = with_long_cell(draw, draw(st.lists(CELLS, min_size=len(header), max_size=len(header))))
+    for row in drawn_rows(draw, CELLS, len(header), draw(st.integers(0, max_rows))):
+        row = with_long_cell(draw, row)
         if ragged and draw(st.integers(0, 9)) == 0:
             row = row[:-1] if draw(st.booleans()) else row + ["spare"]
         writer.writerow(row)
@@ -192,8 +207,8 @@ def quote_free_texts(draw, max_rows=12):
     header = draw(st.permutations(NAMES + draw(st.sampled_from([[], EXTRA[:1], EXTRA]))))
     lines = [""] if draw(st.integers(0, 9)) == 0 else []
     lines.append(",".join(header))
-    for _ in range(draw(st.integers(0, max_rows))):
-        row = with_long_cell(draw, draw(st.lists(QUOTE_FREE_CELLS, min_size=len(header), max_size=len(header))))
+    for row in drawn_rows(draw, QUOTE_FREE_CELLS, len(header), draw(st.integers(0, max_rows))):
+        row = with_long_cell(draw, row)
         if draw(st.integers(0, 9)) == 0:
             row = row[:-1] if draw(st.booleans()) else row + ["spare"]
         lines.append(",".join(row))
@@ -312,6 +327,69 @@ def test_ragged_row_index_counts_non_blank_rows_across_chunks(ragged_at):
             load_dataset(text, manifest())
     assert str(raised.value) == f"row {ragged_at} has 6 cells, header has 5"
     assert result(reference_load, text, manifest())[2] == str(raised.value)
+
+
+# --- shared values, pinned ---------------------------------------------------
+
+def column_csv(**columns):
+    """A text of ``NAMES`` columns, each given one cell per row or, when not
+    given, a distinct text per row (so that it takes the each-cell path)."""
+    n_rows = len(next(iter(columns.values())))
+    cells = {name: columns.get(name) or [f"{name}{i}" for i in range(n_rows)] for name in NAMES}
+    return "".join(",".join(row) + "\n" for row in zip(*([name, *cells[name]] for name in NAMES), strict=True))
+
+
+@pytest.mark.parametrize("name, text", [("note", "same note"), ("num", "1.5"), ("day", "2024-01-01")])
+def test_a_repeated_text_holds_one_value_object_across_chunks(name, text):
+    source = column_csv(**{name: [text] * 10})
+    with mock.patch.object(ingest, "_CHUNK_ROWS", 3):
+        values = load_dataset(source, manifest()).columns[name].values
+    assert len({id(v) for v in values}) == 1
+    assert values[0] == coerce(text, SemanticType(FIELDS[NAMES.index(name)]["semantic_type"]))[0]
+
+
+def test_a_column_that_repeats_and_then_turns_distinct_loads_as_the_reference_does():
+    """Shared while its texts repeat, each cell judged on its own once more
+    than half its cells so far are distinct texts, and either way the
+    values, missing rows and failures of the reference."""
+    # 4 texts in rows 0-15; 7 in 20 rows, 11 in 24, then 15 in 28: dropped there
+    cells = ["1.5", "1.5", "", "1.5"] * 2 + ["bad", "1.5", "1.5", "2"] * 2
+    cells += ["0.25", "1.25", "2.25", "1.5"] + [f"{i}.25" for i in range(3, 20)] + ["", "bad", "1.5"]
+    text = column_csv(num=cells, day=["2024-01-01", "NA"] * 20)
+    m = manifest()
+    with mock.patch.object(ingest, "_CHUNK_ROWS", 4):
+        loaded = load_dataset(text, m)
+        assert result(load_dataset, text, m) == result(reference_load, text, m)
+    values = loaded.columns["num"].values
+    assert len({id(values[i]) for i in range(24) if cells[i] == "1.5"}) == 1
+    assert values[-1] == 1.5 and values[-1] is not values[0]  # judged on its own again
+    assert loaded.columns["num"].failures == tuple((i, "bad") for i, raw in enumerate(cells) if raw == "bad")
+
+
+def test_nan_and_signed_zero_texts_are_judged_each_by_its_own_text():
+    """``"0"`` and ``"-0"`` are equal floats that print apart, and a NaN
+    equals nothing: each text keeps its own value, shared only with cells
+    of the same text."""
+    texts = ["0", "-0", "nan", "NaN", "0.0", "-0.0"] * 4
+    source = column_csv(num=texts)
+    m = manifest()
+    with mock.patch.object(ingest, "_CHUNK_ROWS", 12):
+        values = load_dataset(source, m).columns["num"].values
+        assert result(load_dataset, source, m) == result(reference_load, source, m)
+    assert list(map(repr, values)) == [repr(float(t)) for t in texts]
+    assert all((values[i] is values[j]) == (texts[i] == texts[j]) for i in range(6) for j in range(len(texts)))
+
+
+@pytest.mark.parametrize("name, bad", [("num", "abc"), ("day", "2024-02-30"), ("ts", "10:00")])
+def test_a_repeated_malformed_text_is_a_failure_on_every_row(name, bad):
+    cells = [bad, "", bad, bad] * 5
+    source = column_csv(**{name: cells})
+    m = manifest()
+    with mock.patch.object(ingest, "_CHUNK_ROWS", 3):
+        column = load_dataset(source, m).columns[name]
+        assert result(load_dataset, source, m) == result(reference_load, source, m)
+    assert column.failures == tuple((i, bad) for i, raw in enumerate(cells) if raw == bad)
+    assert column.missing == frozenset(i for i, raw in enumerate(cells) if raw == "")
 
 
 # --- bad input, pinned --------------------------------------------------------

@@ -41,10 +41,17 @@ AWKWARD = ['"', "\\", "\n", "\r\n", "\x00", "\x1f", "\t", "]\n[", ",\n", " ", 
 TEXT = st.text(max_size=12) | st.sampled_from(AWKWARD)
 
 
-def json_values(nan: bool):
+#: Values that JSON does not read back equal, and that ``CheckOutcome``
+#: rejects in its details: a tuple, a Fraction, a NaN (unequal to itself),
+#: an infinity (no JSON number) and a dict with a key that is not a string.
+NOT_JSON = st.sampled_from([(1, 2), Fraction(1, 2), float("nan"), float("inf"), float("-inf"), {1: "x"}])
+
+
+def json_values(extra=st.nothing()):
+    """JSON values that read back equal, with ``extra`` among the leaves."""
     leaves = (
         st.none() | st.booleans() | st.integers()
-        | st.floats(allow_nan=nan, allow_infinity=True) | TEXT
+        | st.floats(allow_nan=False, allow_infinity=False) | TEXT | extra
     )
     return st.recursive(
         leaves,
@@ -76,7 +83,7 @@ VIOLATIONS = st.lists(
 
 
 @st.composite
-def outcome(draw, nan: bool):
+def outcome(draw):
     """An outcome whose counts and violation rows keep ``CheckOutcome``'s
     rules, which it checks when built: the strata come first, when there are any, and the
     totals are summed from them, as ``run_check`` sums them. An errored
@@ -103,12 +110,12 @@ def outcome(draw, nan: bool):
         denominator=denominator,
         strata=strata,
         violations=draw(VIOLATIONS),
-        details=draw(st.dictionaries(TEXT, json_values(nan), max_size=4)),
+        details=draw(st.dictionaries(TEXT, json_values(), max_size=4)),
     )
 
 
-def outcomes(nan: bool):
-    return st.lists(outcome(nan), max_size=4)
+def outcomes():
+    return st.lists(outcome(), max_size=4)
 
 
 def reference_json(xs: list[CheckOutcome]) -> str:
@@ -117,22 +124,21 @@ def reference_json(xs: list[CheckOutcome]) -> str:
 
 
 @settings(max_examples=150, deadline=None)
-@given(xs=outcomes(nan=True))
+@given(xs=outcomes())
 def test_outcomes_json_is_the_indented_json_dumps_form(xs):
     assert outcomes_to_json(xs) == reference_json(xs)
 
 
 @settings(max_examples=100, deadline=None)
-@given(xs=outcomes(nan=False))
+@given(xs=outcomes())
 def test_outcomes_survive_a_json_round_trip(xs):
-    """For JSON-native details (NaN is unequal to itself, so none here)."""
     text = outcomes_to_json(xs)
     assert outcomes_from_json(text) == xs
     assert outcomes_from_json(text.encode()) == xs
 
 
 @settings(max_examples=100, deadline=None)
-@given(o=outcome(nan=False))
+@given(o=outcome())
 def test_outcome_to_dict_is_what_json_reads_back_and_outcome_from_dict_reads_it(o):
     """``outcome_to_dict`` writes violations as ``[row, reason]`` lists,
     as a JSON reader returns them, not as the outcome's tuples."""
@@ -193,11 +199,11 @@ def test_status_parameter_and_rate_follow_from_the_counts_and_error(
 #: statuses and rates, an unreduced rate, and any JSON value.
 REPLACEMENTS = st.sampled_from(
     [None, *(p.name for p in core_parameters()), *(s.value for s in CheckStatus), "0", "1", "1/2", "2/4"]
-) | json_values(nan=False)
+) | json_values()
 
 
 @settings(max_examples=200, deadline=None)
-@given(o=outcome(nan=False), key=st.sampled_from(["parameter", "status", "rate"]), data=st.data())
+@given(o=outcome(), key=st.sampled_from(["parameter", "status", "rate"]), data=st.data())
 def test_a_derived_key_that_differs_from_the_outcome_is_rejected_at_its_path(o, key, data):
     doc = json.loads(outcomes_to_json([o]))
     written = doc["outcomes"][0][key]
@@ -269,26 +275,37 @@ COUNT = SIGNED | st.sampled_from([False, True, 0.0, 2.0, float("nan"), float("in
 #: A reason that is not a string a third of the time.
 REASON = TEXT | st.sampled_from([5, None, b"missing", 0.5])
 
+#: A (row, reason) pair, or now and then a tuple of another length or a list.
+VIOLATION = st.tuples(COUNT, REASON) | st.sampled_from([(0,), (0, "missing", "extra"), [0, "missing"]])
+
+
+def seldom_a_list(draw, items):
+    """``items`` as a tuple, or one time in ten as a list."""
+    return list(items) if draw(st.integers(0, 9)) == 0 else tuple(items)
+
 
 @st.composite
 def outcome_attributes(draw):
     """``CheckOutcome``'s attributes drawn with no regard to its rules:
     signed counts, bools and floats for counts, strata whatever their
     counts, violation rows unsorted, repeated, bool or float, reasons that
-    are not strings, and an optional error, beside JSON-native details."""
+    are not strings, violations that are no pair, lists where tuples
+    belong, details that JSON does not read back equal, and an optional
+    error."""
     return dict(
         check_id=draw(TEXT),
         kind=draw(st.sampled_from(list(CheckKind))),
         numerator=draw(default_or(0, COUNT)),
         denominator=draw(default_or(0, COUNT)),
-        target_fields=draw(st.lists(TEXT, max_size=2).map(tuple)),
+        target_fields=seldom_a_list(draw, draw(st.lists(TEXT, max_size=2))),
         stage=draw(st.none() | st.sampled_from(list(Stage))),
         subset=draw(st.none() | TEXT),
         strata=draw(default_or(None, st.dictionaries(
             TEXT, st.builds(StratumOutcome, COUNT, COUNT, FLAGS), max_size=3
         ))),
-        violations=draw(default_or((), st.lists(st.tuples(COUNT, REASON), max_size=4).map(tuple))),
-        details=draw(default_or({}, st.dictionaries(TEXT, json_values(nan=False), max_size=3))),
+        violations=seldom_a_list(draw, draw(default_or((), st.lists(VIOLATION, max_size=4)))),
+        details=draw(default_or({}, st.dictionaries(TEXT, json_values(), max_size=3)
+                                | st.dictionaries(TEXT, json_values(NOT_JSON), min_size=1, max_size=2))),
         error=draw(st.none() | TEXT),
     )
 
@@ -303,6 +320,10 @@ def test_every_outcome_that_builds_survives_a_json_round_trip(attributes):
         return
     event("errored" if o.error is not None else "built")
     assert outcomes_from_json(outcomes_to_json([o])) == [o]
+
+
+#: What a detail that JSON does not read back equal must be instead.
+JSON_NATIVE = "a string, a finite number, a boolean, None, a list or a dict"
 
 
 @pytest.mark.parametrize("attributes, message", [
@@ -324,9 +345,22 @@ def test_every_outcome_that_builds_survives_a_json_round_trip(attributes):
     (dict(numerator=0, denominator=2, violations=((0, "missing"), (float("nan"), "missing"))),
      "violations[1][0] must be an integer, got nan"),
     (dict(numerator=1, denominator=2, violations=((0, 5),)), "violations[0][1] must be a string, got 5"),
+    (dict(numerator=1, denominator=2, violations=((1,),)), "violations[0] must be a (row, reason) pair, got (1,)"),
+    (dict(numerator=1, denominator=2, violations=[(0, "missing")]), "violations must be a tuple, got list"),
+    (dict(target_fields=["a"]), "target_fields must be a tuple, got list"),
+    (dict(target_fields=("a", 1)), "target_fields[1] must be a string, got 1"),
+    (dict(details={"t": (1, 2)}), f"details['t'] must be {JSON_NATIVE}, got (1, 2)"),
+    (dict(details={1: "x"}), "details must have string keys, got 1"),
+    (dict(details={"t": {"u": {2: 0}}}), "details['t']['u'] must have string keys, got 2"),
+    (dict(details={"f": Fraction(1, 2)}), f"details['f'] must be {JSON_NATIVE}, got Fraction(1, 2)"),
+    (dict(details={"t": [0.5, float("nan")]}), f"details['t'][1] must be {JSON_NATIVE}, got nan"),
+    (dict(details={"t": {"u": float("-inf")}}), f"details['t']['u'] must be {JSON_NATIVE}, got -inf"),
+    (dict(details=[]), "details must be a dict, got list"),
 ], ids=["numerator-over-denominator", "negative-numerator", "stratum-numerator-over-denominator",
         "strata-do-not-sum", "rows-out-of-order", "errored-with-counts", "bool-count", "float-stratum-count",
-        "bool-row", "nan-row", "int-reason"])
+        "bool-row", "nan-row", "int-reason", "violation-not-a-pair", "violations-list", "target-fields-list",
+        "int-target-field", "details-tuple", "details-int-key", "details-nested-int-key", "details-fraction",
+        "details-nan", "details-infinity", "details-list"])
 def test_an_outcome_that_breaks_a_rule_does_not_build(attributes, message):
     with pytest.raises(SchemaViolation) as exc:
         CheckOutcome("c", CheckKind.TIMELINESS, **attributes)
