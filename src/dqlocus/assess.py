@@ -15,16 +15,18 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
+from array import array
 from collections import Counter
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
-from datetime import date, datetime, time, timedelta
+from datetime import date, timedelta
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import filterfalse
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from .errors import (
     CheckConfigError,
@@ -53,6 +55,7 @@ from .errors import (
 )
 from .ingest import (
     COERCERS,
+    EPOCH,
     Column,
     DatasetManifest,
     DatasetSnapshot,
@@ -124,8 +127,11 @@ class CheckOutcome:
     ``target_fields`` is a tuple of strs, ``violations`` a tuple of
     (row, reason) pairs whose rows are distinct ints ascending from 0 and
     whose reasons are strs, ``details`` reads back equal from JSON, and an
-    errored outcome holds no measurement; breaking a rule raises
-    SchemaViolation naming the attribute.
+    errored outcome holds no measurement. What ``outcomes_to_json`` must
+    write it can: no int (count, row or detail) has more digits than
+    Python prints (``sys.get_int_max_str_digits()``), and ``details``
+    nests lists and dicts at most ``_MAX_DEPTH`` deep. Breaking a rule
+    raises SchemaViolation naming the attribute.
     """
 
     check_id: str
@@ -149,7 +155,8 @@ class CheckOutcome:
                 raise SchemaViolation(f"target_fields[{i}] must be a string, got {name!r}")
         if type(self.details) is not dict:
             raise SchemaViolation(f"details must be a dict, got {type(self.details).__name__}")
-        _check_json_native(self.details, "details")
+        digits = sys.get_int_max_str_digits()
+        _check_json_native(self.details, "details", digits)
         if self.error is not None:
             for key, empty in _ERRORED.items():
                 if (value := getattr(self, key)) != empty:
@@ -159,6 +166,7 @@ class CheckOutcome:
             for key in ("numerator", "denominator"):
                 if type(value := getattr(counts, key)) is not int:  # not a bool
                     raise SchemaViolation(f"{at}{key} must be an integer, got {value!r}")
+                _check_digits(value, f"{at}{key}", digits)
             if not 0 <= counts.numerator <= counts.denominator:
                 raise SchemaViolation(
                     f"{at}numerator must be from 0 to the denominator {counts.denominator}, got {counts.numerator}"
@@ -181,6 +189,8 @@ class CheckOutcome:
             if row <= before:
                 raise SchemaViolation(f"violations[{i}][0] must be above {before}: rows ascend from 0, got {row}")
             before = row
+        if self.violations:  # the last row is the largest
+            _check_digits(before, f"violations[{len(self.violations) - 1}][0]", digits)
 
     @property
     def status(self) -> CheckStatus:
@@ -200,24 +210,43 @@ class CheckOutcome:
 #: The types of the JSON values that read back as themselves and equal.
 _JSON_SCALARS = (str, int, float, bool, type(None))
 
+#: How deep ``details`` may nest lists and dicts, itself at depth 1: far
+#: deeper than any check writes, and shallow enough that the recursive
+#: encoder ``outcomes_to_json`` writes them with stays within Python's
+#: recursion limit.
+_MAX_DEPTH = 100
 
-def _check_json_native(value: Any, where: str) -> None:
+
+def _check_digits(value: int, where: str, digits: int) -> None:
+    """Raise SchemaViolation naming ``where`` if ``value`` has more than
+    ``digits`` decimal digits (0: no limit), which Python will not print."""
+    # an int of up to 3 * digits bits has fewer than digits digits
+    if digits and value.bit_length() > 3 * digits and abs(value) >= 10**digits:
+        raise SchemaViolation(f"{where} must be an integer of at most {digits} digits")
+
+
+def _check_json_native(value: Any, where: str, digits: int) -> None:
     """Raise SchemaViolation, naming the path such as ``details['t'][0]``,
-    unless ``value`` reads back equal from JSON: a dict with str keys, a
-    list, a str, an int, a finite float, a bool or None, all the way down.
-    The walk keeps its own stack, so that no nesting a JSON reader accepts
-    is too deep for it."""
-    pending = [(value, where)]
+    unless ``value`` reads back equal from JSON and ``outcomes_to_json``
+    can write it: a dict with str keys, a list, a str, an int of at most
+    ``digits`` digits, a finite float, a bool or None, all the way down,
+    nested at most ``_MAX_DEPTH`` deep. The walk keeps its own stack."""
+    pending = [(value, where, 1)]
     while pending:
-        value, where = pending.pop()
+        value, where, depth = pending.pop()
         kind = type(value)
-        if kind is dict:
+        if kind is dict or kind is list:
+            if depth > _MAX_DEPTH:
+                raise SchemaViolation(f"{where} must nest lists and dicts at most {_MAX_DEPTH} deep")
+            if kind is list:
+                pending += ((item, f"{where}[{i}]", depth + 1) for i, item in enumerate(value))
+                continue
             for key, item in value.items():
                 if type(key) is not str:
                     raise SchemaViolation(f"{where} must have string keys, got {key!r}")
-                pending.append((item, f"{where}[{key!r}]"))
-        elif kind is list:
-            pending += ((item, f"{where}[{i}]") for i, item in enumerate(value))
+                pending.append((item, f"{where}[{key!r}]", depth + 1))
+        elif kind is int:
+            _check_digits(value, where, digits)
         elif kind not in _JSON_SCALARS or kind is float and not math.isfinite(value):
             raise SchemaViolation(
                 f"{where} must be a string, a finite number, a boolean, None, a list or a dict, got {value!r}"
@@ -233,12 +262,33 @@ def _field(snapshot: DatasetSnapshot, name: str) -> tuple[Column, FieldSpec]:
     return snapshot.column(name), snapshot.manifest.get_field(name)  # type: ignore[return-value]
 
 
+#: One microsecond, the unit of a Timestamp value; the ordinal of
+#: ``EPOCH``'s day; and the microseconds of one day.
+_MICROSECOND = timedelta(microseconds=1)
+_EPOCH_DAY = EPOCH.toordinal()
+_DAY = 86_400_000_000
+
+
+def _render(col: Column) -> Callable[[Any], str]:
+    """The one function that gives each value of ``col`` its text, wherever
+    a check prints a value or matches it against a text: ``str``, but for a
+    Timestamp's microseconds ``_timestamp_text``."""
+    return _timestamp_text if type(col.values) is array else str
+
+
+def _timestamp_text(microseconds: int) -> str:
+    """The naive UTC ``datetime`` of a Timestamp value, as ``str()`` gives
+    it: ``2024-01-01 00:00:00``, and ``2024-01-01 00:00:00.500000`` with a
+    fraction of a second."""
+    return str(EPOCH + _MICROSECOND * microseconds)
+
+
 def _rows_where(snapshot: DatasetSnapshot, predicate: Predicate) -> list[int]:
-    """Rows on which the predicate's field has a typed value whose ``str()``
-    is one of its values."""
+    """Rows on which the predicate's field has a typed value whose text is
+    one of its values."""
     col = snapshot.column(predicate.field)
     values, absent = predicate.values, col.absent
-    return [i for i, text in enumerate(map(str, col.values)) if text in values and i not in absent]
+    return [i for i, text in enumerate(map(_render(col), col.values)) if text in values and i not in absent]
 
 
 def _required_rows(snapshot: DatasetSnapshot, field_name: str) -> Rows:
@@ -278,8 +328,11 @@ def _actor_ids(snapshot: DatasetSnapshot) -> list[str]:
         raise NoActorColumn(
             f"manifest {snapshot.manifest.dataset_id!r} declares no actor_id_column"
         )
-    values = snapshot.column(actor_col_name).values
-    return [UNATTRIBUTED_STRATUM if v is None else str(v) for v in values]
+    col = snapshot.column(actor_col_name)
+    ids = list(map(_render(col), col.values))
+    for i in col.absent:
+        ids[i] = UNATTRIBUTED_STRATUM
+    return ids
 
 
 def _stratify(actors: list[str], rows: Rows, failing: Failing) -> dict[str, StratumOutcome]:
@@ -347,22 +400,22 @@ def _present_cells(
     col = snapshot.column(name)
     rows = _eligible(snapshot, scope, col.missing)
     failing = _in_scope(dict.fromkeys((i for i, _ in col.failures), "malformed"), scope)
-    if test is not None:  # a malformed cell's value is None; it failed above
+    if test is not None:  # a malformed cell failed above
         values = col.values
-        failing.update({
-            i: reason for i in rows if (v := values[i]) is not None and (reason := test(v)) is not None
-        })
+        typed = _eligible(snapshot, scope, col.absent) if col.failures else rows
+        failing.update({i: reason for i in typed if (reason := test(values[i])) is not None})
     return rows, failing, {}
 
 
 def _conformance_value(snapshot: DatasetSnapshot, fields: Fields, cfg: Config, scope: Scope) -> RowCheck:
     """Fraction of non-missing cells whose value is in the field's allowed set."""
-    allowed = _field(snapshot, fields[0])[1].allowed_values
-    if allowed is None:
+    col, spec = _field(snapshot, fields[0])
+    if (allowed := spec.allowed_values) is None:
         raise MissingConfig(f"field {fields[0]!r} has no allowed_values for a Value check")
+    render = _render(col)
     return _present_cells(
         snapshot, fields[0], scope,
-        lambda value: None if str(value) in allowed else f"value not allowed: {value}",
+        lambda value: None if (text := render(value)) in allowed else f"value not allowed: {text}",
     )
 
 
@@ -390,16 +443,17 @@ def _plausibility_range(snapshot: DatasetSnapshot, fields: Fields, cfg: Config, 
     lo, hi = _coerce_bound(cfg["min"], spec.semantic_type), _coerce_bound(cfg["max"], spec.semantic_type)
     if lo > hi:
         raise InvalidRange(f"range minimum {cfg['min']!r} exceeds maximum {cfg['max']!r}")
-    values = col.values
+    values, render = col.values, _render(col)
     rows = _eligible(snapshot, scope, col.absent)
-    failing = {i: f"out of range: {v}" for i in rows if not lo <= (v := values[i]) <= hi}
+    failing = {i: f"out of range: {render(v)}" for i in rows if not lo <= (v := values[i]) <= hi}
     return rows, failing, {"min": str(cfg["min"]), "max": str(cfg["max"])}
 
 
 def _coerce_bound(bound: Any, semantic: SemanticType) -> Any:
     """A number bound of a Number field, or an ISO-8601 bound of a Date or
-    Timestamp field, parsed by the coercer that loads the field's cells; a
-    date or datetime given in code is read as its ISO-8601 text."""
+    Timestamp field, parsed once by the coercer that loads the field's
+    cells (so a Timestamp bound is microseconds); a date or datetime given
+    in code is read as its ISO-8601 text."""
     text = bound.isoformat() if isinstance(bound, date) else bound
     accepted = (int, float) if semantic is SemanticType.NUMBER else str
     if isinstance(text, accepted) and not isinstance(text, bool):
@@ -410,22 +464,26 @@ def _coerce_bound(bound: Any, semantic: SemanticType) -> Any:
     raise InvalidRange(f"bound {bound!r} does not fit a {semantic.value} field")
 
 
-def _as_datetime(value: Any) -> datetime:
-    if isinstance(value, datetime):
-        return value
-    return datetime.combine(value, time.min)
+def _microseconds(col: Column) -> Sequence[int]:
+    """A Date or Timestamp column's values as microseconds since ``EPOCH``,
+    each date's at its midnight and converted once, so that the two kinds
+    compare; 0 at an absent row of a Date column."""
+    if type(col.values) is array:
+        return col.values
+    return [0 if day is None else (day.toordinal() - _EPOCH_DAY) * _DAY for day in col.values]
 
 
 def _plausibility_temporal(snapshot: DatasetSnapshot, fields: Fields, cfg: Config, scope: Scope) -> RowCheck:
-    """Fraction of complete pairs with before <= after (equality counts)."""
+    """Fraction of complete pairs with before <= after (equality counts); a
+    date counts as its midnight."""
     for name in fields:
         if _field(snapshot, name)[1].semantic_type not in (SemanticType.DATE, SemanticType.TIMESTAMP):
             raise NonTemporalField(f"field {name!r} is not date/timestamp-valued")
     before, after = snapshot.column(fields[0]), snapshot.column(fields[1])
-    early, late = before.values, after.values
+    early, late = _microseconds(before), _microseconds(after)
     reason = f"{fields[0]} after {fields[1]}"
     rows = _eligible(snapshot, scope, before.absent | after.absent)
-    return rows, {i: reason for i in rows if _as_datetime(early[i]) > _as_datetime(late[i])}, {}
+    return rows, {i: reason for i in rows if early[i] > late[i]}, {}
 
 
 def _timeliness(snapshot: DatasetSnapshot, fields: Fields, cfg: Config, scope: Scope) -> RowCheck:
@@ -444,22 +502,23 @@ def _timeliness(snapshot: DatasetSnapshot, fields: Fields, cfg: Config, scope: S
     rec, avail = snapshot.column(fields[0]), snapshot.column(fields[1])
     rows = _eligible(snapshot, scope, rec.absent | avail.absent)
     recorded, available = rec.values, avail.values
-    lags = [available[i] - recorded[i] for i in rows]
-    zero, exceeds = timedelta(0), f" exceeds {max_lag}"
+    lags = [available[i] - recorded[i] for i in rows]  # microseconds
+    most, exceeds = max_lag // _MICROSECOND, f" exceeds {max_lag}"
     failing = {
-        i: "NegativeLag" if lag < zero else f"lag {lag}{exceeds}"
+        i: "NegativeLag" if lag < 0 else f"lag {_MICROSECOND * lag}{exceeds}"
         for i, lag in zip(rows, lags)
-        if not zero <= lag <= max_lag
+        if not 0 <= lag <= most
     }
 
     details: dict[str, Any] = {"max_lag_seconds": max_lag.total_seconds()}
     if lags:
         ordered, n = sorted(lags), len(lags)
-        median = (ordered[(n - 1) // 2] + ordered[n // 2]) / 2
+        # a timedelta halves to the nearest microsecond, a half to the even one
+        median = _MICROSECOND * (ordered[(n - 1) // 2] + ordered[n // 2]) / 2
         details["lag_seconds"] = {
-            "min": ordered[0].total_seconds(),
+            "min": (_MICROSECOND * ordered[0]).total_seconds(),
             "median": median.total_seconds(),
-            "max": ordered[-1].total_seconds(),
+            "max": (_MICROSECOND * ordered[-1]).total_seconds(),
         }
     return rows, failing, details
 
@@ -475,11 +534,12 @@ def _mapping_success(snapshots: Snapshots, fields: Fields, cfg: Config, scope: S
     source: DatasetSnapshot = snapshots.source  # type: ignore[assignment]
     src_missing = source.column(fields[0]).missing
     dst_missing = snapshots.transformed.column(fields[-1]).missing  # type: ignore[union-attr]
-    keys = source.column(key).values
+    key_col = source.column(key)
+    keys, render = key_col.values, _render(key_col)
     # a row whose value is absent at source is outside the denominator: the
     # transformation owes nothing for it
     unmapped = {
-        i: f"unmapped (key {keys[i]})"
+        i: f"unmapped (key {render(keys[i])})"
         for i in map(source_row.__getitem__, dst_missing)
         if i not in src_missing
     }
@@ -512,10 +572,11 @@ def _join_keys(source: DatasetSnapshot | None, transformed: DatasetSnapshot | No
 
 
 def _key_index(snapshot: DatasetSnapshot, key: str) -> dict[str, int]:
-    values = snapshot.column(key).values
-    if None in values:  # missing, or a typed key that failed coercion
-        raise KeyMismatch(f"row {values.index(None)} has no key value in {snapshot.manifest.stage.value}")
-    texts = list(map(str, values))
+    """The row of each key text; raises unless every row has a distinct key."""
+    col = snapshot.column(key)
+    if absent := col.absent:  # missing, or a typed key that failed coercion
+        raise KeyMismatch(f"row {min(absent)} has no key value in {snapshot.manifest.stage.value}")
+    texts = list(map(_render(col), col.values))
     index = dict(zip(texts, range(len(texts))))
     if len(index) < len(texts):
         duplicates = sorted(text for text, n in Counter(texts).items() if n > 1)
@@ -541,7 +602,7 @@ def _degeneracy_by_actor(
     for i, sid in enumerate(actor_ids(snapshot)):
         rows_by_actor.setdefault(sid, []).append(i)
 
-    absent = col.absent
+    absent, render = col.absent, _render(col)
     strata: dict[str, StratumOutcome] = {}
     failing: Failing = {}
     per_actor_detail: dict[str, Any] = {}
@@ -555,7 +616,7 @@ def _degeneracy_by_actor(
         if not recorded:
             flag = DegeneracyFlag.NEVER_RECORDS
         else:
-            counts = Counter(str(value) for value in recorded)
+            counts = Counter(map(render, recorded))
             top_value, top_count = max(counts.items(), key=lambda kv: (kv[1], kv[0]))
             share = Fraction(top_count, len(recorded))
             if share >= max_dominant_share:

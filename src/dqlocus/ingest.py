@@ -6,7 +6,8 @@ generating actor, constraints) and which extract stage the table sits at
 time and builds each manifest column with the one coercer of its semantic
 type; values that fail coercion are recorded as data for conformance
 checks, never as load errors. Dates and timestamps parse as ISO-8601 only,
-which keeps loading deterministic across platforms.
+which keeps loading deterministic across platforms. A Timestamp column holds
+exact int microseconds in one ``array('q')``, not one object per cell.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import re
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
@@ -142,15 +144,25 @@ class DatasetManifest:
         return {f.name: f for f in self.fields}
 
 
+#: The instant a Timestamp value counts its microseconds from, naive UTC
+#: as every Timestamp value is.
+EPOCH = datetime(1970, 1, 1)
+
+
 @dataclass(frozen=True)
 class Column:
     """One snapshot column: typed values plus explicit missing/failure sets.
 
-    ``values[i]`` is the typed value, or None when row ``i`` is missing or
-    failed coercion; the three states partition the rows exactly.
+    The rows of a column are missing, failed coercion, or typed, and the
+    three states partition them exactly. Only ``missing`` and ``failures``
+    say which rows are absent (missing or failed); ``values`` holds one
+    value for every row, which at an absent row means nothing. A Timestamp
+    column's ``values`` is one ``array('q')`` of exact int microseconds
+    since ``EPOCH`` (naive UTC), 0 at absent rows; any other column's is a
+    tuple of texts, floats (Number) or dates (Date), None at absent rows.
     """
 
-    values: tuple[Any, ...]
+    values: tuple[Any, ...] | array[int]
     missing: frozenset[int]
     failures: tuple[tuple[int, str], ...] = ()  # (row index, raw text)
 
@@ -162,14 +174,59 @@ class Column:
 
 @dataclass(frozen=True)
 class DatasetSnapshot:
+    """A loaded extract: one column per manifest field, each of
+    ``row_count`` rows. A snapshot however built holds to the ``Column``
+    contract; breaking it raises SchemaViolation naming the field."""
+
     manifest: DatasetManifest
     row_count: int
     columns: dict[str, Column]
+
+    def __post_init__(self) -> None:
+        n = self.row_count
+        if type(n) is not int or n < 0:
+            raise SchemaViolation(f"row_count must be a non-negative integer, got {n!r}")
+        if type(self.columns) is not dict:
+            raise SchemaViolation(f"columns must be a dict, got {type(self.columns).__name__}")
+        for name in self.columns:
+            if self.manifest.get_field(name) is None:
+                raise SchemaViolation(f"column {name!r} must name a manifest field")
+        for f in self.manifest.fields:
+            if f.name not in self.columns:
+                raise SchemaViolation(f"field {f.name!r} must have a column")
+            _check_column(self.columns[f.name], f, n)
 
     def column(self, name: str) -> Column:
         if name not in self.columns:
             raise UnknownField(f"field {name!r} is not in manifest {self.manifest.dataset_id!r}")
         return self.columns[name]
+
+
+def _check_column(col: Column, spec: FieldSpec, n: int) -> None:
+    """Raise SchemaViolation, naming the field, unless ``col`` holds ``n``
+    values in its type's container, and its missing and failed rows are
+    distinct rows of ``range(n)``."""
+    where = f"column {spec.name!r}"
+    values = col.values
+    if spec.semantic_type is SemanticType.TIMESTAMP:
+        if type(values) is not array or values.typecode != "q":
+            raise SchemaViolation(f"{where} must hold its values in an array('q'), got {type(values).__name__}")
+    elif type(values) is not tuple:
+        raise SchemaViolation(f"{where} must hold its values in a tuple, got {type(values).__name__}")
+    if len(values) != n:
+        raise SchemaViolation(f"{where} must hold {n} values, one per row, got {len(values)}")
+    missing, failures = col.missing, col.failures
+    if type(missing) is not frozenset or type(failures) is not tuple:
+        raise SchemaViolation(f"{where} must hold its missing rows in a frozenset and its failures in a tuple")
+    try:
+        failed = [row for row, _ in failures]
+    except (TypeError, ValueError):  # a failure that does not unpack into two
+        raise SchemaViolation(f"{where} must hold each failure as a (row, raw text) pair") from None
+    for rows in (missing, failed):
+        if rows and (not {int}.issuperset(map(type, rows)) or min(rows) < 0 or max(rows) >= n):
+            raise SchemaViolation(f"{where} must name missing and failed rows from range({n})")
+    if failed and (len(set(failed)) != len(failed) or not missing.isdisjoint(failed)):
+        raise SchemaViolation(f"{where} must name each missing or failed row once")
 
 
 # --- manifest loading -----------------------------------------------------
@@ -249,13 +306,20 @@ _CHUNK_ROWS = 4096
 _SLICE_CHARS = 1 << 20
 
 
-def _timestamp(raw: str) -> datetime:
-    """ISO-8601 timestamp; aware values are normalized to naive UTC so all
-    values in a column compare consistently."""
-    value = datetime.fromisoformat(raw)
+#: Looked up once: finding the classmethod on ``datetime`` for each cell
+#: costs about a tenth of a Timestamp column's build.
+_fromisoformat = datetime.fromisoformat
+
+
+def _timestamp(raw: str) -> int:
+    """ISO-8601 timestamp as exact int microseconds since ``EPOCH``; an
+    aware value is normalized to naive UTC first, so all values in a column
+    compare consistently."""
+    value = _fromisoformat(raw)
     if value.tzinfo is not None:
         value = value.astimezone(timezone.utc).replace(tzinfo=None)
-    return value
+    since = value - EPOCH  # summed: faster than since // timedelta(microseconds=1)
+    return (since.days * 86_400 + since.seconds) * 1_000_000 + since.microseconds
 
 
 #: The coercer of each typed semantic type; the others keep their text.
@@ -282,6 +346,8 @@ def _nones(values: list[Any]) -> Iterator[int]:
 class _ColumnBuilder:
     """One column's typed values, missing rows and coercion failures,
     appended a chunk of raw cells at a time with the coercer of its type.
+    A Timestamp's values go into one ``array('q')`` with ``blank`` (0) at
+    absent rows, any other's into a list with ``blank`` (None) there.
 
     While a column's texts repeat, ``table`` maps each text seen to its
     value: each distinct text is judged once (a sentinel or a text that
@@ -293,7 +359,9 @@ class _ColumnBuilder:
     def __init__(self, semantic: SemanticType, sentinels: frozenset[str]) -> None:
         self.coerce = COERCERS.get(semantic)
         self.sentinels = sentinels
-        self.values: list[Any] = []
+        timestamp = semantic is SemanticType.TIMESTAMP
+        self.values: list[Any] | array[int] = array("q") if timestamp else []
+        self.blank = 0 if timestamp else None
         self.missing: list[int] = []
         self.failures: list[tuple[int, str]] = []
         self.table: dict[str, Any] | None = {}
@@ -302,7 +370,7 @@ class _ColumnBuilder:
     def extend(self, cells: Sequence[str], first_row: int) -> None:
         if self.table is not None and self._share(self.table, cells, first_row):
             return
-        sentinels, coerce = self.sentinels, self.coerce
+        sentinels, coerce, blank = self.sentinels, self.coerce, self.blank
         if coerce is None:
             missing = [i for i, raw in enumerate(cells, first_row) if raw in sentinels]
             self.values += cells
@@ -313,13 +381,13 @@ class _ColumnBuilder:
         append = self.values.append
         for i, raw in enumerate(cells, first_row):
             if raw in sentinels:  # before parsing: a sentinel may look typed
-                append(None)
+                append(blank)
                 self.missing.append(i)
                 continue
             try:
                 append(coerce(raw))
             except (ValueError, OverflowError):  # overflow: an offset at datetime's range edge
-                append(None)
+                append(blank)
                 self.failures.append((i, raw))
 
     def _share(self, table: dict[str, Any], cells: Sequence[str], first_row: int) -> bool:
@@ -344,18 +412,22 @@ class _ColumnBuilder:
             if value is None:
                 absent.add(raw)
         values = list(map(table.__getitem__, cells))
-        self.values += values
         if not absent.isdisjoint(texts):
             for i in _nones(values):
+                values[i] = self.blank
                 if (raw := cells[i]) in sentinels:
                     self.missing.append(first_row + i)
                 else:
                     self.failures.append((first_row + i, raw))
+        # an array built from the list at once: extending one by a list
+        # converts each int about twice as slowly
+        self.values += array("q", values) if type(self.values) is array else values
         return True
 
     def build(self) -> Column:
+        values = self.values
         return Column(
-            values=tuple(self.values),
+            values=tuple(values) if type(values) is list else values,
             missing=frozenset(self.missing),
             failures=tuple(self.failures),
         )
@@ -425,7 +497,8 @@ def load_dataset(text: str | bytes, manifest: DatasetManifest) -> DatasetSnapsho
     coercion failures. Rows are read a chunk at a time and appended to
     one builder per manifest column, which picks its type's coercer once,
     so the raw rows of the whole extract are never held at once; while a
-    column's texts repeat, the cells of one text share one value. One
+    column's texts repeat, the cells of one text share one value, and a
+    Timestamp column fills one array of int microseconds. One
     leading UTF-8 byte-order mark is skipped. Bytes that are not UTF-8 and
     rows the csv reader rejects (a field over its size limit) raise
     SchemaViolation.

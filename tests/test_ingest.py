@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import re
+from array import array
 
 import pytest
 
@@ -13,9 +14,12 @@ from dqlocus.errors import (
     SchemaViolation,
     UnknownField,
 )
+from dqlocus.assess import Snapshots, run_suite, standard_suite
 from dqlocus.ingest import (
     DEFAULT_MISSING_SENTINELS,
+    Column,
     DatasetManifest,
+    DatasetSnapshot,
     EntryMode,
     FieldSpec,
     Predicate,
@@ -331,3 +335,60 @@ def test_timestamps_normalize_to_naive_utc():
 def test_load_manifest_undecodable_or_too_deep_is_schema_violation(text, cause):
     with pytest.raises(SchemaViolation, match=re.escape(f"manifest {cause}")):
         load_manifest(text)
+
+
+# --- a snapshot checks itself ---------------------------------------------------
+
+def two_field_manifest():
+    """A Number field ``a`` and a Timestamp field ``ts``."""
+    spec = {"entry_mode": "FreeEntry", "generating_actor": "Clinician"}
+    return load_manifest(json.dumps({"dataset_id": "s", "stage": "SourceExtract", "fields": [
+        {"name": "a", "semantic_type": "Number", **spec}, {"name": "ts", "semantic_type": "Timestamp", **spec},
+    ]}))
+
+
+TS = Column(array("q", [0, 5, 0]), frozenset({0}), ((2, "soon"),))
+A = Column((1.0, None, 2.0), frozenset({1}))
+
+
+@pytest.mark.parametrize("row_count, columns, message", [
+    (3, {"a": Column((1.0, 2.0), frozenset()), "ts": TS}, "column 'a' must hold 3 values, one per row, got 2"),
+    (3, {"a": A}, "field 'ts' must have a column"),
+    (3, {"a": A, "ts": TS, "b": A}, "column 'b' must name a manifest field"),
+    (3, [A, TS], "columns must be a dict, got list"),
+    (-1, {"a": A, "ts": TS}, "row_count must be a non-negative integer, got -1"),
+    (True, {"a": A, "ts": TS}, "row_count must be a non-negative integer, got True"),
+    (3, {"a": A, "ts": Column((0, 5, 0), frozenset())}, "column 'ts' must hold its values in an array('q'), got tuple"),
+    (3, {"a": A, "ts": Column(array("d", [0, 5, 0]), frozenset())},
+     "column 'ts' must hold its values in an array('q'), got array"),
+    (3, {"a": Column(array("q", [1, 0, 2]), frozenset({1})), "ts": TS},
+     "column 'a' must hold its values in a tuple, got array"),
+    (3, {"a": Column([1.0, None, 2.0], frozenset({1})), "ts": TS}, "column 'a' must hold its values in a tuple, got list"),
+    (3, {"a": Column((1.0, None, 2.0), {1}), "ts": TS},
+     "column 'a' must hold its missing rows in a frozenset and its failures in a tuple"),
+    (3, {"a": A, "ts": Column(TS.values, frozenset(), ((2,),))}, "column 'ts' must hold each failure as a (row, raw text) pair"),
+    (3, {"a": Column((1.0, None, 2.0), frozenset({3})), "ts": TS}, "column 'a' must name missing and failed rows from range(3)"),
+    (3, {"a": A, "ts": Column(TS.values, frozenset(), ((-1, "soon"),))},
+     "column 'ts' must name missing and failed rows from range(3)"),
+    (3, {"a": A, "ts": Column(TS.values, frozenset(), ((1.0, "soon"),))},
+     "column 'ts' must name missing and failed rows from range(3)"),
+    (3, {"a": A, "ts": Column(TS.values, frozenset({2}), ((2, "soon"),))}, "column 'ts' must name each missing or failed row once"),
+    (3, {"a": A, "ts": Column(TS.values, frozenset(), ((2, "soon"), (2, "soon")))},
+     "column 'ts' must name each missing or failed row once"),
+], ids=["short-column", "missing-column", "extra-column", "columns-list", "negative-row-count", "bool-row-count",
+        "timestamp-tuple", "timestamp-float-array", "number-array", "number-list", "missing-set", "failure-not-a-pair",
+        "missing-row-past-the-end", "negative-failed-row", "float-failed-row", "missing-and-failed", "failed-twice"])
+def test_a_snapshot_that_breaks_a_rule_does_not_build(row_count, columns, message):
+    with pytest.raises(SchemaViolation) as exc:
+        DatasetSnapshot(two_field_manifest(), row_count, columns)
+    assert str(exc.value) == message
+
+
+def test_a_hand_built_snapshot_that_keeps_the_rules_runs_the_standard_suite():
+    m = two_field_manifest()
+    snapshot = DatasetSnapshot(m, 3, {"a": A, "ts": TS})
+    outcomes = run_suite(standard_suite(m), Snapshots(source=snapshot))
+    assert [(o.check_id, o.numerator, o.denominator) for o in outcomes] == [
+        ("completeness:a@SourceExtract", 2, 3), ("conformance-format:a@SourceExtract", 2, 2),
+        ("completeness:ts@SourceExtract", 1, 3), ("conformance-format:ts@SourceExtract", 1, 2),
+    ]

@@ -2,10 +2,11 @@
 
 The reference reads every row into one list, checks the row widths, then
 coerces column by column and cell by cell, deciding each cell's type on
-the spot. ``load_dataset`` reads the text in slices and the rows in
-chunks, picks each column's coercer once and judges a repeated text once
-per column; on every input both must give the same snapshot, or raise the
-same exception with the same message.
+the spot; a Timestamp column's values go into an ``array('q')`` of
+microseconds, with 0 at absent rows. ``load_dataset`` reads the text in
+slices and the rows in chunks, picks each column's coercer once and
+judges a repeated text once per column; on every input both must give
+the same snapshot, or raise the same exception with the same message.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import csv
 import io
 import json
 import re
-from datetime import date, datetime, timezone
+from array import array
+from datetime import date, datetime, timedelta, timezone
 from unittest import mock
 
 import pytest
@@ -46,7 +48,8 @@ def manifest(sentinels=None):
 # --- the reference ----------------------------------------------------------
 
 def coerce(raw, semantic):
-    """(value, ok) for one cell, deciding the type per call."""
+    """(value, ok) for one cell, deciding the type per call: a timestamp is
+    its microseconds since 1970-01-01T00:00 in naive UTC."""
     if semantic in (SemanticType.CODE, SemanticType.CATEGORY, SemanticType.TEXT):
         return raw, True
     try:
@@ -62,7 +65,7 @@ def coerce(raw, semantic):
             value = value.astimezone(timezone.utc).replace(tzinfo=None)
         except OverflowError:  # the offset moves it out of datetime's range
             return None, False
-    return value, True
+    return (value - datetime(1970, 1, 1)) // timedelta(microseconds=1), True
 
 
 def reference_load(text, manifest):
@@ -110,19 +113,23 @@ def reference_rows(reader, manifest):
             values.append(value)
             if not ok:
                 failures.append((i, raw))
-        columns[f.name] = Column(tuple(values), frozenset(missing), tuple(failures))
+        if f.semantic_type is SemanticType.TIMESTAMP:
+            values = array("q", [0 if value is None else value for value in values])
+        columns[f.name] = Column(tuple(values) if isinstance(values, list) else values,
+                                 frozenset(missing), tuple(failures))
     return DatasetSnapshot(manifest=manifest, row_count=len(rows), columns=columns)
 
 
 def result(load, text, manifest):
     """A comparable form of a load: its columns, or its exception. Values
-    compare by repr, so that a NaN equals a NaN and 1.0 differs from "1.0"."""
+    compare by repr, so that a NaN equals a NaN and 1.0 differs from "1.0",
+    and each column's container compares by its type."""
     try:
         snapshot = load(text, manifest)
     except Exception as e:  # noqa: BLE001 - both loaders must fail alike
         return ("raised", type(e), str(e))
     columns = {
-        name: (tuple(map(repr, col.values)), col.missing, col.failures)
+        name: (type(col.values), tuple(map(repr, col.values)), col.missing, col.failures)
         for name, col in snapshot.columns.items()
     }
     return (snapshot.row_count, columns)
@@ -280,16 +287,73 @@ def test_split_load_of_quote_free_text_equals_reference(text, sentinels, chunk_r
 def test_cell_states_partition_every_column(text, sentinels):
     snapshot = load_dataset(text, manifest(sentinels))
     rows = set(range(snapshot.row_count))
-    for col in snapshot.columns.values():
-        assert isinstance(col.values, tuple) and isinstance(col.missing, frozenset)
-        assert isinstance(col.failures, tuple)
+    for name, col in snapshot.columns.items():
+        if snapshot.manifest.get_field(name).semantic_type is SemanticType.TIMESTAMP:
+            assert isinstance(col.values, array) and col.values.typecode == "q"
+        else:
+            assert isinstance(col.values, tuple)
+        assert isinstance(col.missing, frozenset) and isinstance(col.failures, tuple)
         failed = {i for i, _ in col.failures}
-        typed = {i for i, value in enumerate(col.values) if value is not None}
         assert len(col.values) == snapshot.row_count
         assert len(failed) == len(col.failures)
-        assert col.missing | failed | typed == rows
-        assert not (col.missing & failed) and not (col.missing & typed) and not (failed & typed)
-        assert len(col.values) - len(col.missing) - len(col.failures) == len(typed)
+        assert col.missing | failed <= rows and not (col.missing & failed)
+        typed = rows - col.missing - failed  # absence is read from missing and failures alone
+        if isinstance(col.values, tuple):  # None stands at exactly the absent rows
+            assert {i for i, value in enumerate(col.values) if value is not None} == typed
+        else:  # 0 stands at every absent row
+            assert all(col.values[i] == 0 for i in rows - typed)
+
+
+# --- timestamps ----------------------------------------------------------------
+
+#: Timestamps at both ends of datetime's range, naive and aware, and aware
+#: ones whose offset moves them just out of it.
+TIMESTAMP_EDGES = [
+    "0001-01-01T00:00:00", "0001-01-01", "0001-01-01T01:00:00+01:00", "0001-01-01T00:59:59.999999+01:00",
+    "9999-12-31T23:59:59.999999", "9999-12-31", "9999-12-31T22:59:59.999999-01:00", "9999-12-31T23:00:00-01:00",
+    "1970-01-01T00:00:00", "1969-12-31T23:59:59.999999",
+]
+
+
+@st.composite
+def timestamp_texts(draw):
+    """An ISO-8601 timestamp anywhere in datetime's range, to the second,
+    the millisecond or the microsecond, naive or with an offset of up to a
+    day less a minute either way."""
+    value = draw(st.datetimes())
+    sep = draw(st.sampled_from("T "))
+    text = value.isoformat(sep, draw(st.sampled_from(["auto", "seconds", "milliseconds", "microseconds"])))
+    minutes = draw(st.none() | st.sampled_from([0, 60, -60, 330, 1439, -1439]) | st.integers(-1439, 1439))
+    if minutes is not None:
+        text += f"{'-' if minutes < 0 else '+'}{abs(minutes) // 60:02d}:{abs(minutes) % 60:02d}"
+    return text
+
+
+TIMESTAMP_CELLS = st.one_of(timestamp_texts(), st.sampled_from(TIMESTAMP_EDGES + SENTINELS + ["soon", "10:00"]))
+
+
+@st.composite
+def timestamp_columns(draw, max_rows=12):
+    """The cells of one Timestamp column, drawn as ``drawn_rows`` draws a
+    column, so that repeated texts share their value."""
+    return [row[0] for row in drawn_rows(draw, TIMESTAMP_CELLS, 1, draw(st.integers(0, max_rows)))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells=timestamp_columns(), chunk_rows=CHUNKS)
+def test_timestamps_load_as_the_reference_does(cells, chunk_rows):
+    """Aware and naive values, fractional seconds, both ends of datetime's
+    range and offsets that leave it: the same microseconds, missing rows
+    and failures as the reference, and each value the instant it names."""
+    text = column_csv(ts=cells) if cells else HEADER
+    m = manifest()
+    assert load_in_chunks(text, m, chunk_rows, ingest._SLICE_CHARS) == result(reference_load, text, m)
+    column = load_dataset(text, m).columns["ts"]
+    for i in set(range(len(cells))) - column.missing - {i for i, _ in column.failures}:
+        value = datetime.fromisoformat(cells[i])
+        if value.tzinfo is not None:
+            value = value.astimezone(timezone.utc).replace(tzinfo=None)
+        assert ingest.EPOCH + timedelta(microseconds=column.values[i]) == value
 
 
 # --- chunk boundaries, pinned -----------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import re
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -324,6 +325,17 @@ def test_every_outcome_that_builds_survives_a_json_round_trip(attributes):
 
 #: What a detail that JSON does not read back equal must be instead.
 JSON_NATIVE = "a string, a finite number, a boolean, None, a list or a dict"
+#: The most decimal digits Python prints an int with, and an int of one more.
+DIGITS = sys.get_int_max_str_digits()
+TOO_LONG = 10**DIGITS
+
+
+def nested(depth):
+    """Lists nested ``depth`` deep: ``[]`` at 1."""
+    value = []
+    for _ in range(depth - 1):
+        value = [value]
+    return value
 
 
 @pytest.mark.parametrize("attributes, message", [
@@ -356,15 +368,35 @@ JSON_NATIVE = "a string, a finite number, a boolean, None, a list or a dict"
     (dict(details={"t": [0.5, float("nan")]}), f"details['t'][1] must be {JSON_NATIVE}, got nan"),
     (dict(details={"t": {"u": float("-inf")}}), f"details['t']['u'] must be {JSON_NATIVE}, got -inf"),
     (dict(details=[]), "details must be a dict, got list"),
+    (dict(numerator=TOO_LONG, denominator=TOO_LONG), f"numerator must be an integer of at most {DIGITS} digits"),
+    (dict(numerator=0, denominator=TOO_LONG), f"denominator must be an integer of at most {DIGITS} digits"),
+    (dict(numerator=1, denominator=2, strata={"a": StratumOutcome(0, TOO_LONG), "b": StratumOutcome(1, 1)}),
+     f"strata['a'].denominator must be an integer of at most {DIGITS} digits"),
+    (dict(numerator=0, denominator=2, violations=((0, "missing"), (TOO_LONG, "missing"))),
+     f"violations[1][0] must be an integer of at most {DIGITS} digits"),
+    (dict(details={"t": [1, {"u": -TOO_LONG}]}), f"details['t'][1]['u'] must be an integer of at most {DIGITS} digits"),
+    (dict(details={"t": nested(3000)}), f"details['t']{'[0]' * 99} must nest lists and dicts at most 100 deep"),
 ], ids=["numerator-over-denominator", "negative-numerator", "stratum-numerator-over-denominator",
         "strata-do-not-sum", "rows-out-of-order", "errored-with-counts", "bool-count", "float-stratum-count",
         "bool-row", "nan-row", "int-reason", "violation-not-a-pair", "violations-list", "target-fields-list",
         "int-target-field", "details-tuple", "details-int-key", "details-nested-int-key", "details-fraction",
-        "details-nan", "details-infinity", "details-list"])
+        "details-nan", "details-infinity", "details-list", "numerator-too-many-digits",
+        "denominator-too-many-digits", "stratum-count-too-many-digits", "row-too-many-digits",
+        "details-int-too-many-digits", "details-too-deep"])
 def test_an_outcome_that_breaks_a_rule_does_not_build(attributes, message):
     with pytest.raises(SchemaViolation) as exc:
         CheckOutcome("c", CheckKind.TIMELINESS, **attributes)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("attributes", [
+    dict(numerator=TOO_LONG - 1, denominator=TOO_LONG - 1, violations=((TOO_LONG - 1, "x"),)),
+    dict(details={"t": [-(TOO_LONG - 1), nested(98)]}),
+], ids=["most-digits", "deepest-details"])
+def test_an_outcome_at_the_edge_of_each_writer_rule_builds_writes_and_reads_back(attributes):
+    outcome = CheckOutcome("c", CheckKind.TIMELINESS, **attributes)
+    assert outcomes_to_json([outcome]) == reference_json([outcome])
+    assert outcomes_from_json(outcomes_to_json([outcome])) == [outcome]
 
 
 # --- the writer's memory --------------------------------------------------------

@@ -32,7 +32,7 @@ from dqlocus.assess import (
     run_check,
     run_suite,
 )
-from dqlocus.ingest import Predicate, Stage, load_dataset, load_manifest
+from dqlocus.ingest import Predicate, SemanticType, Stage, load_dataset, load_manifest
 
 FIELDS = [
     {"name": "actor_id", "semantic_type": "Code", "entry_mode": "AutoGenerated",
@@ -158,8 +158,25 @@ def typed(snapshot, name, i):
     return i not in col.missing and all(row != i for row, _ in col.failures)
 
 
+def as_datetime(snapshot, name, i):
+    """Row i's Date (at its midnight) or Timestamp (its microseconds since
+    1970-01-01T00:00, in naive UTC) as a datetime."""
+    value = snapshot.columns[name].values[i]
+    if snapshot.manifest.get_field(name).semantic_type is SemanticType.TIMESTAMP:
+        return datetime(1970, 1, 1) + timedelta(microseconds=value)
+    return datetime.combine(value, time.min)
+
+
+def text_of(snapshot, name, i):
+    """The text of row i's typed value: ``str()`` of it, or of the naive
+    UTC datetime of a Timestamp."""
+    if snapshot.manifest.get_field(name).semantic_type is SemanticType.TIMESTAMP:
+        return str(as_datetime(snapshot, name, i))
+    return str(snapshot.columns[name].values[i])
+
+
 def value_in(snapshot, name, i, values):
-    return typed(snapshot, name, i) and str(snapshot.columns[name].values[i]) in values
+    return typed(snapshot, name, i) and text_of(snapshot, name, i) in values
 
 
 def in_subset(snapshot, definition, i):
@@ -172,10 +189,6 @@ def in_subset(snapshot, definition, i):
             return value_in(snapshot, spec.policy_condition.field, i, spec.policy_condition.values)
         return spec.required
     return value_in(snapshot, subset.field, i, subset.values)
-
-
-def as_datetime(value):
-    return value if isinstance(value, datetime) else datetime.combine(value, time.min)
 
 
 def verdict(snapshot, definition, i):
@@ -196,8 +209,8 @@ def verdict(snapshot, definition, i):
             return ("fail", "malformed")
         spec = snapshot.manifest.get_field(fields[0])
         if kind is CheckKind.CONFORMANCE_VALUE:
-            ok = str(value) in spec.allowed_values
-            return ("pass",) if ok else ("fail", f"value not allowed: {value}")
+            text = text_of(snapshot, fields[0], i)
+            return ("pass",) if text in spec.allowed_values else ("fail", f"value not allowed: {text}")
         if spec.format_pattern is None:
             return ("pass",)
         ok = isinstance(value, str) and re.fullmatch(spec.format_pattern, value)
@@ -207,11 +220,11 @@ def verdict(snapshot, definition, i):
     if kind is CheckKind.PLAUSIBILITY_RANGE:
         ok = float(cfg["min"]) <= value <= float(cfg["max"])
         return ("pass",) if ok else ("fail", f"out of range: {value}")
-    other = snapshot.columns[fields[1]].values[i]
+    before, after = as_datetime(snapshot, fields[0], i), as_datetime(snapshot, fields[1], i)
     if kind is CheckKind.PLAUSIBILITY_TEMPORAL:
-        ok = as_datetime(value) <= as_datetime(other)
+        ok = before <= after
         return ("pass",) if ok else ("fail", f"{fields[0]} after {fields[1]}")
-    lag, max_lag = other - value, parse_duration(cfg["max_lag"])
+    lag, max_lag = after - before, parse_duration(cfg["max_lag"])
     if lag < timedelta(0):
         return ("fail", "NegativeLag")
     return ("fail", f"lag {lag} exceeds {max_lag}") if lag > max_lag else ("pass",)
@@ -342,14 +355,13 @@ def degeneracy_reference(snapshot, name, cfg):
     min_records = cfg.get("min_records", 10)
     threshold = Fraction(str(cfg.get("max_dominant_share", 1)))
     actors = [UNATTRIBUTED_STRATUM if a is None else a for a in snapshot.columns["actor_id"].values]
-    values = snapshot.columns[name].values
     strata, violations, flagged = {}, [], {}
     for actor in sorted(set(actors)):
         rows = [i for i in range(snapshot.row_count) if actors[i] == actor]
         if actor == UNATTRIBUTED_STRATUM or len(rows) < min_records:
             strata[actor] = (0, 0, ())
             continue
-        recorded = [str(values[i]) for i in rows if typed(snapshot, name, i)]
+        recorded = [text_of(snapshot, name, i) for i in rows if typed(snapshot, name, i)]
         flags = ()
         if not recorded:
             flags = ("NeverRecords",)
