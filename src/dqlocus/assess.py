@@ -97,8 +97,23 @@ class DegeneracyFlag(str, Enum):
     ALWAYS_SAME = "AlwaysSame"
 
 
+#: The types an identifying attribute may take, and how a message names them.
+_STRING, _OPTIONAL_STRING = ((str,), "a string"), ((str, type(None)), "a string or None")
+_KIND, _STAGE = ((CheckKind,), "a CheckKind"), ((Stage, type(None)), "a Stage or None")
+
+
+def _check_types(obj: Any, rules: dict[str, tuple[tuple[type, ...], str]]) -> None:
+    """Raise SchemaViolation naming the first attribute of ``rules`` not of its types."""
+    for key, (types, what) in rules.items():
+        if type(value := getattr(obj, key)) not in types:
+            raise SchemaViolation(f"{key} must be {what}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CheckDefinition:
+    """One check to run: a str ``id``, a ``CheckKind``, a ``Stage`` or None and a
+    tuple or list of str target fields, however built, else SchemaViolation."""
+
     id: str
     kind: CheckKind
     target_fields: tuple[str, ...]
@@ -106,6 +121,12 @@ class CheckDefinition:
     stratify_by_actor: bool = False
     stage: Stage | None = None
     config: dict[str, Any] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        _check_types(self, {"id": _STRING, "kind": _KIND, "stage": _STAGE})
+        fields = self.target_fields
+        if type(fields) not in (tuple, list) or not {str}.issuperset(map(type, fields)):
+            raise SchemaViolation(f"target_fields must be a tuple or list of strings, got {fields!r}")
 
 
 @dataclass(frozen=True)
@@ -121,10 +142,11 @@ class CheckOutcome:
 
     It stores what the check measured, or the error that stopped it;
     ``status``, ``parameter`` and ``rate`` are derived from those. ``rate``
-    is numerator/denominator, and None (not 0, not 1) unless Ok. Each
-    count is an int, each numerator (overall and per stratum) lies in
-    ``0..denominator``, strata sum exactly to the overall counts,
-    ``target_fields`` is a tuple of strs, ``violations`` a tuple of
+    is numerator/denominator, and None (not 0, not 1) unless Ok. ``check_id``
+    is a str, ``kind`` a ``CheckKind``, ``stage`` a ``Stage`` or None,
+    ``subset`` and ``error`` strs or None, each count an int, each numerator
+    (overall and per stratum) in ``0..denominator``, the strata sum to the
+    counts, ``target_fields`` a tuple of strs, ``violations`` a tuple of
     (row, reason) pairs whose rows are distinct ints ascending from 0 and
     whose reasons are strs, ``details`` reads back equal from JSON, and an
     errored outcome holds no measurement. What ``outcomes_to_json`` must
@@ -147,6 +169,8 @@ class CheckOutcome:
     error: str | None = None
 
     def __post_init__(self) -> None:
+        _check_types(self, {"check_id": _STRING, "kind": _KIND, "stage": _STAGE,
+                            "subset": _OPTIONAL_STRING, "error": _OPTIONAL_STRING})
         for key in ("target_fields", "violations"):
             if type(value := getattr(self, key)) is not tuple:
                 raise SchemaViolation(f"{key} must be a tuple, got {type(value).__name__}")
@@ -304,7 +328,7 @@ def _required_rows(snapshot: DatasetSnapshot, field_name: str) -> Rows:
 def _subset_rows(snapshot: DatasetSnapshot, field_name: str, subset: Predicate | str) -> Rows:
     if subset == WHERE_REQUIRED:
         return _required_rows(snapshot, field_name)
-    if isinstance(subset, str):
+    if not isinstance(subset, Predicate):
         raise MissingConfig(f"unknown subset token {subset!r}")
     return _rows_where(snapshot, subset)
 
@@ -625,12 +649,8 @@ def _degeneracy_by_actor(
         if flag is not None:
             failing.update(dict.fromkeys(rows, f"{sid}: {flag.value}"))
         strata[sid] = StratumOutcome(0, 1) if flag is None else StratumOutcome(1, 1, (flag,))
-    details = {
-        "min_records": min_records,
-        "max_dominant_share": str(max_dominant_share),
-        "flagged_actors": per_actor_detail,
-    }
-    return strata, failing, details
+    details = {"min_records": min_records, "max_dominant_share": str(max_dominant_share)}
+    return strata, failing, {**details, "flagged_actors": per_actor_detail}
 
 
 # --- config readers: each returns the value to use or raises SchemaViolation --
@@ -660,7 +680,9 @@ def _read_bound(value: Any, where: str) -> Any:
 def _read_share(value: Any, where: str) -> Fraction:
     if isinstance(value, (int, float, str, Fraction)) and not isinstance(value, bool):
         try:
-            return Fraction(str(value))
+            share = Fraction(str(value))
+            str(share)  # a share the details cannot print, such as 1e5000, raises here
+            return share
         except (ValueError, ZeroDivisionError):
             pass
     raise SchemaViolation(f"{where} must be a number, got {value!r}")
@@ -808,15 +830,10 @@ def run_suite(definitions: list[CheckDefinition], snapshots: Snapshots) -> list[
         try:
             outcomes.append(run_check(definition, snapshots))
         except DqError as e:
-            outcomes.append(
-                CheckOutcome(
-                    check_id=definition.id,
-                    kind=definition.kind,
-                    target_fields=definition.target_fields,
-                    stage=definition.stage,
-                    error=f"{type(e).__name__}: {e}",
-                )
-            )
+            outcomes.append(CheckOutcome(
+                check_id=definition.id, kind=definition.kind, target_fields=tuple(definition.target_fields),
+                stage=definition.stage, error=f"{type(e).__name__}: {e}",
+            ))
     return outcomes
 
 
@@ -938,10 +955,19 @@ def outcome_to_dict(outcome: CheckOutcome) -> dict[str, Any]:
     return {**_outcome_fields(outcome), "violations": [list(v) for v in outcome.violations]}
 
 
+def _as_is(value: Any, where: str) -> Any:
+    """The value as JSON decoded it, for ``CheckOutcome`` to judge."""
+    return value
+
+
+def _tuples(value: Any, where: str) -> Any:
+    """A list as a tuple, and each list in it too, as ``CheckOutcome``
+    holds target fields and violations; any other value as it is."""
+    return tuple(tuple(v) if type(v) is list else v for v in value) if type(value) is list else value
+
+
 _STRATUM_READERS: dict[str, Reader] = {
-    "numerator": read_int,
-    "denominator": read_int,
-    "flags": list_of(read_enum(DegeneracyFlag)),
+    **dict.fromkeys(("numerator", "denominator"), _as_is), "flags": list_of(read_enum(DegeneracyFlag))
 }
 
 
@@ -952,32 +978,17 @@ def _read_strata(value: Any, where: str) -> dict[str, StratumOutcome]:
     }
 
 
-def _read_violation(value: Any, where: str) -> tuple[int, str]:
-    """A ``[row, reason]`` pair: an int and a string, as ``CheckOutcome``
-    holds them and ``_violations_json`` writes them."""
-    if isinstance(value, list) and len(value) == 2:
-        return read_int(value[0], f"{where}[0]"), read_str(value[1], f"{where}[1]")
-    raise SchemaViolation(f"{where} must be a [row, reason] pair")
-
-
 #: The keys ``outcome_to_dict`` writes from what an outcome derives.
 _DERIVED = ("parameter", "status", "rate")
 
-#: The reader of each key ``outcome_to_dict`` writes: the outcome's
-#: attributes, and the derived keys, which are read as written.
+#: The reader of each key ``outcome_to_dict`` writes. It only decodes:
+#: ``CheckOutcome`` judges the values; the derived keys are read as written.
 _OUTCOME_READERS: dict[str, Reader] = {
-    "check_id": read_str,
+    **dict.fromkeys(("check_id", "numerator", "denominator", "subset", "details", "error", *_DERIVED), _as_is),
     "kind": read_enum(CheckKind),
-    "numerator": read_int,
-    "denominator": read_int,
-    "target_fields": list_of(read_str),
     "stage": nullable(read_enum(Stage)),
-    "subset": nullable(read_str),
     "strata": nullable(_read_strata),
-    "violations": list_of(_read_violation),
-    "details": read_dict,
-    "error": nullable(read_str),
-    **dict.fromkeys(_DERIVED, lambda value, where: value),
+    **dict.fromkeys(("target_fields", "violations"), _tuples),
 }
 
 

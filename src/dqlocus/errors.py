@@ -168,7 +168,7 @@ def read_object(
     is optional and, when absent, stays absent."""
     unknown = read_dict(doc, where).keys() - readers.keys()
     if unknown:
-        raise SchemaViolation(f"{where} must not have the keys {sorted(unknown)}")
+        raise SchemaViolation(f"{where} must not have the keys {sorted(unknown, key=str)}")
     for key in required:
         if key not in doc:
             raise SchemaViolation(f"{where}.{key} must be given")

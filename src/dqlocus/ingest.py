@@ -22,7 +22,7 @@ from datetime import date, datetime, timezone
 from enum import Enum
 from functools import cached_property
 from itertools import chain, islice, repeat
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     DanglingColumnReference,
@@ -345,16 +345,17 @@ def _nones(values: list[Any]) -> Iterator[int]:
 
 class _ColumnBuilder:
     """One column's typed values, missing rows and coercion failures,
-    appended a chunk of raw cells at a time with the coercer of its type.
-    A Timestamp's values go into one ``array('q')`` with ``blank`` (0) at
-    absent rows, any other's into a list with ``blank`` (None) there.
+    appended a chunk of raw cells at a time. ``judge`` is the one rule
+    that gives a cell its value: None for a sentinel (missing) or a text
+    its type's coercer rejects (failed). A Timestamp's values go into one
+    ``array('q')`` with ``blank`` (0) at absent rows, any other's into a
+    list with ``blank`` (None) there.
 
     While a column's texts repeat, ``table`` maps each text seen to its
-    value: each distinct text is judged once (a sentinel or a text that
-    fails coercion maps to None, and ``absent`` holds it), and every cell
-    that holds it shares the one value object. At the first chunk after
-    which the column has more distinct texts than half its cells, the
-    table is dropped and each cell is judged on its own from then on."""
+    value: each distinct text is judged once, and every cell that holds it
+    shares the one value object. At the first chunk after which the
+    column has more distinct texts than half its cells, the table is
+    dropped and each cell is judged on its own from then on."""
 
     def __init__(self, semantic: SemanticType, sentinels: frozenset[str]) -> None:
         self.coerce = COERCERS.get(semantic)
@@ -365,64 +366,39 @@ class _ColumnBuilder:
         self.missing: list[int] = []
         self.failures: list[tuple[int, str]] = []
         self.table: dict[str, Any] | None = {}
-        self.absent: set[str] = set()
+
+    def judge(self, cells: Iterable[str]) -> list[Any]:
+        """The value of each cell, or None where it is a sentinel (tested
+        first: a sentinel may look typed) or its type's coercer rejects it."""
+        coerce = self.coerce
+        values = [None if raw in self.sentinels else raw for raw in cells]
+        if coerce is not None:
+            for i, raw in enumerate(values):
+                if raw is not None:
+                    try:
+                        values[i] = coerce(raw)
+                    except (ValueError, OverflowError):  # overflow: an offset at datetime's range edge
+                        values[i] = None
+        return values
 
     def extend(self, cells: Sequence[str], first_row: int) -> None:
-        if self.table is not None and self._share(self.table, cells, first_row):
-            return
-        sentinels, coerce, blank = self.sentinels, self.coerce, self.blank
-        if coerce is None:
-            missing = [i for i, raw in enumerate(cells, first_row) if raw in sentinels]
-            self.values += cells
-            for i in missing:
-                self.values[i] = None
-            self.missing += missing
-            return
-        append = self.values.append
-        for i, raw in enumerate(cells, first_row):
-            if raw in sentinels:  # before parsing: a sentinel may look typed
-                append(blank)
-                self.missing.append(i)
-                continue
-            try:
-                append(coerce(raw))
-            except (ValueError, OverflowError):  # overflow: an offset at datetime's range edge
-                append(blank)
-                self.failures.append((i, raw))
-
-    def _share(self, table: dict[str, Any], cells: Sequence[str], first_row: int) -> bool:
-        """Append ``cells`` through ``table``, or drop it and return False
-        if the column's texts no longer repeat."""
-        absent, sentinels, coerce = self.absent, self.sentinels, self.coerce
-        texts = set(cells)
-        new = texts.difference(table)
-        if 2 * (len(table) + len(new)) > len(self.values) + len(cells):
-            self.table = None
-            self.absent = set()
-            return False
-        for raw in new:
-            if raw in sentinels:  # before parsing: a sentinel may look typed
-                value = None
+        table = self.table
+        if table is not None:
+            new = set(cells).difference(table)
+            if 2 * (len(table) + len(new)) > len(self.values) + len(cells):  # the texts no longer repeat
+                self.table = table = None
             else:
-                try:
-                    value = raw if coerce is None else coerce(raw)
-                except (ValueError, OverflowError):
-                    value = None
-            table[raw] = value
-            if value is None:
-                absent.add(raw)
-        values = list(map(table.__getitem__, cells))
-        if not absent.isdisjoint(texts):
-            for i in _nones(values):
-                values[i] = self.blank
-                if (raw := cells[i]) in sentinels:
-                    self.missing.append(first_row + i)
-                else:
-                    self.failures.append((first_row + i, raw))
+                table.update(zip(new, self.judge(new)))
+        values = self.judge(cells) if table is None else list(map(table.__getitem__, cells))
+        for i in _nones(values):
+            values[i] = self.blank
+            if (raw := cells[i]) in self.sentinels:
+                self.missing.append(first_row + i)
+            else:
+                self.failures.append((first_row + i, raw))
         # an array built from the list at once: extending one by a list
         # converts each int about twice as slowly
         self.values += array("q", values) if type(self.values) is array else values
-        return True
 
     def build(self) -> Column:
         values = self.values

@@ -10,6 +10,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 from dqlocus.assess import (
     CHECK_KINDS,
@@ -614,6 +616,9 @@ def one_row():
 CONFIG_ERRORS = [
     (CheckKind.COMPLETENESS, ("code",), {"subset": "everywhere"}, lambda: Snapshots(source=keyed()),
      "MissingConfig: unknown subset token 'everywhere'"),
+    # a subset of neither kind is an unknown token too, not a stray AttributeError
+    (CheckKind.COMPLETENESS, ("code",), {"subset": 5}, lambda: Snapshots(source=keyed()),
+     "MissingConfig: unknown subset token 5"),
     (CheckKind.COMPLETENESS, ("nope",), {}, lambda: Snapshots(source=keyed()),
      "UnknownField: field 'nope' is not in manifest 't'"),
     (CheckKind.CONFORMANCE_FORMAT, ("side",), {}, lambda: Snapshots(source=one_row()),
@@ -643,6 +648,146 @@ def test_each_config_error_names_its_class_and_cause(kind, fields, keys, snapsho
     definition = CheckDefinition(id="c", kind=kind, target_fields=fields, **keys)
     outcome, = run_suite([definition], snapshots())
     assert (outcome.status, outcome.error) == (CheckStatus.ERRORED, error)
+
+
+# --- hand-built definitions ------------------------------------------------------
+
+def test_an_errored_check_of_listed_target_fields_holds_them_as_a_tuple():
+    definition = CheckDefinition("c", CheckKind.COMPLETENESS, ["nope"])
+    outcome, = run_suite([definition], Snapshots(source=keyed()))
+    assert (outcome.status, outcome.target_fields) == (CheckStatus.ERRORED, ("nope",))
+    assert outcome.error == "UnknownField: field 'nope' is not in manifest 't'"
+    assert outcomes_from_json(outcomes_to_json([outcome])) == [outcome]
+
+
+@pytest.mark.parametrize("attributes, message", [
+    (dict(id=1), "id must be a string, got 1"),
+    (dict(kind="Completeness"), "kind must be a CheckKind, got 'Completeness'"),
+    (dict(stage="SourceExtract"), "stage must be a Stage or None, got 'SourceExtract'"),
+    (dict(target_fields="code"), "target_fields must be a tuple or list of strings, got 'code'"),
+    (dict(target_fields=("code", 1)), "target_fields must be a tuple or list of strings, got ('code', 1)"),
+], ids=["int-id", "str-kind", "str-stage", "str-target-fields", "int-target-field"])
+def test_a_definition_of_the_wrong_types_does_not_build(attributes, message):
+    with pytest.raises(SchemaViolation) as exc:
+        CheckDefinition(**{"id": "c", "kind": CheckKind.COMPLETENESS, "target_fields": ("code",), **attributes})
+    assert str(exc.value) == message
+
+
+def every_kind_snapshots() -> Snapshots:
+    """A source and a transformed snapshot of one dataset with an actor, a
+    key and every semantic type, some cells missing and some malformed."""
+    rows = {
+        "record_id": ["r0", "r1", "r2", "r3"],
+        "actor_id": ["a", "a", "", "b"],
+        "code": ["A", "", "Z", "B"],
+        "age": ["30", "x", "", "120"],
+        "injury_date": ["2024-01-01", "2024-02-30", "", "2024-03-01"],
+        "visit_date": ["2024-01-02", "2024-01-01", "2024-01-05", ""],
+        "recorded_at": ["2024-01-01T00:00:00", "", "bad", "2024-01-02T00:00:00"],
+        "available_at": ["2024-01-01T01:00:00", "2024-01-01T00:00:00", "", "2024-01-01T00:00:00"],
+    }
+    extra = {"actor_id_column": "actor_id", "key_column": "record_id",
+             "record_timestamp_column": "recorded_at", "availability_timestamp_column": "available_at"}
+    fields = [{"name": "code", "policy_condition": {"field": "actor_id", "values": ["a"]}}]
+    source = make_snapshot(rows, manifest_extra=extra, fields_extra=fields)
+    transformed = make_snapshot(dict(rows, code=["A", "B", "", ""]), manifest_extra=extra, fields_extra=fields,
+                                stage="TransformedExtract")
+    return Snapshots(source=source, transformed=transformed)
+
+
+EVERY_KIND = every_kind_snapshots()
+
+
+@pytest.mark.parametrize("share", ["1e5000", "1e-5000"])
+def test_a_dominant_share_the_details_cannot_print_is_a_schema_violation(share):
+    """Its numerator or denominator has more digits than Python prints."""
+    config = {"max_dominant_share": share}
+    definition = CheckDefinition("c", CheckKind.DEGENERACY_BY_ACTOR, ("code",), stage=Stage.SOURCE, config=config)
+    outcome, = run_suite([definition], EVERY_KIND)
+    message = f"DegeneracyByActor config.max_dominant_share must be a number, got {share!r}"
+    assert outcome.error == f"SchemaViolation: {message}"
+    suite = [{"id": "c", "kind": "DegeneracyByActor", "target_fields": ["code"], "config": config}]
+    with pytest.raises(SchemaViolation, match=re.escape("suite[0].config.max_dominant_share must be a number")):
+        load_suite(json.dumps(suite))
+
+
+NAMES = st.sampled_from([*EVERY_KIND.source.columns, "nope"])
+#: A config value a hand might write: a number, a duration, a date, a share
+#: or none of these.
+CONFIG_VALUE = (
+    st.none() | st.booleans() | st.integers(-5, 10**6) | st.floats() | st.text(max_size=4)
+    | st.sampled_from(["1d", "90s", "2024-01-01", "2024-01-01T00:00:00", "1/2", "0.9", "1e5000", 10**5000])
+)
+
+
+#: Target fields each kind runs on in ``EVERY_KIND``.
+FITTING = {
+    CheckKind.COMPLETENESS: [("code",), ("age",), ("recorded_at",)],
+    CheckKind.CONFORMANCE_VALUE: [("code",)],
+    CheckKind.CONFORMANCE_FORMAT: [("age",), ("injury_date",), ("recorded_at",)],
+    CheckKind.PLAUSIBILITY_RANGE: [("age",)],
+    CheckKind.PLAUSIBILITY_TEMPORAL: [("injury_date", "visit_date"), ("visit_date", "recorded_at")],
+    CheckKind.DEGENERACY_BY_ACTOR: [("code",), ("recorded_at",)],
+    CheckKind.TIMELINESS: [("recorded_at", "available_at")],
+    CheckKind.MAPPING_SUCCESS: [("code",), ("code", "code")],
+}
+#: A config each kind that reads one runs with.
+CONFIGS = {
+    CheckKind.PLAUSIBILITY_RANGE: {"min": 0, "max": 100},
+    CheckKind.DEGENERACY_BY_ACTOR: {"min_records": 1},
+    CheckKind.TIMELINESS: {"max_lag": "1h"},
+}
+
+
+def seldom(draw, usual, odd):
+    """A value of ``usual``, or one time in four a value of ``odd``: with
+    each attribute odd half of the time, few definitions would build."""
+    return draw(odd if draw(st.integers(0, 3)) == 0 else usual)
+
+
+@st.composite
+def hand_built_definition(draw):
+    """``CheckDefinition``'s attributes as a hand might give them: an id that
+    is not a string, a kind's value in place of the kind, target fields in a
+    list or naming no field, a subset that is neither a predicate nor the
+    token, a stage's value in place of the stage, and any config, its keys
+    not all strings."""
+    kind = draw(st.sampled_from(list(CheckKind)))
+    return dict(
+        id=seldom(draw, st.text(max_size=3), st.integers()),
+        kind=seldom(draw, st.just(kind), st.just(kind.value)),
+        target_fields=draw(st.sampled_from([tuple, list]))(
+            seldom(draw, st.sampled_from(FITTING[kind]), st.lists(NAMES, max_size=3))
+        ),
+        subset=seldom(draw, st.none() | st.just(WHERE_REQUIRED) | st.builds(
+            Predicate, NAMES, st.frozensets(st.sampled_from(["a", "A", "30", "2024-01-01"]), min_size=1)
+        ), st.text(max_size=3) | st.integers()),
+        stage=seldom(draw, st.sampled_from(list(Stage)), st.none() | st.sampled_from([s.value for s in Stage])),
+        stratify_by_actor=seldom(draw, st.just(False), st.just(True)),
+        config=seldom(draw, st.just(CONFIGS.get(kind, {})), st.dictionaries(
+            st.sampled_from(["min", "max", "max_lag", "min_records", "max_dominant_share", "other", 1]), CONFIG_VALUE,
+            max_size=3,
+        )),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(attributes=hand_built_definition())
+@example(attributes=dict(id="c", kind=CheckKind.DEGENERACY_BY_ACTOR, target_fields=["code"], stage=Stage.SOURCE,
+                         config={"max_dominant_share": "1e5000"}))
+@example(attributes=dict(id="c", kind=CheckKind.COMPLETENESS, target_fields=("code",), subset=5, stage=Stage.SOURCE))
+@example(attributes=dict(id="c", kind=CheckKind.COMPLETENESS, target_fields=("code",), stage=Stage.SOURCE,
+                         config={1: 2, "other": 3}))
+def test_a_hand_built_definition_is_rejected_or_gives_one_outcome_that_round_trips(attributes):
+    try:
+        definition = CheckDefinition(**attributes)
+    except SchemaViolation:
+        event("rejected")
+        return
+    outcomes = run_suite([definition], EVERY_KIND)
+    assert len(outcomes) == 1
+    event(outcomes[0].status.value)
+    assert outcomes_from_json(outcomes_to_json(outcomes)) == outcomes
 
 
 @pytest.mark.parametrize("max_lag, lags, timely, reasons", [

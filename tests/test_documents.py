@@ -203,6 +203,16 @@ def test_outcomes_of_the_wrong_shape_are_schema_violations(outcomes, message):
     ("kind", "Nope", "outcomes document.outcomes[0].kind must be one of"),
     ("strata", {"x": 1}, "outcomes document.outcomes[0].strata['x'] must be an object"),
     ("numerator", True, "outcomes document.outcomes[0].numerator must be an integer"),
+    # the outcome judges every value the reader does not decode, and the
+    # reader names its path
+    ("check_id", 1, "outcomes document.outcomes[0].check_id must be a string, got 1"),
+    ("subset", 5, "outcomes document.outcomes[0].subset must be a string or None, got 5"),
+    ("error", ["x"], "outcomes document.outcomes[0].error must be a string or None, got ['x']"),
+    ("target_fields", ["code", 1], "outcomes document.outcomes[0].target_fields[1] must be a string, got 1"),
+    ("target_fields", "code", "outcomes document.outcomes[0].target_fields must be a tuple, got str"),
+    ("violations", [[0]], "outcomes document.outcomes[0].violations[0] must be a (row, reason) pair, got (0,)"),
+    ("violations", [[0, 5]], "outcomes document.outcomes[0].violations[0][1] must be a string, got 5"),
+    ("details", [], "outcomes document.outcomes[0].details must be a dict, got list"),
     ("parameter", "Nope", "outcomes document.outcomes[0].parameter must be 'Completeness', got 'Nope'"),
 ])
 def test_an_outcome_value_of_the_wrong_type_is_a_schema_violation(key, value, message):

@@ -285,15 +285,28 @@ def seldom_a_list(draw, items):
     return list(items) if draw(st.integers(0, 9)) == 0 else tuple(items)
 
 
+#: Each identifying attribute with a value of the wrong type: an id, subset
+#: or error that is not a string, or a kind's or a stage's value in place
+#: of the member.
+NOT_A_STRING = st.sampled_from([5, 0.5, b"c", ("c",)])
+MISTYPED = st.sampled_from([
+    ("check_id", NOT_A_STRING | st.none()),
+    ("kind", st.sampled_from([kind.value for kind in CheckKind])),
+    ("stage", st.sampled_from([stage.value for stage in Stage])),
+    ("subset", NOT_A_STRING),
+    ("error", NOT_A_STRING),
+])
+
+
 @st.composite
 def outcome_attributes(draw):
     """``CheckOutcome``'s attributes drawn with no regard to its rules:
     signed counts, bools and floats for counts, strata whatever their
     counts, violation rows unsorted, repeated, bool or float, reasons that
     are not strings, violations that are no pair, lists where tuples
-    belong, details that JSON does not read back equal, and an optional
-    error."""
-    return dict(
+    belong, details that JSON does not read back equal, an optional error,
+    and one time in four one identifying attribute of the wrong type."""
+    attributes = dict(
         check_id=draw(TEXT),
         kind=draw(st.sampled_from(list(CheckKind))),
         numerator=draw(default_or(0, COUNT)),
@@ -309,6 +322,10 @@ def outcome_attributes(draw):
                                 | st.dictionaries(TEXT, json_values(NOT_JSON), min_size=1, max_size=2))),
         error=draw(st.none() | TEXT),
     )
+    if draw(st.integers(0, 3)) == 0:
+        key, values = draw(MISTYPED)
+        attributes[key] = draw(values)
+    return attributes
 
 
 @settings(max_examples=500, deadline=None)
@@ -376,16 +393,30 @@ def nested(depth):
      f"violations[1][0] must be an integer of at most {DIGITS} digits"),
     (dict(details={"t": [1, {"u": -TOO_LONG}]}), f"details['t'][1]['u'] must be an integer of at most {DIGITS} digits"),
     (dict(details={"t": nested(3000)}), f"details['t']{'[0]' * 99} must nest lists and dicts at most 100 deep"),
+    (dict(subset=5), "subset must be a string or None, got 5"),
+    (dict(error=b"x"), "error must be a string or None, got b'x'"),
+    (dict(stage="SourceExtract"), "stage must be a Stage or None, got 'SourceExtract'"),
 ], ids=["numerator-over-denominator", "negative-numerator", "stratum-numerator-over-denominator",
         "strata-do-not-sum", "rows-out-of-order", "errored-with-counts", "bool-count", "float-stratum-count",
         "bool-row", "nan-row", "int-reason", "violation-not-a-pair", "violations-list", "target-fields-list",
         "int-target-field", "details-tuple", "details-int-key", "details-nested-int-key", "details-fraction",
         "details-nan", "details-infinity", "details-list", "numerator-too-many-digits",
         "denominator-too-many-digits", "stratum-count-too-many-digits", "row-too-many-digits",
-        "details-int-too-many-digits", "details-too-deep"])
+        "details-int-too-many-digits", "details-too-deep", "int-subset", "bytes-error", "str-stage"])
 def test_an_outcome_that_breaks_a_rule_does_not_build(attributes, message):
     with pytest.raises(SchemaViolation) as exc:
         CheckOutcome("c", CheckKind.TIMELINESS, **attributes)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("check_id, kind, message", [
+    (1, CheckKind.COMPLETENESS, "check_id must be a string, got 1"),
+    (None, CheckKind.COMPLETENESS, "check_id must be a string, got None"),
+    ("c", "Completeness", "kind must be a CheckKind, got 'Completeness'"),
+], ids=["int-check-id", "none-check-id", "str-kind"])
+def test_an_outcome_whose_id_or_kind_is_of_the_wrong_type_does_not_build(check_id, kind, message):
+    with pytest.raises(SchemaViolation) as exc:
+        CheckOutcome(check_id, kind)
     assert str(exc.value) == message
 
 
