@@ -42,10 +42,12 @@ from .errors import (
     Reader,
     SchemaViolation,
     StageMismatch,
+    dict_of,
     list_of,
     load_json,
     non_empty,
     nullable,
+    object_of,
     read_bool,
     read_dict,
     read_enum,
@@ -148,12 +150,12 @@ class CheckOutcome:
     (overall and per stratum) in ``0..denominator``, the strata sum to the
     counts, ``target_fields`` a tuple of strs, ``violations`` a tuple of
     (row, reason) pairs whose rows are distinct ints ascending from 0 and
-    whose reasons are strs, ``details`` reads back equal from JSON, and an
-    errored outcome holds no measurement. What ``outcomes_to_json`` must
-    write it can: no int (count, row or detail) has more digits than
-    Python prints (``sys.get_int_max_str_digits()``), and ``details``
-    nests lists and dicts at most ``_MAX_DEPTH`` deep. Breaking a rule
-    raises SchemaViolation naming the attribute.
+    whose reasons are strs, ``details`` a dict that its kind's
+    ``KindSpec.details`` table reads, and an errored outcome holds no
+    measurement. What ``outcomes_to_json`` must write it can: no int
+    (count, row or detail) has more digits than Python prints
+    (``sys.get_int_max_str_digits()``). Breaking a rule raises
+    SchemaViolation naming the attribute.
     """
 
     check_id: str
@@ -171,26 +173,21 @@ class CheckOutcome:
     def __post_init__(self) -> None:
         _check_types(self, {"check_id": _STRING, "kind": _KIND, "stage": _STAGE,
                             "subset": _OPTIONAL_STRING, "error": _OPTIONAL_STRING})
-        for key in ("target_fields", "violations"):
-            if type(value := getattr(self, key)) is not tuple:
-                raise SchemaViolation(f"{key} must be a tuple, got {type(value).__name__}")
+        for key, container in (("target_fields", tuple), ("violations", tuple), ("details", dict)):
+            if type(value := getattr(self, key)) is not container:
+                raise SchemaViolation(f"{key} must be a {container.__name__}, got {type(value).__name__}")
         for i, name in enumerate(self.target_fields):
             if type(name) is not str:
                 raise SchemaViolation(f"target_fields[{i}] must be a string, got {name!r}")
-        if type(self.details) is not dict:
-            raise SchemaViolation(f"details must be a dict, got {type(self.details).__name__}")
-        digits = sys.get_int_max_str_digits()
-        _check_json_native(self.details, "details", digits)
         if self.error is not None:
             for key, empty in _ERRORED.items():
                 if (value := getattr(self, key)) != empty:
                     raise SchemaViolation(f"{key} must be {empty!r} in an errored outcome, got {value!r}")
+        read_object(self.details, CHECK_KINDS[self.kind].details, "details")
         strata = self.strata or {}
         for counts, at in [(self, ""), *((s, f"strata[{sid!r}].") for sid, s in strata.items())]:
             for key in ("numerator", "denominator"):
-                if type(value := getattr(counts, key)) is not int:  # not a bool
-                    raise SchemaViolation(f"{at}{key} must be an integer, got {value!r}")
-                _check_digits(value, f"{at}{key}", digits)
+                _read_printable_int(getattr(counts, key), f"{at}{key}")
             if not 0 <= counts.numerator <= counts.denominator:
                 raise SchemaViolation(
                     f"{at}numerator must be from 0 to the denominator {counts.denominator}, got {counts.numerator}"
@@ -214,7 +211,7 @@ class CheckOutcome:
                 raise SchemaViolation(f"violations[{i}][0] must be above {before}: rows ascend from 0, got {row}")
             before = row
         if self.violations:  # the last row is the largest
-            _check_digits(before, f"violations[{len(self.violations) - 1}][0]", digits)
+            _read_printable_int(before, f"violations[{len(self.violations) - 1}][0]")
 
     @property
     def status(self) -> CheckStatus:
@@ -231,50 +228,17 @@ class CheckOutcome:
         return Fraction(self.numerator, self.denominator) if self.status is CheckStatus.OK else None
 
 
-#: The types of the JSON values that read back as themselves and equal.
-_JSON_SCALARS = (str, int, float, bool, type(None))
-
-#: How deep ``details`` may nest lists and dicts, itself at depth 1: far
-#: deeper than any check writes, and shallow enough that the recursive
-#: encoder ``outcomes_to_json`` writes them with stays within Python's
-#: recursion limit.
-_MAX_DEPTH = 100
-
-
-def _check_digits(value: int, where: str, digits: int) -> None:
-    """Raise SchemaViolation naming ``where`` if ``value`` has more than
-    ``digits`` decimal digits (0: no limit), which Python will not print."""
+def _read_printable_int(value: Any, where: str) -> int:
+    """``value``, or SchemaViolation naming ``where`` unless it is an int
+    (not a bool) of at most the decimal digits Python prints
+    (``sys.get_int_max_str_digits()``, 0: no limit)."""
+    if type(value) is not int:
+        raise SchemaViolation(f"{where} must be an integer, got {value!r}")
+    digits = sys.get_int_max_str_digits()
     # an int of up to 3 * digits bits has fewer than digits digits
     if digits and value.bit_length() > 3 * digits and abs(value) >= 10**digits:
         raise SchemaViolation(f"{where} must be an integer of at most {digits} digits")
-
-
-def _check_json_native(value: Any, where: str, digits: int) -> None:
-    """Raise SchemaViolation, naming the path such as ``details['t'][0]``,
-    unless ``value`` reads back equal from JSON and ``outcomes_to_json``
-    can write it: a dict with str keys, a list, a str, an int of at most
-    ``digits`` digits, a finite float, a bool or None, all the way down,
-    nested at most ``_MAX_DEPTH`` deep. The walk keeps its own stack."""
-    pending = [(value, where, 1)]
-    while pending:
-        value, where, depth = pending.pop()
-        kind = type(value)
-        if kind is dict or kind is list:
-            if depth > _MAX_DEPTH:
-                raise SchemaViolation(f"{where} must nest lists and dicts at most {_MAX_DEPTH} deep")
-            if kind is list:
-                pending += ((item, f"{where}[{i}]", depth + 1) for i, item in enumerate(value))
-                continue
-            for key, item in value.items():
-                if type(key) is not str:
-                    raise SchemaViolation(f"{where} must have string keys, got {key!r}")
-                pending.append((item, f"{where}[{key!r}]", depth + 1))
-        elif kind is int:
-            _check_digits(value, where, digits)
-        elif kind not in _JSON_SCALARS or kind is float and not math.isfinite(value):
-            raise SchemaViolation(
-                f"{where} must be a string, a finite number, a boolean, None, a list or a dict, got {value!r}"
-            )
+    return value
 
 
 #: What ``run_suite`` holds in an errored outcome: nothing was measured.
@@ -653,7 +617,7 @@ def _degeneracy_by_actor(
     return strata, failing, {**details, "flagged_actors": per_actor_detail}
 
 
-# --- config readers: each returns the value to use or raises SchemaViolation --
+# --- config and details readers: each returns the value or raises SchemaViolation --
 
 _DURATION_RE = re.compile(r"(\d+)([smhd])")
 _DURATION_UNIT = {"s": 1, "m": 60, "h": 3600, "d": 86400}
@@ -688,6 +652,17 @@ def _read_share(value: Any, where: str) -> Fraction:
     raise SchemaViolation(f"{where} must be a number, got {value!r}")
 
 
+def _read_seconds(value: Any, where: str) -> float:
+    if type(value) is float and math.isfinite(value):
+        return value
+    raise SchemaViolation(f"{where} must be a finite float, got {value!r}")
+
+
+#: Timeliness's ``lag_seconds`` and DegeneracyByActor's ``flagged_actors``.
+_read_lags = object_of(dict.fromkeys(("min", "median", "max"), _read_seconds))
+_read_flagged = dict_of(object_of(dict.fromkeys(("dominant_value", "share"), read_str)))
+
+
 # --- the kind table and the evaluator ----------------------------------------
 
 @dataclass(frozen=True)
@@ -698,36 +673,45 @@ class KindSpec:
     ``LABEL_PARAMETERS`` it names the Kahn et al. 2016 parameter every
     outcome of the kind carries. ``arity`` lists the allowed numbers of
     target fields; ``config`` maps each config key the kind reads to its
-    reader. A row kind has ``rows``; DegeneracyByActor has ``strata``
-    instead. A ``paired`` kind reads both snapshots. Row kinds that are
-    not paired honour ``subset`` and ``stratify_by_actor``; the others
-    reject them.
+    reader, and ``details`` each key its outcomes' details may hold to
+    the reader ``CheckOutcome`` checks the value with (none: ``{}``). A
+    row kind has ``rows``; DegeneracyByActor has ``strata`` instead. A
+    ``paired`` kind reads both snapshots. Row kinds that are not paired
+    honour ``subset`` and ``stratify_by_actor``; the others reject them.
     """
 
     label: str
     arity: tuple[int, ...]
     config: dict[str, Reader]
+    details: dict[str, Reader] = field(default_factory=dict)
     rows: Callable[..., RowCheck] | None = None
     strata: Callable[..., StrataCheck] | None = None
     paired: bool = False
 
 
 CHECK_KINDS: dict[CheckKind, KindSpec] = {
-    CheckKind.COMPLETENESS: KindSpec("Completeness", (1,), {}, rows=_completeness),
+    CheckKind.COMPLETENESS: KindSpec(
+        "Completeness", (1,), {}, {"policy_explained": read_bool, "policy_text": read_str}, rows=_completeness
+    ),
     CheckKind.CONFORMANCE_VALUE: KindSpec("Conformance", (1,), {}, rows=_conformance_value),
     CheckKind.CONFORMANCE_FORMAT: KindSpec("Conformance", (1,), {}, rows=_conformance_format),
     CheckKind.PLAUSIBILITY_RANGE: KindSpec(
-        "Plausibility", (1,), {"min": _read_bound, "max": _read_bound}, rows=_plausibility_range
+        "Plausibility", (1,), {"min": _read_bound, "max": _read_bound}, dict.fromkeys(("min", "max"), read_str),
+        rows=_plausibility_range,
     ),
     CheckKind.PLAUSIBILITY_TEMPORAL: KindSpec("Plausibility", (2,), {}, rows=_plausibility_temporal),
     CheckKind.DEGENERACY_BY_ACTOR: KindSpec(
-        "Plausibility",
-        (1,),
-        {"min_records": read_int, "max_dominant_share": _read_share},
+        "Plausibility", (1,), {"min_records": read_int, "max_dominant_share": _read_share},
+        {"min_records": _read_printable_int, "max_dominant_share": read_str, "flagged_actors": _read_flagged},
         strata=_degeneracy_by_actor,
     ),
-    CheckKind.TIMELINESS: KindSpec("Timeliness", (2,), {"max_lag": parse_duration}, rows=_timeliness),
-    CheckKind.MAPPING_SUCCESS: KindSpec("Mapping", (1, 2), {}, rows=_mapping_success, paired=True),
+    CheckKind.TIMELINESS: KindSpec(
+        "Timeliness", (2,), {"max_lag": parse_duration}, {"max_lag_seconds": _read_seconds, "lag_seconds": _read_lags},
+        rows=_timeliness,
+    ),
+    CheckKind.MAPPING_SUCCESS: KindSpec(
+        "Mapping", (1, 2), {}, {"key_column": read_str}, rows=_mapping_success, paired=True
+    ),
 }
 
 
@@ -969,13 +953,7 @@ def _tuples(value: Any, where: str) -> Any:
 _STRATUM_READERS: dict[str, Reader] = {
     **dict.fromkeys(("numerator", "denominator"), _as_is), "flags": list_of(read_enum(DegeneracyFlag))
 }
-
-
-def _read_strata(value: Any, where: str) -> dict[str, StratumOutcome]:
-    return {
-        sid: StratumOutcome(**read_object(s, _STRATUM_READERS, f"{where}[{sid!r}]", tuple(_STRATUM_READERS)))
-        for sid, s in read_dict(value, where).items()
-    }
+_read_strata = dict_of(object_of(_STRATUM_READERS, StratumOutcome))
 
 
 #: The keys ``outcome_to_dict`` writes from what an outcome derives.

@@ -200,6 +200,20 @@ def read_dict(value: Any, where: str) -> dict[str, Any]:
     raise SchemaViolation(f"{where} must be an object")
 
 
+def dict_of(reader: Reader) -> Reader:
+    """Reader of a JSON object of string keys whose values ``reader`` reads at ``<where>['key']``."""
+    def read(value: Any, where: str) -> dict[str, Any]:
+        if keys := [key for key in read_dict(value, where) if not isinstance(key, str)]:
+            raise SchemaViolation(f"{where} must have string keys, got {keys[0]!r}")
+        return {key: reader(item, f"{where}[{key!r}]") for key, item in value.items()}
+    return read
+
+
+def object_of(readers: dict[str, Reader], into: Callable[..., Any] = dict) -> Reader:
+    """Reader of a JSON object of every key of ``readers`` and no other, built by ``into``."""
+    return lambda value, where: into(**read_object(value, readers, where, tuple(readers)))
+
+
 def read_enum(cls: type[Enum]) -> Reader:
     """Reader of the value of one of ``cls``'s members."""
     def read(value: Any, where: str) -> Any:

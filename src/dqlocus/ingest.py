@@ -36,6 +36,7 @@ from .errors import (
     load_json,
     non_empty,
     nullable,
+    object_of,
     read_bool,
     read_enum,
     read_object,
@@ -69,10 +70,17 @@ class Stage(str, Enum):
 @dataclass(frozen=True)
 class Predicate:
     """Rows where ``field`` takes one of ``values``: where a field is
-    required (its policy condition), or the rows a check keeps (its subset)."""
+    required (its policy condition), or the rows a check keeps (its subset).
+    A str ``field`` and a non-empty frozenset of str ``values``, else SchemaViolation."""
 
     field: str
     values: frozenset[str]
+
+    def __post_init__(self) -> None:
+        if type(self.field) is not str:
+            raise SchemaViolation(f"field must be a string, got {self.field!r}")
+        if type(self.values) is not frozenset or not self.values or not {str}.issuperset(map(type, self.values)):
+            raise SchemaViolation(f"values must be a non-empty frozenset of strings, got {self.values!r}")
 
     def __str__(self) -> str:
         """``field = v`` for one value, ``field in [a, b]`` for more."""
@@ -258,9 +266,7 @@ PREDICATE_READERS: dict[str, Reader] = {
     "values": non_empty(list_of(read_str, frozenset)),
 }
 
-
-def read_predicate(value: Any, where: str) -> Predicate:
-    return Predicate(**read_object(value, PREDICATE_READERS, where, ("field", "values")))
+read_predicate: Reader = object_of(PREDICATE_READERS, Predicate)
 
 
 _FIELD_READERS: dict[str, Reader] = {

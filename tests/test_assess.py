@@ -475,10 +475,12 @@ def test_every_row_kind_honours_subset_and_strata(kind, fields, config):
         assert sum(s.denominator for s in p.strata.values()) == p.denominator
 
 
-def test_every_kind_writes_details_that_read_back_equal_from_json():
-    """``CheckOutcome`` rejects details that JSON does not read back equal,
-    so each kind, with its details at their fullest (a policy text, lag
-    seconds, flagged actors), must write JSON-native ones."""
+def test_every_key_of_every_details_table_is_written_by_some_check():
+    """``CheckOutcome`` checks its details against its kind's
+    ``KindSpec.details`` table, so every outcome these checks give builds,
+    and each kind, with its details at their fullest (a policy text, lag
+    seconds, flagged actors), writes every key its table lists: the table
+    lists exactly what the kinds write."""
     mixed = mixed_snapshot()
     policy = make_snapshot(
         {"billable": ["Y", "Y", "N", "N"], "code": ["A", "", "", "B"]},
@@ -491,11 +493,12 @@ def test_every_kind_writes_details_that_read_back_equal_from_json():
         check(mixed, CheckKind.DEGENERACY_BY_ACTOR, "recorded_at", min_records=1, max_dominant_share="1/2"),
         check(source, CheckKind.MAPPING_SUCCESS, "code", transformed=transformed),
     ]
-    assert {o.kind for o in outcomes} == set(CheckKind)
-    assert {"policy_text", "lag_seconds", "flagged_actors"} <= {key for o in outcomes for key in o.details}
-    assert any(o.details.get("flagged_actors") for o in outcomes)
+    assert all(o.status is not CheckStatus.ERRORED for o in outcomes), [o.error for o in outcomes]
+    written = {kind: set() for kind in CheckKind}
     for o in outcomes:
-        assert json.loads(json.dumps(o.details, allow_nan=False)) == o.details, o.kind
+        written[o.kind] |= o.details.keys()
+    assert written == {kind: set(spec.details) for kind, spec in CHECK_KINDS.items()}
+    assert any(o.details.get("flagged_actors") for o in outcomes)
 
 
 @pytest.mark.parametrize("kind", [CheckKind.MAPPING_SUCCESS, CheckKind.DEGENERACY_BY_ACTOR])
@@ -670,6 +673,21 @@ def test_an_errored_check_of_listed_target_fields_holds_them_as_a_tuple():
 def test_a_definition_of_the_wrong_types_does_not_build(attributes, message):
     with pytest.raises(SchemaViolation) as exc:
         CheckDefinition(**{"id": "c", "kind": CheckKind.COMPLETENESS, "target_fields": ("code",), **attributes})
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("field, values, message", [
+    ("code", frozenset({1, 2}), "values must be a non-empty frozenset of strings, got frozenset({1, 2})"),
+    (["code"], frozenset({"A"}), "field must be a string, got ['code']"),
+    ("code", "AB", "values must be a non-empty frozenset of strings, got 'AB'"),
+    ("code", frozenset(), "values must be a non-empty frozenset of strings, got frozenset()"),
+], ids=["int-values", "list-field", "str-values", "no-values"])
+def test_a_predicate_of_the_wrong_types_does_not_build(field, values, message):
+    """Each of these once reached ``run_suite`` as a Completeness subset:
+    int values and a list field raised a stray TypeError there, and a str
+    of values or no values ran as ``code in [A, B]`` and ``code in []``."""
+    with pytest.raises(SchemaViolation) as exc:
+        CheckDefinition("c", CheckKind.COMPLETENESS, ("code",), subset=Predicate(field, values), stage=Stage.SOURCE)
     assert str(exc.value) == message
 
 

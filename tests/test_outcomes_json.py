@@ -22,6 +22,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from dqlocus.assess import (
+    CHECK_KINDS,
     CheckKind,
     CheckOutcome,
     CheckStatus,
@@ -42,23 +43,70 @@ AWKWARD = ['"', "\\", "\n", "\r\n", "\x00", "\x1f", "\t", "]\n[", ",\n", " ", 
 TEXT = st.text(max_size=12) | st.sampled_from(AWKWARD)
 
 
-#: Values that JSON does not read back equal, and that ``CheckOutcome``
-#: rejects in its details: a tuple, a Fraction, a NaN (unequal to itself),
-#: an infinity (no JSON number) and a dict with a key that is not a string.
-NOT_JSON = st.sampled_from([(1, 2), Fraction(1, 2), float("nan"), float("inf"), float("-inf"), {1: "x"}])
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
-def json_values(extra=st.nothing()):
-    """JSON values that read back equal, with ``extra`` among the leaves."""
-    leaves = (
-        st.none() | st.booleans() | st.integers()
-        | st.floats(allow_nan=False, allow_infinity=False) | TEXT | extra
-    )
+def json_values():
+    """JSON values that read back equal."""
     return st.recursive(
-        leaves,
+        st.none() | st.booleans() | st.integers() | FINITE | TEXT,
         lambda inner: st.lists(inner, max_size=3) | st.dictionaries(TEXT, inner, max_size=3),
         max_leaves=12,
     )
+
+
+#: Each kind's details, key by key, as its ``KindSpec.details`` table
+#: reads them: a nested object has every key it lists.
+DETAIL_VALUES = {
+    CheckKind.COMPLETENESS: {"policy_explained": st.booleans(), "policy_text": TEXT},
+    CheckKind.CONFORMANCE_VALUE: {},
+    CheckKind.CONFORMANCE_FORMAT: {},
+    CheckKind.PLAUSIBILITY_RANGE: {"min": TEXT, "max": TEXT},
+    CheckKind.PLAUSIBILITY_TEMPORAL: {},
+    CheckKind.DEGENERACY_BY_ACTOR: {
+        "min_records": st.integers(),
+        "max_dominant_share": TEXT,
+        "flagged_actors": st.dictionaries(
+            TEXT, st.fixed_dictionaries({"dominant_value": TEXT, "share": TEXT}), max_size=3
+        ),
+    },
+    CheckKind.TIMELINESS: {
+        "max_lag_seconds": FINITE,
+        "lag_seconds": st.fixed_dictionaries(dict.fromkeys(("min", "median", "max"), FINITE)),
+    },
+    CheckKind.MAPPING_SUCCESS: {"key_column": TEXT},
+}
+TABLE_KEYS = {key for values in DETAIL_VALUES.values() for key in values}
+
+
+def details(kind):
+    """Details of ``kind`` as its table reads them, each key optional."""
+    return st.fixed_dictionaries({}, optional=DETAIL_VALUES[kind])
+
+
+#: Values no details reader takes: a NaN (unequal to itself), an infinity
+#: (no JSON number), a Fraction and a tuple (no JSON value).
+REJECTED = st.sampled_from([float("nan"), float("inf"), float("-inf"), Fraction(1, 2), (1, 2)])
+
+#: Beside those, what the reader of a nested key rejects: an int actor id,
+#: and lags without a median.
+REJECTED_BY_KEY = {
+    "flagged_actors": st.just({1: {"dominant_value": "x", "share": "1"}}),
+    "lag_seconds": st.just({"min": 0.0, "max": 1.0}),
+}
+
+
+@st.composite
+def broken_details(draw, kind):
+    """Details of ``kind`` with a key that no table lists, a str or an int,
+    or with one listed key whose value its reader rejects."""
+    drawn = draw(details(kind))
+    if DETAIL_VALUES[kind] and draw(st.booleans()):
+        key = draw(st.sampled_from(list(DETAIL_VALUES[kind])))
+        drawn[key] = draw(REJECTED | REJECTED_BY_KEY.get(key, st.nothing()))
+    else:
+        drawn[draw(TEXT.filter(lambda key: key not in TABLE_KEYS) | st.integers())] = draw(json_values())
+    return drawn
 
 
 def counts(high: int):
@@ -87,11 +135,13 @@ VIOLATIONS = st.lists(
 def outcome(draw):
     """An outcome whose counts and violation rows keep ``CheckOutcome``'s
     rules, which it checks when built: the strata come first, when there are any, and the
-    totals are summed from them, as ``run_check`` sums them. An errored
-    outcome carries no measurement, as ``run_suite`` writes it."""
+    totals are summed from them, as ``run_check`` sums them. Its details
+    are drawn from its kind's table. An errored outcome carries no
+    measurement, as ``run_suite`` writes it."""
+    kind = draw(st.sampled_from(list(CheckKind)))
     identity = dict(
         check_id=draw(TEXT),
-        kind=draw(st.sampled_from(list(CheckKind))),
+        kind=kind,
         target_fields=draw(st.lists(TEXT, max_size=2).map(tuple)),
         stage=draw(st.none() | st.sampled_from(list(Stage))),
         subset=draw(st.none() | TEXT),
@@ -111,7 +161,7 @@ def outcome(draw):
         denominator=denominator,
         strata=strata,
         violations=draw(VIOLATIONS),
-        details=draw(st.dictionaries(TEXT, json_values(), max_size=4)),
+        details=draw(details(kind)),
     )
 
 
@@ -304,11 +354,13 @@ def outcome_attributes(draw):
     signed counts, bools and floats for counts, strata whatever their
     counts, violation rows unsorted, repeated, bool or float, reasons that
     are not strings, violations that are no pair, lists where tuples
-    belong, details that JSON does not read back equal, an optional error,
-    and one time in four one identifying attribute of the wrong type."""
+    belong, details from the kind's table or one time in four details that
+    no table reads, an optional error, and one time in four one
+    identifying attribute of the wrong type."""
+    kind = draw(st.sampled_from(list(CheckKind)))
     attributes = dict(
         check_id=draw(TEXT),
-        kind=draw(st.sampled_from(list(CheckKind))),
+        kind=kind,
         numerator=draw(default_or(0, COUNT)),
         denominator=draw(default_or(0, COUNT)),
         target_fields=seldom_a_list(draw, draw(st.lists(TEXT, max_size=2))),
@@ -318,8 +370,7 @@ def outcome_attributes(draw):
             TEXT, st.builds(StratumOutcome, COUNT, COUNT, FLAGS), max_size=3
         ))),
         violations=seldom_a_list(draw, draw(default_or((), st.lists(VIOLATION, max_size=4)))),
-        details=draw(default_or({}, st.dictionaries(TEXT, json_values(), max_size=3)
-                                | st.dictionaries(TEXT, json_values(NOT_JSON), min_size=1, max_size=2))),
+        details=draw(default_or({}, broken_details(kind) if draw(st.integers(0, 3)) == 0 else details(kind))),
         error=draw(st.none() | TEXT),
     )
     if draw(st.integers(0, 3)) == 0:
@@ -340,19 +391,24 @@ def test_every_outcome_that_builds_survives_a_json_round_trip(attributes):
     assert outcomes_from_json(outcomes_to_json([o])) == [o]
 
 
-#: What a detail that JSON does not read back equal must be instead.
-JSON_NATIVE = "a string, a finite number, a boolean, None, a list or a dict"
+def test_the_drawn_details_list_the_keys_of_every_kinds_table():
+    assert {kind: set(values) for kind, values in DETAIL_VALUES.items()} == {
+        kind: set(spec.details) for kind, spec in CHECK_KINDS.items()
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(list(CheckKind)))
+def test_details_that_no_table_reads_do_not_build(data, kind):
+    drawn = data.draw(broken_details(kind))
+    with pytest.raises(SchemaViolation, match=r"^details"):
+        CheckOutcome("c", kind, details=drawn)
+
+
 #: The most decimal digits Python prints an int with, and an int of one more.
 DIGITS = sys.get_int_max_str_digits()
 TOO_LONG = 10**DIGITS
-
-
-def nested(depth):
-    """Lists nested ``depth`` deep: ``[]`` at 1."""
-    value = []
-    for _ in range(depth - 1):
-        value = [value]
-    return value
+DEGENERACY = CheckKind.DEGENERACY_BY_ACTOR
 
 
 @pytest.mark.parametrize("attributes, message", [
@@ -378,12 +434,15 @@ def nested(depth):
     (dict(numerator=1, denominator=2, violations=[(0, "missing")]), "violations must be a tuple, got list"),
     (dict(target_fields=["a"]), "target_fields must be a tuple, got list"),
     (dict(target_fields=("a", 1)), "target_fields[1] must be a string, got 1"),
-    (dict(details={"t": (1, 2)}), f"details['t'] must be {JSON_NATIVE}, got (1, 2)"),
-    (dict(details={1: "x"}), "details must have string keys, got 1"),
-    (dict(details={"t": {"u": {2: 0}}}), "details['t']['u'] must have string keys, got 2"),
-    (dict(details={"f": Fraction(1, 2)}), f"details['f'] must be {JSON_NATIVE}, got Fraction(1, 2)"),
-    (dict(details={"t": [0.5, float("nan")]}), f"details['t'][1] must be {JSON_NATIVE}, got nan"),
-    (dict(details={"t": {"u": float("-inf")}}), f"details['t']['u'] must be {JSON_NATIVE}, got -inf"),
+    (dict(details={"lag_seconds": (0.0, 0.5, 1.0)}), "details.lag_seconds must be an object"),
+    (dict(details={1: "x"}), "details must not have the keys [1]"),
+    (dict(kind=DEGENERACY, details={"flagged_actors": {2: {"dominant_value": "x", "share": "1"}}}),
+     "details.flagged_actors must have string keys, got 2"),
+    (dict(kind=DEGENERACY, details={"max_dominant_share": Fraction(1, 2)}),
+     "details.max_dominant_share must be a string"),
+    (dict(details={"max_lag_seconds": float("nan")}), "details.max_lag_seconds must be a finite float, got nan"),
+    (dict(details={"lag_seconds": {"min": float("-inf"), "median": 0.0, "max": 1.0}}),
+     "details.lag_seconds.min must be a finite float, got -inf"),
     (dict(details=[]), "details must be a dict, got list"),
     (dict(numerator=TOO_LONG, denominator=TOO_LONG), f"numerator must be an integer of at most {DIGITS} digits"),
     (dict(numerator=0, denominator=TOO_LONG), f"denominator must be an integer of at most {DIGITS} digits"),
@@ -391,21 +450,33 @@ def nested(depth):
      f"strata['a'].denominator must be an integer of at most {DIGITS} digits"),
     (dict(numerator=0, denominator=2, violations=((0, "missing"), (TOO_LONG, "missing"))),
      f"violations[1][0] must be an integer of at most {DIGITS} digits"),
-    (dict(details={"t": [1, {"u": -TOO_LONG}]}), f"details['t'][1]['u'] must be an integer of at most {DIGITS} digits"),
-    (dict(details={"t": nested(3000)}), f"details['t']{'[0]' * 99} must nest lists and dicts at most 100 deep"),
+    (dict(kind=DEGENERACY, details={"min_records": -TOO_LONG}),
+     f"details.min_records must be an integer of at most {DIGITS} digits"),
+    (dict(kind=DEGENERACY, details={"flagged_actors": {"a": {"dominant_value": {"t": "x"}, "share": "1"}}}),
+     "details.flagged_actors['a'].dominant_value must be a string"),
     (dict(subset=5), "subset must be a string or None, got 5"),
     (dict(error=b"x"), "error must be a string or None, got b'x'"),
     (dict(stage="SourceExtract"), "stage must be a Stage or None, got 'SourceExtract'"),
+    (dict(kind=CheckKind.CONFORMANCE_VALUE, details={"min": "0"}), "details must not have the keys ['min']"),
+    (dict(details={"lag_seconds": {"min": 0.0, "max": 1.0}}), "details.lag_seconds.median must be given"),
+    (dict(details={"max_lag_seconds": 5}), "details.max_lag_seconds must be a finite float, got 5"),
+    (dict(kind=DEGENERACY, details={"min_records": True}), "details.min_records must be an integer, got True"),
+    (dict(kind=DEGENERACY, details={"flagged_actors": {"a": {"dominant_value": "x"}}}),
+     "details.flagged_actors['a'].share must be given"),
+    (dict(error="x", details={"x": 1}), "details must be {} in an errored outcome, got {'x': 1}"),
 ], ids=["numerator-over-denominator", "negative-numerator", "stratum-numerator-over-denominator",
         "strata-do-not-sum", "rows-out-of-order", "errored-with-counts", "bool-count", "float-stratum-count",
         "bool-row", "nan-row", "int-reason", "violation-not-a-pair", "violations-list", "target-fields-list",
         "int-target-field", "details-tuple", "details-int-key", "details-nested-int-key", "details-fraction",
         "details-nan", "details-infinity", "details-list", "numerator-too-many-digits",
         "denominator-too-many-digits", "stratum-count-too-many-digits", "row-too-many-digits",
-        "details-int-too-many-digits", "details-too-deep", "int-subset", "bytes-error", "str-stage"])
+        "details-int-too-many-digits", "details-too-deep", "int-subset", "bytes-error", "str-stage",
+        "details-key-of-another-kind", "details-lags-without-median", "details-int-seconds",
+        "details-bool-min-records", "details-flagged-without-share", "errored-with-unlisted-details"])
 def test_an_outcome_that_breaks_a_rule_does_not_build(attributes, message):
+    """Each outcome is a Timeliness one unless ``attributes`` names its kind."""
     with pytest.raises(SchemaViolation) as exc:
-        CheckOutcome("c", CheckKind.TIMELINESS, **attributes)
+        CheckOutcome(**{"check_id": "c", "kind": CheckKind.TIMELINESS, **attributes})
     assert str(exc.value) == message
 
 
@@ -422,10 +493,10 @@ def test_an_outcome_whose_id_or_kind_is_of_the_wrong_type_does_not_build(check_i
 
 @pytest.mark.parametrize("attributes", [
     dict(numerator=TOO_LONG - 1, denominator=TOO_LONG - 1, violations=((TOO_LONG - 1, "x"),)),
-    dict(details={"t": [-(TOO_LONG - 1), nested(98)]}),
-], ids=["most-digits", "deepest-details"])
+    dict(kind=DEGENERACY, details={"min_records": -(TOO_LONG - 1)}),
+], ids=["most-digits", "most-digits-min-records"])
 def test_an_outcome_at_the_edge_of_each_writer_rule_builds_writes_and_reads_back(attributes):
-    outcome = CheckOutcome("c", CheckKind.TIMELINESS, **attributes)
+    outcome = CheckOutcome(**{"check_id": "c", "kind": CheckKind.TIMELINESS, **attributes})
     assert outcomes_to_json([outcome]) == reference_json([outcome])
     assert outcomes_from_json(outcomes_to_json([outcome])) == [outcome]
 
