@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 import re
-import sys
 from array import array
 from collections import Counter
 from collections.abc import Set as AbstractSet
@@ -102,6 +101,7 @@ class DegeneracyFlag(str, Enum):
 #: The types an identifying attribute may take, and how a message names them.
 _STRING, _OPTIONAL_STRING = ((str,), "a string"), ((str, type(None)), "a string or None")
 _KIND, _STAGE = ((CheckKind,), "a CheckKind"), ((Stage, type(None)), "a Stage or None")
+_BOOL, _SNAPSHOT = ((bool,), "a boolean"), ((DatasetSnapshot, type(None)), "a DatasetSnapshot or None")
 
 
 def _check_types(obj: Any, rules: dict[str, tuple[tuple[type, ...], str]]) -> None:
@@ -113,8 +113,9 @@ def _check_types(obj: Any, rules: dict[str, tuple[tuple[type, ...], str]]) -> No
 
 @dataclass(frozen=True)
 class CheckDefinition:
-    """One check to run: a str ``id``, a ``CheckKind``, a ``Stage`` or None and a
-    tuple or list of str target fields, however built, else SchemaViolation."""
+    """One check to run: a str ``id``, a ``CheckKind``, a bool
+    ``stratify_by_actor``, a ``Stage`` or None and a tuple or list of str
+    target fields, however built, else SchemaViolation."""
 
     id: str
     kind: CheckKind
@@ -125,7 +126,7 @@ class CheckDefinition:
     config: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        _check_types(self, {"id": _STRING, "kind": _KIND, "stage": _STAGE})
+        _check_types(self, {"id": _STRING, "kind": _KIND, "stratify_by_actor": _BOOL, "stage": _STAGE})
         fields = self.target_fields
         if type(fields) not in (tuple, list) or not {str}.issuperset(map(type, fields)):
             raise SchemaViolation(f"target_fields must be a tuple or list of strings, got {fields!r}")
@@ -187,7 +188,7 @@ class CheckOutcome:
         strata = self.strata or {}
         for counts, at in [(self, ""), *((s, f"strata[{sid!r}].") for sid, s in strata.items())]:
             for key in ("numerator", "denominator"):
-                _read_printable_int(getattr(counts, key), f"{at}{key}")
+                read_int(getattr(counts, key), f"{at}{key}")
             if not 0 <= counts.numerator <= counts.denominator:
                 raise SchemaViolation(
                     f"{at}numerator must be from 0 to the denominator {counts.denominator}, got {counts.numerator}"
@@ -211,7 +212,7 @@ class CheckOutcome:
                 raise SchemaViolation(f"violations[{i}][0] must be above {before}: rows ascend from 0, got {row}")
             before = row
         if self.violations:  # the last row is the largest
-            _read_printable_int(before, f"violations[{len(self.violations) - 1}][0]")
+            read_int(before, f"violations[{len(self.violations) - 1}][0]")
 
     @property
     def status(self) -> CheckStatus:
@@ -226,19 +227,6 @@ class CheckOutcome:
     @property
     def rate(self) -> Fraction | None:
         return Fraction(self.numerator, self.denominator) if self.status is CheckStatus.OK else None
-
-
-def _read_printable_int(value: Any, where: str) -> int:
-    """``value``, or SchemaViolation naming ``where`` unless it is an int
-    (not a bool) of at most the decimal digits Python prints
-    (``sys.get_int_max_str_digits()``, 0: no limit)."""
-    if type(value) is not int:
-        raise SchemaViolation(f"{where} must be an integer, got {value!r}")
-    digits = sys.get_int_max_str_digits()
-    # an int of up to 3 * digits bits has fewer than digits digits
-    if digits and value.bit_length() > 3 * digits and abs(value) >= 10**digits:
-        raise SchemaViolation(f"{where} must be an integer of at most {digits} digits")
-    return value
 
 
 #: What ``run_suite`` holds in an errored outcome: nothing was measured.
@@ -340,8 +328,8 @@ def _stratify(actors: list[str], rows: Rows, failing: Failing) -> dict[str, Stra
 # failed rows, and a value or pattern test runs once per present cell. A
 # paired kind's function takes the ``Snapshots`` in place of one snapshot.
 # A strata kind's function takes (snapshot, target fields, config, actor
-# ids), where actor ids gives a snapshot's per-row actor ids, and returns
-# the strata, the failing rows with their reasons, and the details.
+# ids), where actor ids holds the snapshot's actor id of each row, and
+# returns the strata, the failing rows with their reasons, and the details.
 
 Fields = tuple[str, ...]
 Config = dict[str, Any]
@@ -353,7 +341,6 @@ Scope = "Rows | None"
 Failing = dict[int, str]
 RowCheck = tuple[Rows, Failing, dict[str, Any]]
 StrataCheck = tuple[dict[str, StratumOutcome], Failing, dict[str, Any]]
-ActorIds = Callable[[DatasetSnapshot], "list[str]"]
 #: The key column, and for each transformed row the source row of its key.
 KeyJoin = tuple[str, list[int]]
 
@@ -572,9 +559,7 @@ def _key_index(snapshot: DatasetSnapshot, key: str) -> dict[str, int]:
     return index
 
 
-def _degeneracy_by_actor(
-    snapshot: DatasetSnapshot, fields: Fields, cfg: Config, actor_ids: ActorIds
-) -> StrataCheck:
+def _degeneracy_by_actor(snapshot: DatasetSnapshot, fields: Fields, cfg: Config, actor_ids: list[str]) -> StrataCheck:
     """Per-actor capture screening: flag authors who never record the field
     or always record the same value.
 
@@ -587,7 +572,7 @@ def _degeneracy_by_actor(
     max_dominant_share = cfg.get("max_dominant_share", Fraction(1))
     col = snapshot.column(fields[0])
     rows_by_actor: dict[str, list[int]] = {}
-    for i, sid in enumerate(actor_ids(snapshot)):
+    for i, sid in enumerate(actor_ids):
         rows_by_actor.setdefault(sid, []).append(i)
 
     absent, render = col.absent, _render(col)
@@ -676,8 +661,9 @@ class KindSpec:
     reader, and ``details`` each key its outcomes' details may hold to
     the reader ``CheckOutcome`` checks the value with (none: ``{}``). A
     row kind has ``rows``; DegeneracyByActor has ``strata`` instead. A
-    ``paired`` kind reads both snapshots. Row kinds that are not paired
-    honour ``subset`` and ``stratify_by_actor``; the others reject them.
+    ``paired`` kind reads both snapshots and takes no stage but
+    TransformedExtract. Row kinds that are not paired honour ``subset``
+    and ``stratify_by_actor``; the others reject them.
     """
 
     label: str
@@ -702,7 +688,7 @@ CHECK_KINDS: dict[CheckKind, KindSpec] = {
     CheckKind.PLAUSIBILITY_TEMPORAL: KindSpec("Plausibility", (2,), {}, rows=_plausibility_temporal),
     CheckKind.DEGENERACY_BY_ACTOR: KindSpec(
         "Plausibility", (1,), {"min_records": read_int, "max_dominant_share": _read_share},
-        {"min_records": _read_printable_int, "max_dominant_share": read_str, "flagged_actors": _read_flagged},
+        {"min_records": read_int, "max_dominant_share": read_str, "flagged_actors": _read_flagged},
         strata=_degeneracy_by_actor,
     ),
     CheckKind.TIMELINESS: KindSpec(
@@ -718,7 +704,8 @@ CHECK_KINDS: dict[CheckKind, KindSpec] = {
 @dataclass(frozen=True)
 class Snapshots:
     """The snapshots a suite runs against, keyed by lifecycle stage. Each
-    slot holds only a snapshot at its own stage, else StageMismatch.
+    slot holds a ``DatasetSnapshot`` or None, else SchemaViolation, and
+    only a snapshot at its own stage, else StageMismatch.
 
     What checks derive from the snapshots rather than from one definition,
     the key join and the per-row actor ids, is built on first use and kept
@@ -729,6 +716,7 @@ class Snapshots:
     transformed: DatasetSnapshot | None = None
 
     def __post_init__(self) -> None:
+        _check_types(self, dict.fromkeys(("source", "transformed"), _SNAPSHOT))
         for slot, stage in (("source", Stage.SOURCE), ("transformed", Stage.TRANSFORMED)):
             snapshot = getattr(self, slot)
             if snapshot is not None and snapshot.manifest.stage is not stage:
@@ -775,6 +763,8 @@ def run_check(definition: CheckDefinition, snapshots: Snapshots) -> CheckOutcome
     if spec.paired:
         target: Any = snapshots
         stage = Stage.TRANSFORMED
+        if definition.stage not in (None, stage):
+            raise MissingConfig(f"{kind.value} check takes no stage but {stage.value}, got {definition.stage.value}")
     else:
         target = snapshots.at_stage(definition.stage)
         stage = target.manifest.stage
@@ -788,7 +778,7 @@ def run_check(definition: CheckDefinition, snapshots: Snapshots) -> CheckOutcome
     cfg = read_object(definition.config, spec.config, f"{kind.value} config")
 
     if spec.strata is not None:
-        strata, failing, details = spec.strata(target, fields, cfg, snapshots.actor_ids)
+        strata, failing, details = spec.strata(target, fields, cfg, snapshots.actor_ids(target))
         numerator = sum(s.numerator for s in strata.values())
         denominator = sum(s.denominator for s in strata.values())
     else:
@@ -894,7 +884,7 @@ _DEFINITION_READERS: dict[str, Reader] = {
 
 
 def _read_definition(value: Any, where: str) -> CheckDefinition:
-    definition = CheckDefinition(**read_object(value, _DEFINITION_READERS, where, ("id", "kind", "target_fields")))
+    definition = object_of(_DEFINITION_READERS, CheckDefinition, ("id", "kind", "target_fields"))(value, where)
     read_object(definition.config, CHECK_KINDS[definition.kind].config, f"{where}.config")
     return definition
 

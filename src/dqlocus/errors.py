@@ -14,6 +14,7 @@ returns the value to use or raises ``SchemaViolation`` saying
 from __future__ import annotations
 
 import json
+import sys
 from enum import Enum
 from typing import Any, Callable
 
@@ -188,9 +189,15 @@ def read_bool(value: Any, where: str) -> bool:
 
 
 def read_int(value: Any, where: str) -> int:
-    if type(value) is int:  # not a bool
-        return value
-    raise SchemaViolation(f"{where} must be an integer")
+    """An int (not a bool) of at most the decimal digits Python prints
+    (``sys.get_int_max_str_digits()``, 0: no limit)."""
+    if type(value) is not int:
+        raise SchemaViolation(f"{where} must be an integer, got {value!r}")
+    digits = sys.get_int_max_str_digits()
+    # an int of up to 3 * digits bits has fewer than digits digits
+    if digits and value.bit_length() > 3 * digits and abs(value) >= 10**digits:
+        raise SchemaViolation(f"{where} must be an integer of at most {digits} digits")
+    return value
 
 
 def read_dict(value: Any, where: str) -> dict[str, Any]:
@@ -209,9 +216,12 @@ def dict_of(reader: Reader) -> Reader:
     return read
 
 
-def object_of(readers: dict[str, Reader], into: Callable[..., Any] = dict) -> Reader:
-    """Reader of a JSON object of every key of ``readers`` and no other, built by ``into``."""
-    return lambda value, where: into(**read_object(value, readers, where, tuple(readers)))
+def object_of(
+    readers: dict[str, Reader], into: Callable[..., Any] = dict, required: tuple[str, ...] | None = None
+) -> Reader:
+    """Reader of a JSON object of keys of ``readers`` built by ``into``, with the ``required`` keys (None: all)."""
+    required = tuple(readers) if required is None else required
+    return lambda value, where: into(**read_object(value, readers, where, required))
 
 
 def read_enum(cls: type[Enum]) -> Reader:

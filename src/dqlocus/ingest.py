@@ -20,7 +20,6 @@ from collections import deque
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from enum import Enum
-from functools import cached_property
 from itertools import chain, islice, repeat
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -39,7 +38,6 @@ from .errors import (
     object_of,
     read_bool,
     read_enum,
-    read_object,
     read_str,
 )
 
@@ -131,25 +129,23 @@ class DatasetManifest:
     missing_sentinels: frozenset[str] = DEFAULT_MISSING_SENTINELS
 
     def __post_init__(self) -> None:
-        seen: set[str] = set()
+        # the one field-name table: not a dataclass field, so equality, hash and repr leave it out
+        by_name: dict[str, FieldSpec] = {}
+        object.__setattr__(self, "_fields_by_name", by_name)
         for f in self.fields:
-            if f.name in seen:
+            if f.name in by_name:
                 raise DuplicateFieldName(f"field {f.name!r} defined more than once")
-            seen.add(f.name)
+            by_name[f.name] = f
         for label in _COLUMN_REFS:
             ref = getattr(self, label)
-            if ref is not None and ref not in seen:
+            if ref is not None and ref not in by_name:
                 raise DanglingColumnReference(f"manifest: {label} references unknown field {ref!r}")
         for f in self.fields:
-            if f.policy_condition is not None and (ref := f.policy_condition.field) not in seen:
+            if f.policy_condition is not None and (ref := f.policy_condition.field) not in by_name:
                 raise DanglingColumnReference(f"field {f.name!r}: policy_condition references unknown field {ref!r}")
 
     def get_field(self, name: str) -> FieldSpec | None:
         return self._fields_by_name.get(name)
-
-    @cached_property
-    def _fields_by_name(self) -> dict[str, FieldSpec]:
-        return {f.name: f for f in self.fields}
 
 
 #: The instant a Timestamp value counts its microseconds from, naive UTC
@@ -282,10 +278,7 @@ _FIELD_READERS: dict[str, Reader] = {
 }
 
 
-def _read_field(value: Any, where: str) -> FieldSpec:
-    return FieldSpec(
-        **read_object(value, _FIELD_READERS, where, ("name", "semantic_type", "entry_mode", "generating_actor"))
-    )
+_read_field: Reader = object_of(_FIELD_READERS, FieldSpec, ("name", "semantic_type", "entry_mode", "generating_actor"))
 
 
 _MANIFEST_READERS: dict[str, Reader] = {
@@ -299,8 +292,8 @@ _MANIFEST_READERS: dict[str, Reader] = {
 
 def load_manifest(text: str | bytes) -> DatasetManifest:
     """Parse and validate a manifest document (strict: unknown keys rejected)."""
-    doc = load_json(text, "manifest")
-    return DatasetManifest(**read_object(doc, _MANIFEST_READERS, "manifest", ("dataset_id", "stage", "fields")))
+    read = object_of(_MANIFEST_READERS, DatasetManifest, ("dataset_id", "stage", "fields"))
+    return read(load_json(text, "manifest"), "manifest")
 
 
 # --- dataset loading --------------------------------------------------------

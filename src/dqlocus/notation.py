@@ -52,7 +52,6 @@ from .taxonomy import (
     ActorRegistry,
     DQParameter,
     LifecycleLocus,
-    builtin_registry,
     validate_locus,
 )
 
@@ -282,7 +281,6 @@ def validate_assertion(
     of a file; a percent that is not exact at its precision reads back
     rounded, which is no error. An unresolved label is a warning only.
     """
-    registry = registry or builtin_registry()
     findings: list[Finding] = []
     locus = assertion.locus
 

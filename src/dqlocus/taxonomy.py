@@ -26,6 +26,7 @@ from .errors import (
     UnknownActor,
     list_of,
     load_json,
+    object_of,
     read_object,
     read_str,
 )
@@ -318,10 +319,6 @@ _ACTOR_READERS: dict[str, Reader] = {
 }
 
 
-def _read_actor(value: Any, where: str) -> dict[str, Any]:
-    return read_object(value, _ACTOR_READERS, where, ("name",))
-
-
 def load_registry_config(text: str | bytes) -> ActorRegistry:
     """Load custom actors from a JSON config on top of the builtin set.
 
@@ -331,6 +328,7 @@ def load_registry_config(text: str | bytes) -> ActorRegistry:
     """
     doc = load_json(text, "registry config")
     registry = _BUILTIN_REGISTRY
-    for entry in read_object(doc, {"actors": list_of(_read_actor)}, "registry config").get("actors", ()):
+    actors = list_of(object_of(_ACTOR_READERS, required=("name",)))
+    for entry in read_object(doc, {"actors": actors}, "registry config").get("actors", ()):
         registry = registry.with_actor(**entry)
     return registry

@@ -5,6 +5,7 @@ import io
 import json
 import re
 import statistics
+import sys
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 from pathlib import Path
@@ -373,6 +374,31 @@ def test_snapshots_holds_a_snapshot_only_in_its_own_stages_slot(slot, stage, err
         Snapshots(**{slot: keyed(stage), ("transformed" if slot == "source" else "source"): keyed(stage)})
 
 
+@pytest.mark.parametrize("slots, error", [
+    ({"source": 5}, "source must be a DatasetSnapshot or None, got 5"),
+    ({"transformed": "snapshot"}, "transformed must be a DatasetSnapshot or None, got 'snapshot'"),
+], ids=["int-source", "str-transformed"])
+def test_snapshots_holds_a_snapshot_or_none_in_each_slot(slots, error):
+    with pytest.raises(SchemaViolation, match=f"^{re.escape(error)}$"):
+        Snapshots(**slots)
+
+
+@pytest.mark.parametrize("stage, error", [
+    (None, None),
+    (Stage.TRANSFORMED, None),
+    (Stage.SOURCE, "MissingConfig: MappingSuccess check takes no stage but TransformedExtract, got SourceExtract"),
+], ids=["no-stage", "transformed", "source"])
+def test_a_paired_check_takes_no_stage_but_transformed(stage, error):
+    """A MappingSuccess check outcome sits at TransformedExtract, so a
+    definition that names another stage is errored, not run there."""
+    source, transformed = paired_snapshots(["A", "B"], ["A", ""])
+    definition = CheckDefinition("m", CheckKind.MAPPING_SUCCESS, ("code",), stage=stage)
+    outcome, = run_suite([definition], Snapshots(source=source, transformed=transformed))
+    assert (outcome.error, outcome.stage) == (error, stage if error else Stage.TRANSFORMED)
+    if error is None:
+        assert (outcome.numerator, outcome.denominator) == (1, 2)
+
+
 def test_mapping_key_mismatch():
     source = make_snapshot(
         {"record_id": ["r0", "r1"], "code": ["A", "B"]},
@@ -643,6 +669,15 @@ CONFIG_ERRORS = [
      "KeyColumnMissing: both manifests must declare the same key_column"),
     (CheckKind.COMPLETENESS, ("code",), {}, lambda: Snapshots(source=keyed(), transformed=keyed("TransformedExtract")),
      "CheckConfigError: check must name a stage when two snapshots are loaded"),
+    # the strata kind is handed the actor ids, so a missing actor column is
+    # found before the kind reads its unknown target field
+    (CheckKind.DEGENERACY_BY_ACTOR, ("nope",), {}, lambda: Snapshots(source=keyed()),
+     "NoActorColumn: manifest 't' declares no actor_id_column"),
+    # a config built in code, as no document can carry an int of more digits than Python prints
+    (CheckKind.DEGENERACY_BY_ACTOR, ("code",), {"config": {"min_records": 10**5000}},
+     lambda: Snapshots(source=keyed(actor_id_column="record_id")),
+     "SchemaViolation: DegeneracyByActor config.min_records must be an integer of at most"
+     f" {sys.get_int_max_str_digits()} digits"),
 ]
 
 
@@ -669,7 +704,8 @@ def test_an_errored_check_of_listed_target_fields_holds_them_as_a_tuple():
     (dict(stage="SourceExtract"), "stage must be a Stage or None, got 'SourceExtract'"),
     (dict(target_fields="code"), "target_fields must be a tuple or list of strings, got 'code'"),
     (dict(target_fields=("code", 1)), "target_fields must be a tuple or list of strings, got ('code', 1)"),
-], ids=["int-id", "str-kind", "str-stage", "str-target-fields", "int-target-field"])
+    (dict(stratify_by_actor="no"), "stratify_by_actor must be a boolean, got 'no'"),
+], ids=["int-id", "str-kind", "str-stage", "str-target-fields", "int-target-field", "str-stratify-by-actor"])
 def test_a_definition_of_the_wrong_types_does_not_build(attributes, message):
     with pytest.raises(SchemaViolation) as exc:
         CheckDefinition(**{"id": "c", "kind": CheckKind.COMPLETENESS, "target_fields": ("code",), **attributes})
