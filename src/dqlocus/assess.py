@@ -51,8 +51,10 @@ from .errors import (
     read_dict,
     read_enum,
     read_int,
-    read_object,
     read_str,
+    readers_of,
+    reads,
+    shown,
 )
 from .ingest import (
     COERCERS,
@@ -108,7 +110,31 @@ def _check_types(obj: Any, rules: dict[str, tuple[tuple[type, ...], str]]) -> No
     """Raise SchemaViolation naming the first attribute of ``rules`` not of its types."""
     for key, (types, what) in rules.items():
         if type(value := getattr(obj, key)) not in types:
-            raise SchemaViolation(f"{key} must be {what}, got {value!r}")
+            raise SchemaViolation(f"{key} must be {what}, got {shown(value)}")
+
+
+# --- documents ----------------------------------------------------------------
+#
+# A suite's check definitions and an outcomes document's outcomes and strata
+# are read by the readers their classes' fields declare (``object_of``).
+
+def _read_subset(value: Any, where: str) -> Predicate | str:
+    if value == WHERE_REQUIRED:
+        return value
+    if isinstance(value, str):
+        raise SchemaViolation(f"{where} must be {WHERE_REQUIRED!r} or {{field, values}}")
+    return read_predicate(value, where)
+
+
+def _as_is(value: Any, where: str) -> Any:
+    """The value as JSON decoded it, for ``CheckOutcome`` to judge."""
+    return value
+
+
+def _tuples(value: Any, where: str) -> Any:
+    """A list as a tuple, and each list in it too, as ``CheckOutcome``
+    holds target fields and violations; any other value as it is."""
+    return tuple(tuple(v) if type(v) is list else v for v in value) if type(value) is list else value
 
 
 @dataclass(frozen=True)
@@ -117,26 +143,31 @@ class CheckDefinition:
     ``stratify_by_actor``, a ``Stage`` or None and a tuple or list of str
     target fields, however built, else SchemaViolation."""
 
-    id: str
-    kind: CheckKind
-    target_fields: tuple[str, ...]
-    subset: Predicate | str | None = None  # predicate or WHERE_REQUIRED
-    stratify_by_actor: bool = False
-    stage: Stage | None = None
-    config: dict[str, Any] = field(default_factory=dict)
+    id: str = reads(non_empty(read_str))
+    kind: CheckKind = reads(read_enum(CheckKind))
+    target_fields: tuple[str, ...] = reads(list_of(read_str))
+    subset: Predicate | str | None = reads(nullable(_read_subset), default=None)  # predicate or WHERE_REQUIRED
+    stratify_by_actor: bool = reads(read_bool, default=False)
+    stage: Stage | None = reads(nullable(read_enum(Stage)), default=None)
+    # read again by the kind's readers, as run_check reads it
+    config: dict[str, Any] = reads(read_dict, default_factory=dict)
 
     def __post_init__(self) -> None:
         _check_types(self, {"id": _STRING, "kind": _KIND, "stratify_by_actor": _BOOL, "stage": _STAGE})
         fields = self.target_fields
         if type(fields) not in (tuple, list) or not {str}.issuperset(map(type, fields)):
-            raise SchemaViolation(f"target_fields must be a tuple or list of strings, got {fields!r}")
+            raise SchemaViolation(f"target_fields must be a tuple or list of strings, got {shown(fields)}")
 
 
 @dataclass(frozen=True)
 class StratumOutcome:
-    numerator: int
-    denominator: int
-    flags: tuple[DegeneracyFlag, ...] = ()
+    numerator: int = reads(_as_is)
+    denominator: int = reads(_as_is)
+    flags: tuple[DegeneracyFlag, ...] = reads(list_of(read_enum(DegeneracyFlag)), default=())
+
+
+#: Every key of a stratum is required, so that no count reads as a default.
+_read_strata = dict_of(object_of(StratumOutcome, readers_of(StratumOutcome)))
 
 
 @dataclass(frozen=True)
@@ -159,17 +190,17 @@ class CheckOutcome:
     SchemaViolation naming the attribute.
     """
 
-    check_id: str
-    kind: CheckKind
-    numerator: int = 0
-    denominator: int = 0
-    target_fields: tuple[str, ...] = ()
-    stage: Stage | None = None
-    subset: str | None = None
-    strata: dict[str, StratumOutcome] | None = None
-    violations: tuple[tuple[int, str], ...] = ()  # (row, reason), rows ascending
-    details: dict[str, Any] = field(default_factory=dict)
-    error: str | None = None
+    check_id: str = reads(_as_is)
+    kind: CheckKind = reads(read_enum(CheckKind))
+    numerator: int = reads(_as_is, default=0)
+    denominator: int = reads(_as_is, default=0)
+    target_fields: tuple[str, ...] = reads(_tuples, default=())
+    stage: Stage | None = reads(nullable(read_enum(Stage)), default=None)
+    subset: str | None = reads(_as_is, default=None)
+    strata: dict[str, StratumOutcome] | None = reads(nullable(_read_strata), default=None)
+    violations: tuple[tuple[int, str], ...] = reads(_tuples, default=())  # (row, reason), rows ascending
+    details: dict[str, Any] = reads(_as_is, default_factory=dict)
+    error: str | None = reads(_as_is, default=None)
 
     def __post_init__(self) -> None:
         _check_types(self, {"check_id": _STRING, "kind": _KIND, "stage": _STAGE,
@@ -179,14 +210,14 @@ class CheckOutcome:
                 raise SchemaViolation(f"{key} must be a {container.__name__}, got {type(value).__name__}")
         for i, name in enumerate(self.target_fields):
             if type(name) is not str:
-                raise SchemaViolation(f"target_fields[{i}] must be a string, got {name!r}")
+                raise SchemaViolation(f"target_fields[{i}] must be a string, got {shown(name)}")
         if self.error is not None:
             for key, empty in _ERRORED.items():
                 if (value := getattr(self, key)) != empty:
-                    raise SchemaViolation(f"{key} must be {empty!r} in an errored outcome, got {value!r}")
-        read_object(self.details, CHECK_KINDS[self.kind].details, "details")
+                    raise SchemaViolation(f"{key} must be {empty!r} in an errored outcome, got {shown(value)}")
+        object_of(CHECK_KINDS[self.kind].details, ())(self.details, "details")
         strata = self.strata or {}
-        for counts, at in [(self, ""), *((s, f"strata[{sid!r}].") for sid, s in strata.items())]:
+        for counts, at in [(self, ""), *((s, f"strata[{shown(sid)}].") for sid, s in strata.items())]:
             for key in ("numerator", "denominator"):
                 read_int(getattr(counts, key), f"{at}{key}")
             if not 0 <= counts.numerator <= counts.denominator:
@@ -197,19 +228,20 @@ class CheckOutcome:
         if self.strata is not None and sums != (self.numerator, self.denominator):
             raise SchemaViolation(
                 f"strata must sum to the numerator {self.numerator} and the denominator {self.denominator},"
-                f" got {sums[0]} and {sums[1]}"
+                f" got {shown(sums[0])} and {shown(sums[1])}"
             )
         before = -1
         for i, violation in enumerate(self.violations):
             if type(violation) is not tuple or len(violation) != 2:
-                raise SchemaViolation(f"violations[{i}] must be a (row, reason) pair, got {violation!r}")
+                raise SchemaViolation(f"violations[{i}] must be a (row, reason) pair, got {shown(violation)}")
             row, reason = violation
             if type(row) is not int:
-                raise SchemaViolation(f"violations[{i}][0] must be an integer, got {row!r}")
+                raise SchemaViolation(f"violations[{i}][0] must be an integer, got {shown(row)}")
             if type(reason) is not str:
-                raise SchemaViolation(f"violations[{i}][1] must be a string, got {reason!r}")
+                raise SchemaViolation(f"violations[{i}][1] must be a string, got {shown(reason)}")
             if row <= before:
-                raise SchemaViolation(f"violations[{i}][0] must be above {before}: rows ascend from 0, got {row}")
+                rule = f"must be above {shown(before)}: rows ascend from 0"
+                raise SchemaViolation(f"violations[{i}][0] {rule}, got {shown(row)}")
             before = row
         if self.violations:  # the last row is the largest
             read_int(before, f"violations[{len(self.violations) - 1}][0]")
@@ -281,7 +313,7 @@ def _subset_rows(snapshot: DatasetSnapshot, field_name: str, subset: Predicate |
     if subset == WHERE_REQUIRED:
         return _required_rows(snapshot, field_name)
     if not isinstance(subset, Predicate):
-        raise MissingConfig(f"unknown subset token {subset!r}")
+        raise MissingConfig(f"unknown subset token {shown(subset)}")
     return _rows_where(snapshot, subset)
 
 
@@ -302,7 +334,7 @@ def _actor_ids(snapshot: DatasetSnapshot) -> list[str]:
     actor_col_name = snapshot.manifest.actor_id_column
     if actor_col_name is None:
         raise NoActorColumn(
-            f"manifest {snapshot.manifest.dataset_id!r} declares no actor_id_column"
+            f"manifest {shown(snapshot.manifest.dataset_id)} declares no actor_id_column"
         )
     col = snapshot.column(actor_col_name)
     ids = list(map(_render(col), col.values))
@@ -436,7 +468,7 @@ def _coerce_bound(bound: Any, semantic: SemanticType) -> Any:
             return COERCERS[semantic](text)
         except (ValueError, OverflowError):  # overflow: an offset at datetime's range edge
             pass
-    raise InvalidRange(f"bound {bound!r} does not fit a {semantic.value} field")
+    raise InvalidRange(f"bound {shown(bound)} does not fit a {semantic.value} field")
 
 
 def _microseconds(col: Column) -> Sequence[int]:
@@ -528,8 +560,8 @@ def _join_keys(source: DatasetSnapshot | None, transformed: DatasetSnapshot | No
         raise StageMismatch("mapping check needs both source and transformed snapshots")
     if source.manifest.dataset_id != transformed.manifest.dataset_id:
         raise StageMismatch(
-            f"snapshots describe different datasets: {source.manifest.dataset_id!r}"
-            f" vs {transformed.manifest.dataset_id!r}"
+            f"snapshots describe different datasets: {shown(source.manifest.dataset_id)}"
+            f" vs {shown(transformed.manifest.dataset_id)}"
         )
     key = source.manifest.key_column
     if key is None or transformed.manifest.key_column != key:
@@ -616,14 +648,14 @@ def parse_duration(text: str | int | float, where: str = "duration") -> timedelt
         if isinstance(text, str) and (m := _DURATION_RE.fullmatch(text.strip())):
             return timedelta(seconds=int(m.group(1)) * _DURATION_UNIT[m.group(2)])
     except (ValueError, OverflowError):  # NaN, beyond timedelta's range, or too many digits
-        raise SchemaViolation(f"{where} must be a duration in range, got {text!r}") from None
-    raise SchemaViolation(f"{where} must be '<integer><s|m|h|d>' or seconds, got {text!r}")
+        raise SchemaViolation(f"{where} must be a duration in range, got {shown(text)}") from None
+    raise SchemaViolation(f"{where} must be '<integer><s|m|h|d>' or seconds, got {shown(text)}")
 
 
 def _read_bound(value: Any, where: str) -> Any:
     if isinstance(value, (int, float, str, date)) and not isinstance(value, bool) and value == value:
         return value  # the equality test rejects NaN, the one value unequal to itself
-    raise SchemaViolation(f"{where} must be a number or an ISO-8601 string, got {value!r}")
+    raise SchemaViolation(f"{where} must be a number or an ISO-8601 string, got {shown(value)}")
 
 
 def _read_share(value: Any, where: str) -> Fraction:
@@ -634,13 +666,13 @@ def _read_share(value: Any, where: str) -> Fraction:
             return share
         except (ValueError, ZeroDivisionError):
             pass
-    raise SchemaViolation(f"{where} must be a number, got {value!r}")
+    raise SchemaViolation(f"{where} must be a number, got {shown(value)}")
 
 
 def _read_seconds(value: Any, where: str) -> float:
     if type(value) is float and math.isfinite(value):
         return value
-    raise SchemaViolation(f"{where} must be a finite float, got {value!r}")
+    raise SchemaViolation(f"{where} must be a finite float, got {shown(value)}")
 
 
 #: Timeliness's ``lag_seconds`` and DegeneracyByActor's ``flagged_actors``.
@@ -775,7 +807,7 @@ def run_check(definition: CheckDefinition, snapshots: Snapshots) -> CheckOutcome
     if not scoped and (definition.subset is not None or definition.stratify_by_actor):
         raise MissingConfig(f"{kind.value} check takes no subset or stratify_by_actor")
     # absent keys stay absent, for the kind to default or require
-    cfg = read_object(definition.config, spec.config, f"{kind.value} config")
+    cfg = object_of(spec.config, ())(definition.config, f"{kind.value} config")
 
     if spec.strata is not None:
         strata, failing, details = spec.strata(target, fields, cfg, snapshots.actor_ids(target))
@@ -864,28 +896,9 @@ def mapping_suite(source: DatasetManifest, transformed: DatasetManifest) -> list
 
 # --- suite/outcome (de)serialization ---------------------------------------
 
-def _read_subset(value: Any, where: str) -> Predicate | str:
-    if value == WHERE_REQUIRED:
-        return value
-    if isinstance(value, str):
-        raise SchemaViolation(f"{where} must be {WHERE_REQUIRED!r} or {{field, values}}")
-    return read_predicate(value, where)
-
-
-_DEFINITION_READERS: dict[str, Reader] = {
-    "id": non_empty(read_str),
-    "kind": read_enum(CheckKind),
-    "target_fields": list_of(read_str),
-    "subset": nullable(_read_subset),
-    "stratify_by_actor": read_bool,
-    "stage": nullable(read_enum(Stage)),
-    "config": read_dict,  # read again by the kind's readers, as run_check reads it
-}
-
-
 def _read_definition(value: Any, where: str) -> CheckDefinition:
-    definition = object_of(_DEFINITION_READERS, CheckDefinition, ("id", "kind", "target_fields"))(value, where)
-    read_object(definition.config, CHECK_KINDS[definition.kind].config, f"{where}.config")
+    definition = object_of(CheckDefinition)(value, where)
+    object_of(CHECK_KINDS[definition.kind].config, ())(definition.config, f"{where}.config")
     return definition
 
 
@@ -929,42 +942,20 @@ def outcome_to_dict(outcome: CheckOutcome) -> dict[str, Any]:
     return {**_outcome_fields(outcome), "violations": [list(v) for v in outcome.violations]}
 
 
-def _as_is(value: Any, where: str) -> Any:
-    """The value as JSON decoded it, for ``CheckOutcome`` to judge."""
-    return value
-
-
-def _tuples(value: Any, where: str) -> Any:
-    """A list as a tuple, and each list in it too, as ``CheckOutcome``
-    holds target fields and violations; any other value as it is."""
-    return tuple(tuple(v) if type(v) is list else v for v in value) if type(value) is list else value
-
-
-_STRATUM_READERS: dict[str, Reader] = {
-    **dict.fromkeys(("numerator", "denominator"), _as_is), "flags": list_of(read_enum(DegeneracyFlag))
-}
-_read_strata = dict_of(object_of(_STRATUM_READERS, StratumOutcome))
-
-
 #: The keys ``outcome_to_dict`` writes from what an outcome derives.
 _DERIVED = ("parameter", "status", "rate")
 
-#: The reader of each key ``outcome_to_dict`` writes. It only decodes:
-#: ``CheckOutcome`` judges the values; the derived keys are read as written.
-_OUTCOME_READERS: dict[str, Reader] = {
-    **dict.fromkeys(("check_id", "numerator", "denominator", "subset", "details", "error", *_DERIVED), _as_is),
-    "kind": read_enum(CheckKind),
-    "stage": nullable(read_enum(Stage)),
-    "strata": nullable(_read_strata),
-    **dict.fromkeys(("target_fields", "violations"), _tuples),
-}
+#: The reader of each key ``outcome_to_dict`` writes: the outcome's fields,
+#: whose readers only decode, as ``CheckOutcome`` judges the values, then
+#: the derived keys, read as written.
+_OUTCOME_READERS: dict[str, Reader] = {**readers_of(CheckOutcome), **dict.fromkeys(_DERIVED, _as_is)}
 
 
 def outcome_from_dict(doc: Any, where: str) -> CheckOutcome:
     """The outcome ``outcome_to_dict`` wrote as ``doc``, at path ``where``:
     every key is required, so that no count reads as a default. A broken
     ``CheckOutcome`` rule or derived key raises SchemaViolation at its path."""
-    attributes = read_object(doc, _OUTCOME_READERS, where, tuple(_OUTCOME_READERS))
+    attributes = object_of(_OUTCOME_READERS)(doc, where)
     written = {key: attributes.pop(key) for key in _DERIVED}
     try:
         outcome = CheckOutcome(**attributes)
@@ -973,7 +964,7 @@ def outcome_from_dict(doc: Any, where: str) -> CheckOutcome:
     derived = _outcome_fields(outcome)
     for key, value in written.items():
         if value != derived[key]:
-            raise SchemaViolation(f"{where}.{key} must be {derived[key]!r}, got {value!r}")
+            raise SchemaViolation(f"{where}.{key} must be {derived[key]!r}, got {shown(value)}")
     return outcome
 
 
@@ -1024,4 +1015,4 @@ def outcomes_from_json(text: str | bytes) -> list[CheckOutcome]:
     """The outcomes of a document ``outcomes_to_json`` wrote."""
     readers = {"schema_version": _read_schema_version, "outcomes": list_of(outcome_from_dict, list)}
     doc = load_json(text, "outcomes document")
-    return read_object(doc, readers, "outcomes document", tuple(readers))["outcomes"]
+    return object_of(readers)(doc, "outcomes document")["outcomes"]

@@ -3,20 +3,21 @@
 Every error the toolkit raises deliberately derives from ``DqError`` so
 callers can distinguish tool-level failures from ordinary Python bugs.
 ``load_json`` decodes every JSON document the toolkit takes and
-``read_object`` reads each object in it through a table that maps each
-key to its reader, so that a document which cannot be decoded or does
-not fit its schema is a ``SchemaViolation`` too. A reader takes a value
-and its path in the document, such as ``manifest.fields[2].name``, and
-returns the value to use or raises ``SchemaViolation`` saying
-``<path> must be ...``.
+``object_of`` reads each object in it, through a table that maps each key
+to its reader or through the readers a dataclass's fields declare, so that
+a document which cannot be decoded or does not fit its schema is a
+``SchemaViolation`` too. A reader takes a value and its path in the
+document, such as ``manifest.fields[2].name``, and returns the value to use
+or raises ``SchemaViolation`` saying ``<path> must be ...``.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from dataclasses import MISSING, field, fields
 from enum import Enum
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 
 class DqError(Exception):
@@ -160,20 +161,24 @@ def load_json(text: str | bytes, what: str) -> Any:
 Reader = Callable[[Any, str], Any]
 
 
-def read_object(
-    doc: Any, readers: dict[str, Reader], where: str, required: tuple[str, ...] = ()
-) -> dict[str, Any]:
-    """Each key of the JSON object ``doc`` read by its reader, in the order
-    of ``readers``. A value that is not an object, a key without a reader
-    and a missing ``required`` key raise SchemaViolation. Every other key
-    is optional and, when absent, stays absent."""
-    unknown = read_dict(doc, where).keys() - readers.keys()
-    if unknown:
-        raise SchemaViolation(f"{where} must not have the keys {sorted(unknown, key=str)}")
-    for key in required:
-        if key not in doc:
-            raise SchemaViolation(f"{where}.{key} must be given")
-    return {key: read(doc[key], f"{where}.{key}") for key, read in readers.items() if key in doc}
+def shown(value: Any, text: Callable[[Any], str] = repr) -> str:
+    """``text(value)`` for a message, or, where that raises (an int of more
+    digits than Python prints, say), a stand-in naming the value's type, so
+    that a message that shows a value it rejects cannot itself raise."""
+    try:
+        return text(value)
+    except Exception:  # a value of unchecked type may raise anything from its repr
+        return f"<unprintable {type(value).__name__}>"
+
+
+def reads(reader: Reader, **field_args: Any) -> Any:
+    """A dataclass field whose document key ``reader`` reads (see ``object_of``)."""
+    return field(metadata={"reader": reader}, **field_args)
+
+
+def readers_of(cls: type) -> dict[str, Reader]:
+    """The reader each field of the dataclass ``cls`` declares with ``reads``, by name in field order."""
+    return {f.name: f.metadata["reader"] for f in fields(cls)}
 
 
 def read_str(value: Any, where: str) -> str:
@@ -192,7 +197,7 @@ def read_int(value: Any, where: str) -> int:
     """An int (not a bool) of at most the decimal digits Python prints
     (``sys.get_int_max_str_digits()``, 0: no limit)."""
     if type(value) is not int:
-        raise SchemaViolation(f"{where} must be an integer, got {value!r}")
+        raise SchemaViolation(f"{where} must be an integer, got {shown(value)}")
     digits = sys.get_int_max_str_digits()
     # an int of up to 3 * digits bits has fewer than digits digits
     if digits and value.bit_length() > 3 * digits and abs(value) >= 10**digits:
@@ -211,17 +216,37 @@ def dict_of(reader: Reader) -> Reader:
     """Reader of a JSON object of string keys whose values ``reader`` reads at ``<where>['key']``."""
     def read(value: Any, where: str) -> dict[str, Any]:
         if keys := [key for key in read_dict(value, where) if not isinstance(key, str)]:
-            raise SchemaViolation(f"{where} must have string keys, got {keys[0]!r}")
+            raise SchemaViolation(f"{where} must have string keys, got {shown(keys[0])}")
         return {key: reader(item, f"{where}[{key!r}]") for key, item in value.items()}
     return read
 
 
-def object_of(
-    readers: dict[str, Reader], into: Callable[..., Any] = dict, required: tuple[str, ...] | None = None
-) -> Reader:
-    """Reader of a JSON object of keys of ``readers`` built by ``into``, with the ``required`` keys (None: all)."""
-    required = tuple(readers) if required is None else required
-    return lambda value, where: into(**read_object(value, readers, where, required))
+def object_of(schema: dict[str, Reader] | type, required: Iterable[str] | None = None) -> Reader:
+    """Reader of a JSON object whose keys are those of ``schema``, each read
+    by its reader in the order of ``schema``: a table of key to reader, read
+    into a dict, or a dataclass, whose fields' keys are read by the readers
+    they declare (``reads``) and built into the class. A value that is not
+    an object, a key without a reader and a missing ``required`` key raise
+    SchemaViolation; by default a table requires every key and a dataclass
+    the keys of its fields without a default. Any other key, when absent,
+    stays absent: the class default, or no entry in the dict."""
+    if isinstance(schema, dict):
+        readers, into = schema, dict
+    else:
+        readers, into = readers_of(schema), schema
+        if required is None:
+            required = [f.name for f in fields(schema) if f.default is MISSING and f.default_factory is MISSING]
+    required = tuple(readers if required is None else required)
+
+    def read(value: Any, where: str) -> Any:
+        if unknown := read_dict(value, where).keys() - readers.keys():
+            keys = ", ".join(map(shown, sorted(unknown, key=lambda key: shown(key, str))))
+            raise SchemaViolation(f"{where} must not have the keys [{keys}]")
+        for key in required:
+            if key not in value:
+                raise SchemaViolation(f"{where}.{key} must be given")
+        return into(**{key: reader(value[key], f"{where}.{key}") for key, reader in readers.items() if key in value})
+    return read
 
 
 def read_enum(cls: type[Enum]) -> Reader:

@@ -17,7 +17,7 @@ import io
 import re
 from array import array
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 from datetime import date, datetime, timezone
 from enum import Enum
 from itertools import chain, islice, repeat
@@ -39,6 +39,8 @@ from .errors import (
     read_bool,
     read_enum,
     read_str,
+    reads,
+    shown,
 )
 
 DEFAULT_MISSING_SENTINELS = frozenset({"", "NULL", "NA"})
@@ -65,20 +67,27 @@ class Stage(str, Enum):
     TRANSFORMED = "TransformedExtract"
 
 
+# --- documents ----------------------------------------------------------------
+#
+# A document class's fields are the keys of its JSON object, each with the
+# reader that ``object_of`` reads it with; null reads as absent for every
+# optional key but ``required``. The classes check their own rules when built.
+
+
 @dataclass(frozen=True)
 class Predicate:
     """Rows where ``field`` takes one of ``values``: where a field is
     required (its policy condition), or the rows a check keeps (its subset).
     A str ``field`` and a non-empty frozenset of str ``values``, else SchemaViolation."""
 
-    field: str
-    values: frozenset[str]
+    field: str = reads(non_empty(read_str))
+    values: frozenset[str] = reads(non_empty(list_of(read_str, frozenset)))
 
     def __post_init__(self) -> None:
         if type(self.field) is not str:
-            raise SchemaViolation(f"field must be a string, got {self.field!r}")
+            raise SchemaViolation(f"field must be a string, got {shown(self.field)}")
         if type(self.values) is not frozenset or not self.values or not {str}.issuperset(map(type, self.values)):
-            raise SchemaViolation(f"values must be a non-empty frozenset of strings, got {self.values!r}")
+            raise SchemaViolation(f"values must be a non-empty frozenset of strings, got {shown(self.values)}")
 
     def __str__(self) -> str:
         """``field = v`` for one value, ``field in [a, b]`` for more."""
@@ -86,21 +95,40 @@ class Predicate:
         return f"{self.field} = {vals[0]}" if len(vals) == 1 else f"{self.field} in [{', '.join(vals)}]"
 
 
+read_predicate: Reader = object_of(Predicate)
+
+
+def _read_number(value: Any, where: str) -> float:
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and value == value:  # NaN is unequal to itself
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond float's range
+            pass
+    raise SchemaViolation(f"{where} must be a number")
+
+
+def _read_range(value: Any, where: str) -> tuple[float, float]:
+    bounds = list_of(_read_number)(value, where)
+    if len(bounds) != 2:
+        raise SchemaViolation(f"{where} must be [min, max]")
+    return bounds
+
+
 @dataclass(frozen=True)
 class FieldSpec:
-    name: str
-    semantic_type: SemanticType
-    entry_mode: EntryMode
-    generating_actor: str
-    allowed_values: frozenset[str] | None = None
-    numeric_range: tuple[float, float] | None = None
-    format_pattern: str | None = None
-    required: bool = False
-    policy_condition: Predicate | None = None
+    name: str = reads(non_empty(read_str))
+    semantic_type: SemanticType = reads(read_enum(SemanticType))
+    entry_mode: EntryMode = reads(read_enum(EntryMode))
+    generating_actor: str = reads(non_empty(read_str))
+    allowed_values: frozenset[str] | None = reads(nullable(list_of(read_str, frozenset)), default=None)
+    numeric_range: tuple[float, float] | None = reads(nullable(_read_range), default=None)
+    format_pattern: str | None = reads(nullable(read_str), default=None)
+    required: bool = reads(read_bool, default=False)
+    policy_condition: Predicate | None = reads(nullable(read_predicate), default=None)
 
     def __post_init__(self) -> None:
         # a typed field's format is its coercion, so only an untyped one has a pattern
-        where = f"field {self.name!r}"
+        where = f"field {shown(self.name)}"
         if self.entry_mode == EntryMode.EHR_ENFORCED and self.allowed_values is None and self.format_pattern is None:
             raise SchemaViolation(f"{where} must have allowed_values or format_pattern, as it is EhrEnforced")
         if self.format_pattern is None:
@@ -113,20 +141,20 @@ class FieldSpec:
             raise SchemaViolation(f"{where} must have a regular expression as its format_pattern: {e}") from None
 
 
-#: Manifest keys whose value names one of the manifest's fields.
-_COLUMN_REFS = ("actor_id_column", "record_timestamp_column", "availability_timestamp_column", "key_column")
-
-
 @dataclass(frozen=True)
 class DatasetManifest:
-    dataset_id: str
-    stage: Stage
-    fields: tuple[FieldSpec, ...]
-    actor_id_column: str | None = None
-    record_timestamp_column: str | None = None
-    availability_timestamp_column: str | None = None
-    key_column: str | None = None
-    missing_sentinels: frozenset[str] = DEFAULT_MISSING_SENTINELS
+    """An extract's manifest. Each key whose name ends in ``_column`` names
+    one of its fields."""
+
+    dataset_id: str = reads(non_empty(read_str))
+    stage: Stage = reads(read_enum(Stage))
+    fields: tuple[FieldSpec, ...] = reads(non_empty(list_of(object_of(FieldSpec))))
+    actor_id_column: str | None = reads(nullable(read_str), default=None)
+    record_timestamp_column: str | None = reads(nullable(read_str), default=None)
+    availability_timestamp_column: str | None = reads(nullable(read_str), default=None)
+    key_column: str | None = reads(nullable(read_str), default=None)
+    missing_sentinels: frozenset[str] = reads(nullable(list_of(read_str, frozenset), DEFAULT_MISSING_SENTINELS),
+                                              default=DEFAULT_MISSING_SENTINELS)
 
     def __post_init__(self) -> None:
         # the one field-name table: not a dataclass field, so equality, hash and repr leave it out
@@ -134,15 +162,16 @@ class DatasetManifest:
         object.__setattr__(self, "_fields_by_name", by_name)
         for f in self.fields:
             if f.name in by_name:
-                raise DuplicateFieldName(f"field {f.name!r} defined more than once")
+                raise DuplicateFieldName(f"field {shown(f.name)} defined more than once")
             by_name[f.name] = f
-        for label in _COLUMN_REFS:
+        for label in (f.name for f in dataclass_fields(self) if f.name.endswith("_column")):
             ref = getattr(self, label)
             if ref is not None and ref not in by_name:
-                raise DanglingColumnReference(f"manifest: {label} references unknown field {ref!r}")
+                raise DanglingColumnReference(f"manifest: {label} references unknown field {shown(ref)}")
         for f in self.fields:
             if f.policy_condition is not None and (ref := f.policy_condition.field) not in by_name:
-                raise DanglingColumnReference(f"field {f.name!r}: policy_condition references unknown field {ref!r}")
+                where = f"field {shown(f.name)}: policy_condition"
+                raise DanglingColumnReference(f"{where} references unknown field {ref!r}")
 
     def get_field(self, name: str) -> FieldSpec | None:
         return self._fields_by_name.get(name)
@@ -189,20 +218,20 @@ class DatasetSnapshot:
     def __post_init__(self) -> None:
         n = self.row_count
         if type(n) is not int or n < 0:
-            raise SchemaViolation(f"row_count must be a non-negative integer, got {n!r}")
+            raise SchemaViolation(f"row_count must be a non-negative integer, got {shown(n)}")
         if type(self.columns) is not dict:
             raise SchemaViolation(f"columns must be a dict, got {type(self.columns).__name__}")
         for name in self.columns:
             if self.manifest.get_field(name) is None:
-                raise SchemaViolation(f"column {name!r} must name a manifest field")
+                raise SchemaViolation(f"column {shown(name)} must name a manifest field")
         for f in self.manifest.fields:
             if f.name not in self.columns:
-                raise SchemaViolation(f"field {f.name!r} must have a column")
+                raise SchemaViolation(f"field {shown(f.name)} must have a column")
             _check_column(self.columns[f.name], f, n)
 
     def column(self, name: str) -> Column:
         if name not in self.columns:
-            raise UnknownField(f"field {name!r} is not in manifest {self.manifest.dataset_id!r}")
+            raise UnknownField(f"field {shown(name)} is not in manifest {shown(self.manifest.dataset_id)}")
         return self.columns[name]
 
 
@@ -210,7 +239,7 @@ def _check_column(col: Column, spec: FieldSpec, n: int) -> None:
     """Raise SchemaViolation, naming the field, unless ``col`` holds ``n``
     values in its type's container, and its missing and failed rows are
     distinct rows of ``range(n)``."""
-    where = f"column {spec.name!r}"
+    where = f"column {shown(spec.name)}"
     values = col.values
     if spec.semantic_type is SemanticType.TIMESTAMP:
         if type(values) is not array or values.typecode != "q":
@@ -234,66 +263,11 @@ def _check_column(col: Column, spec: FieldSpec, n: int) -> None:
 
 
 # --- manifest loading -----------------------------------------------------
-#
-# Each object of a manifest is read through one table whose keys are its
-# dataclass's attributes; null reads as absent for every optional key but
-# ``required``. The classes check the manifest's own rules when built.
-
-
-def _read_number(value: Any, where: str) -> float:
-    if isinstance(value, (int, float)) and not isinstance(value, bool) and value == value:  # NaN is unequal to itself
-        try:
-            return float(value)
-        except OverflowError:  # an integer beyond float's range
-            pass
-    raise SchemaViolation(f"{where} must be a number")
-
-
-def _read_range(value: Any, where: str) -> tuple[float, float]:
-    bounds = list_of(_read_number)(value, where)
-    if len(bounds) != 2:
-        raise SchemaViolation(f"{where} must be [min, max]")
-    return bounds
-
-
-#: The reader of each key of a ``{field, values}`` predicate.
-PREDICATE_READERS: dict[str, Reader] = {
-    "field": non_empty(read_str),
-    "values": non_empty(list_of(read_str, frozenset)),
-}
-
-read_predicate: Reader = object_of(PREDICATE_READERS, Predicate)
-
-
-_FIELD_READERS: dict[str, Reader] = {
-    "name": non_empty(read_str),
-    "semantic_type": read_enum(SemanticType),
-    "entry_mode": read_enum(EntryMode),
-    "generating_actor": non_empty(read_str),
-    "allowed_values": nullable(list_of(read_str, frozenset)),
-    "numeric_range": nullable(_read_range),
-    "format_pattern": nullable(read_str),
-    "required": read_bool,
-    "policy_condition": nullable(read_predicate),
-}
-
-
-_read_field: Reader = object_of(_FIELD_READERS, FieldSpec, ("name", "semantic_type", "entry_mode", "generating_actor"))
-
-
-_MANIFEST_READERS: dict[str, Reader] = {
-    "dataset_id": non_empty(read_str),
-    "stage": read_enum(Stage),
-    "fields": non_empty(list_of(_read_field)),
-    **dict.fromkeys(_COLUMN_REFS, nullable(read_str)),
-    "missing_sentinels": nullable(list_of(read_str, frozenset), DEFAULT_MISSING_SENTINELS),
-}
 
 
 def load_manifest(text: str | bytes) -> DatasetManifest:
     """Parse and validate a manifest document (strict: unknown keys rejected)."""
-    read = object_of(_MANIFEST_READERS, DatasetManifest, ("dataset_id", "stage", "fields"))
-    return read(load_json(text, "manifest"), "manifest")
+    return object_of(DatasetManifest)(load_json(text, "manifest"), "manifest")
 
 
 # --- dataset loading --------------------------------------------------------
@@ -519,7 +493,7 @@ def _read_snapshot(
     positions = {name: i for i, name in enumerate(header)}
     for f in manifest.fields:
         if f.name not in positions:
-            raise MissingColumn(f"dataset is missing manifest column {f.name!r}")
+            raise MissingColumn(f"dataset is missing manifest column {shown(f.name)}")
 
     sentinels = manifest.missing_sentinels
     builders = {f.name: _ColumnBuilder(f.semantic_type, sentinels) for f in manifest.fields}

@@ -45,6 +45,7 @@ from .errors import (
     PercentOutOfRange,
     SchemaViolation,
     UnresolvedLabel,
+    shown,
 )
 from .taxonomy import (
     IDENTIFIER_RE,
@@ -137,7 +138,7 @@ def _precision_fault(precision: int) -> str | None:
     """Why a percent cannot be rendered at ``precision``, or None. More
     than ``_MAX_DECIMALS`` decimals would not parse back."""
     if isinstance(precision, bool) or not isinstance(precision, int) or not 0 <= precision <= _MAX_DECIMALS:
-        return f"precision must be an integer from 0 to {_MAX_DECIMALS}, got {precision!r}"
+        return f"precision must be an integer from 0 to {_MAX_DECIMALS}, got {shown(precision)}"
     return None
 
 
@@ -245,10 +246,10 @@ def _type_faults(a: DQAssertion) -> list[Finding]:
     non-empty string."""
     faults = []
     if a.numeric_fraction is not None and not isinstance(a.numeric_fraction, Fraction):
-        message = f"numeric fraction must be a Fraction or None, got {a.numeric_fraction!r}"
+        message = f"numeric fraction must be a Fraction or None, got {shown(a.numeric_fraction)}"
         faults.append(Finding(Severity.ERROR, "InvalidFraction", message))
     if a.qualifier_text is not None and not (isinstance(a.qualifier_text, str) and a.qualifier_text):
-        message = f"qualifier text must be a non-empty string or None, got {a.qualifier_text!r}"
+        message = f"qualifier text must be a non-empty string or None, got {shown(a.qualifier_text)}"
         faults.append(Finding(Severity.ERROR, "InvalidQualifier", message))
     return faults
 
@@ -294,7 +295,8 @@ def validate_assertion(
     if numeric is None and text is None:
         findings.append(Finding(Severity.ERROR, "EmptyMeasurement", "measurement has neither percent nor text"))
     elif isinstance(numeric, Fraction) and not 0 <= numeric.numerator <= numeric.denominator:
-        findings.append(Finding(Severity.ERROR, "PercentOutOfRange", f"numeric fraction {numeric} outside [0, 1]"))
+        message = f"numeric fraction {shown(numeric, str)} outside [0, 1]"
+        findings.append(Finding(Severity.ERROR, "PercentOutOfRange", message))
     if fault := _precision_fault(precision):
         findings.append(Finding(Severity.ERROR, "InvalidPrecision", fault))
     elif numeric is None and precision:  # a line without a percent reads as precision 0
@@ -315,7 +317,7 @@ def validate_assertion(
     if assertion.parameter is None:
         label = assertion.label
         if not isinstance(label, str) or not IDENTIFIER_RE.fullmatch(label):
-            findings.append(Finding(Severity.ERROR, "InvalidLabel", f"label {label!r} is not an identifier"))
+            findings.append(Finding(Severity.ERROR, "InvalidLabel", f"label {shown(label)} is not an identifier"))
         else:
             message = f"label {label!r} resolves to no core parameter"
             findings.append(Finding(Severity.WARNING, "UnresolvedLabel", message))

@@ -27,8 +27,8 @@ from .errors import (
     list_of,
     load_json,
     object_of,
-    read_object,
     read_str,
+    shown,
 )
 
 
@@ -177,11 +177,11 @@ class LifecycleLocus:
 def _spell(*codes: Any) -> str:
     """Codes joined by ``-``. A string code reads as its own text, which
     for a member is its value on every Python version (``f"{member}"`` is
-    not); any other code reads as ``str()`` of it."""
+    not); any other code reads as ``str()`` of it, through ``shown``."""
     try:
         return "-".join(codes)
     except TypeError:  # a code that is not a string
-        return "-".join(c if isinstance(c, str) else str(c) for c in codes)
+        return "-".join(c if isinstance(c, str) else shown(c, str) for c in codes)
 
 
 def _require_pair(org: Organization, phase: Phase) -> None:
@@ -248,7 +248,7 @@ class ActorRegistry:
         is not a string resolves to none."""
         actor = self._names.get(name) if isinstance(name, str) else None
         if actor is None or not (allow_aliases or name == actor.canonical_name):
-            raise UnknownActor(f"unknown actor: {name!r}")
+            raise UnknownActor(f"unknown actor: {shown(name)}")
         return actor
 
     def with_actor(
@@ -329,6 +329,6 @@ def load_registry_config(text: str | bytes) -> ActorRegistry:
     doc = load_json(text, "registry config")
     registry = _BUILTIN_REGISTRY
     actors = list_of(object_of(_ACTOR_READERS, required=("name",)))
-    for entry in read_object(doc, {"actors": actors}, "registry config").get("actors", ()):
+    for entry in object_of({"actors": actors}, ())(doc, "registry config").get("actors", ()):
         registry = registry.with_actor(**entry)
     return registry

@@ -678,6 +678,17 @@ CONFIG_ERRORS = [
      lambda: Snapshots(source=keyed(actor_id_column="record_id")),
      "SchemaViolation: DegeneracyByActor config.min_records must be an integer of at most"
      f" {sys.get_int_max_str_digits()} digits"),
+    # configs built in code whose bound or share Python cannot print: the
+    # message shows a stand-in, where printing the value once raised a
+    # stray ValueError out of run_suite
+    (CheckKind.DEGENERACY_BY_ACTOR, ("code",), {"config": {"max_dominant_share": 10**5000}},
+     lambda: Snapshots(source=keyed(actor_id_column="record_id")),
+     "SchemaViolation: DegeneracyByActor config.max_dominant_share must be a number, got <unprintable int>"),
+    (CheckKind.TIMELINESS, ("available_at", "available_at"), {"config": {"max_lag": 10**5000}},
+     lambda: Snapshots(source=one_row()),
+     "SchemaViolation: Timeliness config.max_lag must be a duration in range, got <unprintable int>"),
+    (CheckKind.PLAUSIBILITY_RANGE, ("age",), {"config": {"min": 10**5000, "max": 10**5001}},
+     lambda: Snapshots(source=one_row()), "InvalidRange: bound <unprintable int> does not fit a Number field"),
 ]
 
 
@@ -689,6 +700,11 @@ def test_each_config_error_names_its_class_and_cause(kind, fields, keys, snapsho
 
 
 # --- hand-built definitions ------------------------------------------------------
+
+class LongInt(int):
+    """An int subclass: no reader takes it for an int, and of more digits
+    than Python prints, its ``repr`` raises."""
+
 
 def test_an_errored_check_of_listed_target_fields_holds_them_as_a_tuple():
     definition = CheckDefinition("c", CheckKind.COMPLETENESS, ["nope"])
@@ -705,7 +721,9 @@ def test_an_errored_check_of_listed_target_fields_holds_them_as_a_tuple():
     (dict(target_fields="code"), "target_fields must be a tuple or list of strings, got 'code'"),
     (dict(target_fields=("code", 1)), "target_fields must be a tuple or list of strings, got ('code', 1)"),
     (dict(stratify_by_actor="no"), "stratify_by_actor must be a boolean, got 'no'"),
-], ids=["int-id", "str-kind", "str-stage", "str-target-fields", "int-target-field", "str-stratify-by-actor"])
+    (dict(id=LongInt(10**5000)), "id must be a string, got <unprintable LongInt>"),
+], ids=["int-id", "str-kind", "str-stage", "str-target-fields", "int-target-field", "str-stratify-by-actor",
+        "unprintable-id"])
 def test_a_definition_of_the_wrong_types_does_not_build(attributes, message):
     with pytest.raises(SchemaViolation) as exc:
         CheckDefinition(**{"id": "c", "kind": CheckKind.COMPLETENESS, "target_fields": ("code",), **attributes})
@@ -717,7 +735,9 @@ def test_a_definition_of_the_wrong_types_does_not_build(attributes, message):
     (["code"], frozenset({"A"}), "field must be a string, got ['code']"),
     ("code", "AB", "values must be a non-empty frozenset of strings, got 'AB'"),
     ("code", frozenset(), "values must be a non-empty frozenset of strings, got frozenset()"),
-], ids=["int-values", "list-field", "str-values", "no-values"])
+    ("code", frozenset({LongInt(10**5000)}),
+     "values must be a non-empty frozenset of strings, got <unprintable frozenset>"),
+], ids=["int-values", "list-field", "str-values", "no-values", "unprintable-values"])
 def test_a_predicate_of_the_wrong_types_does_not_build(field, values, message):
     """Each of these once reached ``run_suite`` as a Completeness subset:
     int values and a list field raised a stray TypeError there, and a str

@@ -1,8 +1,9 @@
 """The four JSON documents dqlocus reads: manifest, suite, registry config
 and outcomes.
 
-Each object in them is read through one table that maps each key to its
-reader. Whatever a document holds, its loader returns a result or raises a
+Each object in them is read by ``errors.object_of``, through the readers
+its class's fields declare or a table that maps each key to its reader.
+Whatever a document holds, its loader returns a result or raises a
 ``DqError``; no other exception may escape.
 """
 
@@ -30,7 +31,7 @@ from dqlocus.assess import (
     outcomes_to_json,
     run_suite,
 )
-from dqlocus.errors import DqError, SchemaViolation
+from dqlocus.errors import DqError, SchemaViolation, readers_of
 from dqlocus.ingest import DatasetManifest, FieldSpec, Predicate, load_dataset, load_manifest
 from dqlocus.taxonomy import ActorRegistry, load_registry_config
 
@@ -278,18 +279,73 @@ def test_an_integer_too_long_to_convert_is_a_schema_violation(what):
 
 # --- one schema per dataclass -------------------------------------------------
 
-@pytest.mark.parametrize("cls, readers, extra", [
-    (DatasetManifest, ingest._MANIFEST_READERS, set()),
-    (FieldSpec, ingest._FIELD_READERS, set()),
-    (Predicate, ingest.PREDICATE_READERS, set()),
-    (CheckDefinition, assess._DEFINITION_READERS, set()),
-    (StratumOutcome, assess._STRATUM_READERS, set()),
-    (CheckOutcome, assess._OUTCOME_READERS, {"parameter", "status", "rate"}),
-])
-def test_each_reader_table_has_the_keys_of_its_dataclass(cls, readers, extra):
-    assert set(readers) == {f.name for f in dataclasses.fields(cls)} | extra
+#: The classes whose fields are the keys of a document object.
+DOCUMENT_CLASSES = [DatasetManifest, FieldSpec, Predicate, CheckDefinition, StratumOutcome, CheckOutcome]
+
+
+@pytest.mark.parametrize("cls", DOCUMENT_CLASSES, ids=lambda cls: cls.__name__)
+def test_every_field_of_a_document_class_declares_its_reader(cls):
+    assert all(callable(f.metadata.get("reader")) for f in dataclasses.fields(cls))
+    assert list(readers_of(cls)) == [f.name for f in dataclasses.fields(cls)]
+
+
+def test_the_outcome_reader_table_has_the_outcomes_fields_and_the_derived_keys():
+    derived = ["parameter", "status", "rate"]
+    assert list(assess._OUTCOME_READERS) == [f.name for f in dataclasses.fields(CheckOutcome)] + derived
 
 
 def test_an_actor_entry_has_the_keys_of_with_actor():
     parameters = inspect.signature(ActorRegistry.with_actor).parameters
     assert set(taxonomy._ACTOR_READERS) == set(parameters) - {"self"}
+
+
+#: A field that uses every key of ``FieldSpec``, in the place of ``MANIFEST``'s ``code``.
+FULL_FIELD = field("code", "Code", "EhrEnforced", allowed_values=["A12"], numeric_range=[0, 1],
+                   format_pattern="[A-Z][0-9]{2}", required=True, policy_condition={"field": "billable", "values": ["Y"]})
+FULL_MANIFEST = dict(MANIFEST, fields=[*MANIFEST["fields"][:3], FULL_FIELD, *MANIFEST["fields"][4:]])
+
+
+@pytest.mark.parametrize("cls, load, doc, path, where, required", [
+    (DatasetManifest, load_manifest, FULL_MANIFEST, (), "manifest", ["dataset_id", "stage", "fields"]),
+    (FieldSpec, load_manifest, FULL_MANIFEST, ("fields", 3), "manifest.fields[3]",
+     ["name", "semantic_type", "entry_mode", "generating_actor"]),
+    (Predicate, load_manifest, FULL_MANIFEST, ("fields", 3, "policy_condition"), "manifest.fields[3].policy_condition",
+     ["field", "values"]),
+    (CheckDefinition, load_suite, SUITE, (1,), "suite[1]", ["id", "kind", "target_fields"]),
+], ids=["manifest", "field", "predicate", "definition"])
+def test_a_document_object_requires_the_keys_of_the_fields_without_a_default(cls, load, doc, path, where, required):
+    """Dropping a required key names it; dropping any other key loads its field's default."""
+    loaded = load(json.dumps(doc))
+    for f in dataclasses.fields(cls):
+        dropped = copy.deepcopy(doc)
+        del at(dropped, path)[f.name]
+        if f.name in required:
+            with pytest.raises(SchemaViolation) as exc:
+                load(json.dumps(dropped))
+            assert str(exc.value) == f"{where}.{f.name} must be given"
+        else:
+            default = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
+            expected = dataclasses.replace(attribute_at(loaded, path), **{f.name: default})
+            assert attribute_at(load(json.dumps(dropped)), path) == expected
+
+
+def attribute_at(loaded, path):
+    """The object a loaded document holds at a document ``path``: a key
+    names an attribute, an index an item."""
+    for step in path:
+        loaded = getattr(loaded, step) if isinstance(step, str) else loaded[step]
+    return loaded
+
+
+def test_outcome_and_stratum_documents_require_every_key():
+    doc = outcomes_document()
+    i = next(i for i, outcome in enumerate(doc["outcomes"]) if outcome["strata"])
+    sid = next(iter(doc["outcomes"][i]["strata"]))
+    for path, where in [(("outcomes", i), f"outcomes[{i}]"),
+                        (("outcomes", i, "strata", sid), f"outcomes[{i}].strata[{sid!r}]")]:
+        for key in at(doc, path):
+            dropped = copy.deepcopy(doc)
+            del at(dropped, path)[key]
+            with pytest.raises(SchemaViolation) as exc:
+                outcomes_from_json(json.dumps(dropped))
+            assert str(exc.value) == f"outcomes document.{where}.{key} must be given"

@@ -234,6 +234,14 @@ def test_validate_flags_invalid_locus():
      "NewlineInQualifier: qualifier text 'a\\nb' holds a newline, which ends the line in a file"),
     ((None, 0, "94% of rows"),
      "QualifierReadsAsPercent: qualifier text '94% of rows' starts with a percent, so it reads as one"),
+    # values Python cannot print: each message shows a stand-in, where
+    # printing the value once raised a stray ValueError
+    ((10**5000,), "InvalidFraction: numeric fraction must be a Fraction or None, got <unprintable int>"),
+    ((Fraction(1, 2), 10**5000),
+     "InvalidPrecision: precision must be an integer from 0 to 100, got <unprintable int>"),
+    ((None, 0, 10**5000),
+     "InvalidQualifier: qualifier text must be a non-empty string or None, got <unprintable int>"),
+    ((Fraction(10**5000),), "PercentOutOfRange: numeric fraction <unprintable Fraction> outside [0, 1]"),
 ])
 def test_validate_flags_a_bad_measurement_or_parameter(value, finding):
     a = DQAssertion(LifecycleLocus(Organization.DGO, Phase.DG, "Clinician"), "Completeness", *value)
@@ -262,6 +270,8 @@ def test_serializing_a_percent_or_qualifier_of_the_wrong_type_is_a_schema_violat
     # unhashable: once a stray TypeError from the label table's lookup
     (["x"], "InvalidLabel: label ['x'] is not an identifier"),
     ({"Completeness": 1}, "InvalidLabel: label {'Completeness': 1} is not an identifier"),
+    # an int Python cannot print: the message shows a stand-in for it
+    pytest.param(10**5000, "InvalidLabel: label <unprintable int> is not an identifier", id="unprintable-int"),
 ])
 def test_validate_flags_a_label_that_is_not_an_identifier(label, finding):
     a = DQAssertion(LifecycleLocus(Organization.DGO, Phase.DG, "Clinician"), label, Fraction(1, 2))
@@ -292,6 +302,11 @@ def test_a_locus_of_plain_string_codes_that_is_not_valid_is_an_error_finding(loc
      "InvalidPhaseForOrganization: ['DGO']-DG is not a valid organization-phase pair"),
     ((Organization.DGO, ["DG"], ["x"]),
      "InvalidPhaseForOrganization: DGO-['DG'] is not a valid organization-phase pair"),
+    # an int Python cannot print names no locus either, and the message
+    # shows a stand-in for it
+    (("DGO", "DG", 10**5000), "UnknownActor: unknown actor: <unprintable int>"),
+    ((10**5000, "DG", "Clinician"),
+     "InvalidPhaseForOrganization: <unprintable int>-DG is not a valid organization-phase pair"),
 ])
 def test_a_locus_with_an_unhashable_code_or_actor_is_an_error_finding(locus, finding):
     """An unhashable code or actor is in no locus of the registry, so it

@@ -411,6 +411,11 @@ TOO_LONG = 10**DIGITS
 DEGENERACY = CheckKind.DEGENERACY_BY_ACTOR
 
 
+class LongInt(int):
+    """An int subclass: no reader takes it for an int, and of more digits
+    than Python prints, its ``repr`` raises."""
+
+
 @pytest.mark.parametrize("attributes, message", [
     (dict(numerator=5, denominator=3), "numerator must be from 0 to the denominator 3, got 5"),
     (dict(numerator=-1, denominator=3), "numerator must be from 0 to the denominator 3, got -1"),
@@ -464,6 +469,11 @@ DEGENERACY = CheckKind.DEGENERACY_BY_ACTOR
     (dict(kind=DEGENERACY, details={"flagged_actors": {"a": {"dominant_value": "x"}}}),
      "details.flagged_actors['a'].share must be given"),
     (dict(error="x", details={"x": 1}), "details must be {} in an errored outcome, got {'x': 1}"),
+    (dict(numerator=LongInt(TOO_LONG), denominator=LongInt(TOO_LONG)),
+     "numerator must be an integer, got <unprintable LongInt>"),
+    (dict(details={LongInt(TOO_LONG): 1, "x": 1}), "details must not have the keys [<unprintable LongInt>, 'x']"),
+    (dict(numerator=0, denominator=2, violations=((TOO_LONG, "missing"), (0, "missing"))),
+     "violations[1][0] must be above <unprintable int>: rows ascend from 0, got 0"),
 ], ids=["numerator-over-denominator", "negative-numerator", "stratum-numerator-over-denominator",
         "strata-do-not-sum", "rows-out-of-order", "errored-with-counts", "bool-count", "float-stratum-count",
         "bool-row", "nan-row", "int-reason", "violation-not-a-pair", "violations-list", "target-fields-list",
@@ -472,7 +482,8 @@ DEGENERACY = CheckKind.DEGENERACY_BY_ACTOR
         "denominator-too-many-digits", "stratum-count-too-many-digits", "row-too-many-digits",
         "details-int-too-many-digits", "details-too-deep", "int-subset", "bytes-error", "str-stage",
         "details-key-of-another-kind", "details-lags-without-median", "details-int-seconds",
-        "details-bool-min-records", "details-flagged-without-share", "errored-with-unlisted-details"])
+        "details-bool-min-records", "details-flagged-without-share", "errored-with-unlisted-details",
+        "unprintable-count", "unprintable-details-key", "rows-out-of-order-after-an-unprintable-row"])
 def test_an_outcome_that_breaks_a_rule_does_not_build(attributes, message):
     """Each outcome is a Timeliness one unless ``attributes`` names its kind."""
     with pytest.raises(SchemaViolation) as exc:
@@ -484,7 +495,8 @@ def test_an_outcome_that_breaks_a_rule_does_not_build(attributes, message):
     (1, CheckKind.COMPLETENESS, "check_id must be a string, got 1"),
     (None, CheckKind.COMPLETENESS, "check_id must be a string, got None"),
     ("c", "Completeness", "kind must be a CheckKind, got 'Completeness'"),
-], ids=["int-check-id", "none-check-id", "str-kind"])
+    (LongInt(TOO_LONG), CheckKind.COMPLETENESS, "check_id must be a string, got <unprintable LongInt>"),
+], ids=["int-check-id", "none-check-id", "str-kind", "unprintable-check-id"])
 def test_an_outcome_whose_id_or_kind_is_of_the_wrong_type_does_not_build(check_id, kind, message):
     with pytest.raises(SchemaViolation) as exc:
         CheckOutcome(check_id, kind)
